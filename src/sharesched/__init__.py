@@ -40,7 +40,6 @@ from .waterfill import (
     extendability_check,
     flatter_than_universal,
     optimal_makespan,
-    universal_eval,
     universal_upper_area,
     waterfill_online,
     waterfill_step,
@@ -53,9 +52,7 @@ from .linesched import (
     SlacknessReport,
     build_line_schedule,
     check_slackness,
-    cost_rate,
     cost_rates_on_grid,
-    dual_line,
     duality_quantities,
     scheduled_volumes,
     solve_alpha,

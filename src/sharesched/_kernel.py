@@ -1,38 +1,124 @@
-"""Numeric kernels for priority-line schedules.
+"""Priority packing, the construction behind line schedules and the slot LP.
 
-The hot path of the alpha fixed-point solver evaluates scheduled volumes for
-thousands of candidate alpha vectors, so these routines are written as plain
-loops and JIT-compiled with numba when it is available.  Without numba the
-same functions run under CPython, just slower.
+Job j has the priority line ``d_j(t) = alpha_j - t / v_j``.  At each instant
+the jobs with positive priority are packed in descending priority under the
+unit resource, each taking min(r_j, capacity left), ties going to the larger
+volume.  The packing can change only at a breakpoint: a line zero
+``alpha_j * v_j`` or a pairwise line crossing at positive time.  The capacity
+price gamma and the cap prices beta are read off the same packing.
 
-Both kernels share the interval sweep: candidate breakpoints are the zeros
-``alpha_j * v_j`` of the priority lines plus every pairwise line crossing at
-positive time.  Inside each interval the priority order is constant, so jobs
-can be packed greedily by descending line height (ties broken by larger
-volume, which only matters for exactly equal volumes).
+``breakpoints``, ``pack`` and ``prices`` are the only copies of these rules;
+``line_volumes``, ``line_structure``, ``linesched`` and ``lp`` all use them.
+One second path stays: for at most ``LOOP_MAX_N`` jobs, ``line_volumes`` runs
+a scalar interval loop.  The numpy path costs a nearly fixed 55-100 us per
+call up to n = 8, mostly numpy call overhead, while the loop takes 12-90 us
+at n = 2-4 and 150 us or more from n = 5 (CPython 3.11, numpy 2.4, random
+intercepts), so the two cross at n = 4.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-try:  # pragma: no cover - exercised implicitly
-    from numba import njit
-
-    NUMBA = True
-except ImportError:  # pragma: no cover
-    NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(f):
-            return f
-
-        return deco
+# Largest job count for which ``line_volumes`` runs the scalar loop.
+LOOP_MAX_N = 4
 
 
-@njit(cache=True)
+def breakpoints(v, alpha):
+    """Sorted times at which the packing of the lines of ``alpha`` can change.
+
+    Returns ``(times, a, b)``: ``times[0] == 0`` with ``a = b = -1``; a zero
+    of line j has ``a = j, b = -1``; a crossing of lines j < k at positive
+    time has ``a = j, b = k``.
+    """
+    idx = np.arange(v.size)
+    zeros = idx[alpha > 0.0]
+    j, k = np.nonzero(idx[:, None] < idx)
+    ds = 1.0 / v[j] - 1.0 / v[k]
+    t = (alpha[j] - alpha[k]) / np.where(ds != 0.0, ds, np.inf)  # parallel: t = 0
+    crossing = t > 0.0
+    j, k, t = j[crossing], k[crossing], t[crossing]
+    times = np.concatenate([[0.0], alpha[zeros] * v[zeros], t])
+    a = np.concatenate([[-1], zeros, j])
+    b = np.concatenate([[-1], np.full(zeros.size, -1), k])
+    order = np.argsort(times, kind="stable")
+    return times[order], a[order], b[order]
+
+
+def pack(d, v, r):
+    """Rates of the priority packing, one column per instant.
+
+    ``d[j, i]`` is job j's priority in column i.  In each column, jobs take
+    min(r_j, capacity left) in descending priority, ties going to the larger
+    volume; jobs with priority <= 0 take nothing.
+    """
+    by_volume = np.argsort(-v, kind="stable")
+    order = by_volume[np.argsort(-d[by_volume], axis=0, kind="stable")]
+    cols = np.arange(d.shape[1])
+    r_sorted = r[order]
+    used = np.zeros_like(r_sorted)
+    np.cumsum(r_sorted[:-1], axis=0, out=used[1:])
+    rates = np.empty_like(r_sorted)
+    rates[order, cols] = np.where(d[order, cols] > 0.0, np.clip(1.0 - used, 0.0, r_sorted), 0.0)
+    return rates
+
+
+def prices(d, rates):
+    """Dual prices of a packing: ``(gamma, beta, k)``, one column per instant.
+
+    On a column whose rates sum to at least 1 - 1e-12, gamma is the priority
+    of the lowest job with a positive rate, and ``k`` is that job; elsewhere
+    gamma is 0 and ``k`` is -1.  ``beta = max(0, d - gamma)``.
+    """
+    full = rates.sum(axis=0) >= 1.0 - 1e-12
+    k = np.where(full, np.argmin(np.where(rates > 0.0, d, np.inf), axis=0), -1)
+    gamma = np.where(full, d[k, np.arange(d.shape[1])], 0.0)
+    return gamma, np.maximum(d - gamma, 0.0), k
+
+
+def _packed(v, r, alpha):
+    """Breakpoints, per-interval rates and volumes of the line schedule."""
+    times, a, b = breakpoints(v, alpha)
+    mid = 0.5 * (times[:-1] + times[1:])
+    rates = pack(alpha[:, None] - mid[None, :] / v[:, None], v, r)
+    return times, a, b, rates, rates @ np.diff(times)
+
+
 def line_volumes(v, r, alpha):
     """Scheduled volume per job for the line schedule of ``alpha``."""
+    if v.size <= LOOP_MAX_N:
+        return _loop_volumes(v, r, alpha)
+    return _packed(v, r, alpha)[4]
+
+
+def line_structure(v, r, alpha):
+    """Full interval structure of the line schedule of ``alpha``.
+
+    Returns ``(grid, rates, vols, jac)`` where ``grid`` is the sorted
+    breakpoint vector, ``rates[j, i]`` the constant rate of job j on interval
+    i, ``vols`` the scheduled volumes, and ``jac`` the exact Jacobian
+    d vols / d alpha.  The Jacobian is exact because, for a fixed priority
+    structure, rates are constant and every breakpoint is affine in alpha:
+    a zero of line a moves with velocity v_a, a crossing of lines a and b
+    with velocity +/- v_a v_b / (v_b - v_a).  A breakpoint moving by dt
+    changes each job's volume by dt times its rate drop there.
+    """
+    grid, a, b, rates, vols = _packed(v, r, alpha)
+    # rate just before each breakpoint minus the rate just after it
+    drop = -np.diff(rates, axis=1, prepend=0.0, append=0.0)
+    velocity = np.zeros((grid.size, v.size))
+    zero = np.flatnonzero((a >= 0) & (b < 0))
+    velocity[zero, a[zero]] = v[a[zero]]
+    cross = np.flatnonzero(b >= 0)
+    va, vb = v[a[cross]], v[b[cross]]
+    s = va * vb / (vb - va)
+    velocity[cross, a[cross]] = s
+    velocity[cross, b[cross]] = -s
+    return grid, rates, vols, drop @ velocity
+
+
+def _loop_volumes(v, r, alpha):
+    """``line_volumes`` as a scalar interval loop, for a handful of jobs."""
     n = v.size
     maxpts = 1 + n + n * (n - 1) // 2
     pts = np.empty(maxpts)
@@ -83,107 +169,3 @@ def line_volumes(v, r, alpha):
             rem -= take
             vols[q] += take * w
     return vols
-
-
-@njit(cache=True)
-def line_structure(v, r, alpha):
-    """Full interval structure of the line schedule of ``alpha``.
-
-    Returns ``(grid, rates, vols, jac)`` where ``grid`` is the sorted
-    breakpoint vector, ``rates[j, i]`` the constant rate of job j on interval
-    i, ``vols`` the scheduled volumes, and ``jac`` the exact Jacobian
-    d vols / d alpha.  The Jacobian is exact because, for a fixed priority
-    structure, rates are constant and every breakpoint is affine in alpha:
-    a zero of line a moves with velocity v_a, a crossing of lines a and b
-    with velocity +/- v_a v_b / (v_b - v_a).
-    """
-    n = v.size
-    maxpts = 1 + n + n * (n - 1) // 2
-    pts = np.empty(maxpts)
-    pa = np.empty(maxpts, np.int64)
-    pb = np.empty(maxpts, np.int64)
-    cnt = 0
-    pts[cnt] = 0.0
-    pa[cnt] = -1
-    pb[cnt] = -1
-    cnt += 1
-    for j in range(n):
-        if alpha[j] > 0.0:
-            pts[cnt] = alpha[j] * v[j]
-            pa[cnt] = j
-            pb[cnt] = -1
-            cnt += 1
-    for j in range(n):
-        for k in range(j + 1, n):
-            ds = 1.0 / v[j] - 1.0 / v[k]
-            if ds != 0.0:
-                t = (alpha[j] - alpha[k]) / ds
-                if t > 0.0:
-                    pts[cnt] = t
-                    pa[cnt] = j
-                    pb[cnt] = k
-                    cnt += 1
-    idx = np.argsort(pts[:cnt])
-    g = pts[:cnt][idx]
-    ga = pa[:cnt][idx]
-    gb = pb[:cnt][idx]
-    rates = np.zeros((n, cnt - 1 if cnt > 1 else 0))
-    vols = np.zeros(n)
-    d = np.empty(n)
-    order = np.empty(n, np.int64)
-    for i in range(cnt - 1):
-        t0 = g[i]
-        t1 = g[i + 1]
-        w = t1 - t0
-        if w <= 0.0:
-            continue
-        m = 0.5 * (t0 + t1)
-        for j in range(n):
-            d[j] = alpha[j] - m / v[j]
-            order[j] = j
-        for j in range(1, n):
-            key = order[j]
-            kd = d[key]
-            kv = v[key]
-            l = j - 1
-            while l >= 0 and (d[order[l]] < kd or (d[order[l]] == kd and v[order[l]] < kv)):
-                order[l + 1] = order[l]
-                l -= 1
-            order[l + 1] = key
-        rem = 1.0
-        for jj in range(n):
-            q = order[jj]
-            if d[q] <= 0.0 or rem <= 0.0:
-                break
-            take = r[q] if r[q] < rem else rem
-            rem -= take
-            rates[q, i] = take
-            vols[q] += take * w
-    jac = np.zeros((n, n))
-    for p in range(cnt):
-        a = ga[p]
-        if a < 0:
-            continue
-        b = gb[p]
-        for j in range(n):
-            before = rates[j, p - 1] if p - 1 >= 0 and rates.shape[1] > 0 else 0.0
-            after = rates[j, p] if p < cnt - 1 else 0.0
-            diff = before - after
-            if diff == 0.0:
-                continue
-            if b < 0:
-                jac[j, a] += diff * v[a]
-            else:
-                s = v[a] * v[b] / (v[b] - v[a])
-                jac[j, a] += diff * s
-                jac[j, b] -= diff * s
-    return g, rates, vols, jac
-
-
-def warm_up() -> None:
-    """Trigger JIT compilation once (a no-op without numba)."""
-    v = np.array([1.0, 2.0])
-    r = np.array([0.5, 0.5])
-    a = np.array([1.0, 1.0])
-    line_volumes(v, r, a)
-    line_structure(v, r, a)

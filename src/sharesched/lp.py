@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernel
 from .core import ContractError, JobSet, Schedule, StepFunction
 
 
@@ -261,47 +262,20 @@ def _aggregated_solve(inst: LpInstance, edges: np.ndarray, bland: bool):
 def _slot_duals(inst: LpInstance, alpha: np.ndarray):
     """Per-slot capacity/box duals that are optimal for the price ``alpha``.
 
-    Slot by slot, the Lagrangian inner problem is a box-constrained packing
-    whose optimal dual is: gamma = gain of the marginal job when the slot is
-    full (0 otherwise), beta_j = excess gain above gamma.  Returns
-    (gamma, beta, per-slot best gain * width).
+    Slot by slot, the Lagrangian inner problem is the priority packing of
+    the gains ``alpha_j - midpoint / v_j``, and its optimal duals are the
+    packing's prices.  Returns (gamma, beta, per-slot best gain * width).
     """
-    n = inst.n_jobs
     v = inst.jobs.volumes()
-    r = inst.jobs.requirements()
-    mids = inst.slot_midpoints()
-    gains = alpha[:, None] - mids[None, :] / v[:, None]          # (n, I)
-    order = np.argsort(-gains, axis=0, kind="stable")
-    g_sorted = np.take_along_axis(gains, order, axis=0)
-    r_sorted = np.take_along_axis(np.broadcast_to(r[:, None], gains.shape), order, axis=0)
-    used_before = np.vstack([np.zeros(inst.n_slots), np.cumsum(r_sorted, axis=0)[:-1]])
-    take = np.clip(1.0 - used_before, 0.0, r_sorted)
-    take = np.where(g_sorted > 0.0, take, 0.0)
-    slot_gain = (take * g_sorted).sum(axis=0) * inst.slot_width
-    # marginal job: first positive-gain row at which the capacity is used up
-    filled = (used_before + r_sorted >= 1.0 - 1e-12) & (g_sorted > 0.0)
-    gamma = np.zeros(inst.n_slots)
-    any_filled = filled.any(axis=0)
-    first = np.argmax(filled, axis=0)
-    cols = np.flatnonzero(any_filled)
-    gamma[cols] = np.maximum(g_sorted[first[cols], cols], 0.0)
-    beta = np.maximum(gains - gamma[None, :], 0.0)
-    return gamma, beta, slot_gain
+    gains = alpha[:, None] - inst.slot_midpoints()[None, :] / v[:, None]   # (n, I)
+    rates = _kernel.pack(gains, v, inst.jobs.requirements())
+    gamma, beta, _ = _kernel.prices(gains, rates)
+    return gamma, beta, (rates * gains).sum(axis=0) * inst.slot_width
 
 
 def _structure_edges(inst: LpInstance, alpha: np.ndarray) -> np.ndarray:
     """Slot indices where the packing structure of ``alpha`` can change."""
-    v = inst.jobs.volumes()
-    times = [alpha * v]
-    n = v.size
-    for j in range(n):
-        for k in range(j + 1, n):
-            ds = 1.0 / v[j] - 1.0 / v[k]
-            if ds != 0.0:
-                t = (alpha[j] - alpha[k]) / ds
-                if 0.0 < t:
-                    times.append(np.array([t]))
-    t = np.concatenate(times)
+    t = _kernel.breakpoints(inst.jobs.volumes(), alpha)[0]
     t = t[(t > 0.0) & (t < inst.horizon)]
     slots = np.unique((t / inst.slot_width).astype(int))
     return np.unique(np.concatenate([slots, slots + 1]))

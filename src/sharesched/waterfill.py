@@ -255,13 +255,6 @@ class UniversalSchedule:
         return StepFunction(edges, vals)
 
 
-def universal_eval(u: UniversalSchedule, t: float) -> float:
-    """Resource level of the universal schedule at time t."""
-    if t < 0.0:
-        raise ContractError("t must be nonnegative")
-    return u(t)
-
-
 def universal_upper_area(volume: float, y: float) -> float:
     """Closed-form upper area of the universal schedule: (e^(1-y)-1)/(e-1)*V."""
     if not (0.0 <= y <= 1.0):

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from sharesched import JobSet, _kernel
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _jit_warmup():
-    # compile the numba kernels once so per-test timings stay honest
-    _kernel.warm_up()
+from sharesched import JobSet
 
 
 def random_instance(seed: int, n_max: int, n_min: int = 1,

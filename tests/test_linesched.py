@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -9,30 +11,22 @@ from sharesched import (
     JobSet,
     LineSchedule,
     PiecewiseLinear,
+    best_schedule,
     build_discretized_lp,
     build_line_schedule,
     check_slackness,
-    cost_rate,
     cost_rates_on_grid,
-    dual_line,
     duality_quantities,
     scheduled_volumes,
     solve_alpha,
     solve_lp,
     split_volume_ties,
 )
+from sharesched.cli import generate_random
 
 from conftest import random_instance
 
 ALPHA_EXPECTED = np.array([51.0 / 16.0, 39.0 / 16.0, 31.0 / 16.0])
-
-
-class TestDualLine:
-    def test_values(self):
-        job = Job(1.0, 1.0)
-        assert dual_line(job, 1.0, 0.0) == 1.0
-        assert dual_line(job, 1.0, 1.0) == 0.0
-        assert dual_line(job, 51.0 / 16.0, 1.0) == pytest.approx(35.0 / 16.0)
 
 
 class TestBuildLineSchedule:
@@ -148,6 +142,24 @@ class TestSolveAlpha:
         with pytest.raises(DegenerateVolumesError):
             solve_alpha(JobSet.of([(1, 0.5), (1, 0.6)]))
 
+    def test_near_tied_volumes_fail_fast(self):
+        # volumes a relative 1e-15 apart, and split twins (1e-12 apart), are
+        # too close for vol_tol; iterating on them stalls for several seconds
+        base = list(generate_random(6, 5))
+        nudged = JobSet([base[0], Job(base[0].volume * (1 + 1e-15), base[1].requirement)]
+                        + base[2:])
+        twins = split_volume_ties(
+            JobSet([base[0], Job(base[0].volume, base[1].requirement)] + base[2:]))
+        for jobs in (nudged, twins):
+            start = time.perf_counter()
+            with pytest.raises(DegenerateVolumesError, match="vol_tol"):
+                solve_alpha(jobs)
+            assert time.perf_counter() - start < 0.1
+            start = time.perf_counter()
+            _, report = best_schedule(jobs)
+            assert time.perf_counter() - start < 1.0
+            assert report.chosen == "greedy" and report.line_error is not None
+
     def test_intercepts_respect_volume_bound(self):
         # any fixed point keeps alpha_j below total volume / (v_j * min r)
         for seed in range(30):
@@ -220,10 +232,11 @@ class TestCostRate:
     def test_examples(self, three_jobs):
         single = JobSet.of([(1, 1)])
         ls1 = build_line_schedule(single, [1.0])
-        assert cost_rate(ls1, 0.5) == pytest.approx(1.0)
+        assert cost_rates_on_grid(ls1) == pytest.approx([1.0])
         ls3 = build_line_schedule(three_jobs, ALPHA_EXPECTED)
-        assert cost_rate(ls3, 0.5) == pytest.approx(0.75 / 1.0 + 0.25 / 4.0)
-        assert cost_rate(ls3, 100.0) == 0.0
+        # the first grid interval is [0, 1), with midpoint 0.5
+        assert cost_rates_on_grid(ls3)[0] == pytest.approx(0.75 / 1.0 + 0.25 / 4.0)
+        assert all(a(100.0) == 0.0 for a in ls3.schedule.assignments)
 
     def test_monotone_on_random_instances(self):
         for seed in range(40):

@@ -17,7 +17,6 @@ from sharesched import (
     is_flatter,
     makespan,
     optimal_makespan,
-    universal_eval,
     universal_upper_area,
     validate_schedule,
     waterfill_online,
@@ -172,10 +171,10 @@ class TestWaterfillOnline:
 class TestUniversalSchedule:
     def test_eval_examples(self):
         u = UniversalSchedule(1.0)
-        assert universal_eval(u, 0.0) == 1.0
-        assert universal_eval(u, u.support_end) == 0.0
+        assert u(0.0) == 1.0
+        assert u(u.support_end) == 0.0
         u2 = UniversalSchedule(E - 1.0)
-        assert universal_eval(u2, 1.0) == pytest.approx(1.0)
+        assert u2(1.0) == pytest.approx(1.0)
 
     def test_volume_integral(self):
         for volume in (0.5, 1.0, 2.5):
