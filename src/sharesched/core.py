@@ -212,12 +212,8 @@ class StepFunction:
         """Truncate to [0, C)."""
         if C <= 0.0:
             return StepFunction.zero()
-        cut = int(np.searchsorted(self.edges, C, side="left"))
-        e = np.append(self.edges[:cut], C)
-        v = self.values[: e.size - 1]
-        if v.size < e.size - 1:
-            v = np.append(v, np.zeros(e.size - 1 - v.size))
-        return StepFunction(e, v)
+        edges, _, values = _pieces_before(self, C)
+        return StepFunction(edges, values)
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
         return sum_steps([self, other])
@@ -261,6 +257,16 @@ def _canonical(e: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not v.size:
         return np.array([0.0]), np.array([], dtype=float)
     return e, v
+
+
+def _pieces_before(f: StepFunction, C: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges, widths and values of ``f`` on [0, C), zero-padded up to C."""
+    cut = int(np.searchsorted(f.edges, C, side="left"))
+    edges = np.append(f.edges[:cut], C)
+    values = f.values[: edges.size - 1]
+    if values.size < edges.size - 1:
+        values = np.append(values, np.zeros(edges.size - 1 - values.size))
+    return edges, np.diff(edges), values
 
 
 def sum_steps(fns: Sequence[StepFunction]) -> StepFunction:
@@ -326,7 +332,12 @@ class PiecewiseLinear:
 
 @dataclass(frozen=True)
 class Schedule:
-    """One resource-rate step function per job, in job order."""
+    """One resource-rate step function per job, in job order.
+
+    The total usage is summed once and kept; ``with_job`` hands the extended
+    schedule its usage as the old usage plus the new assignment.  The kept
+    usage is not a field, so it takes no part in equality or repr.
+    """
 
     assignments: tuple[StepFunction, ...]
 
@@ -348,10 +359,16 @@ class Schedule:
         return np.array([a.integral() for a in self.assignments])
 
     def total_usage(self) -> StepFunction:
-        return sum_steps(self.assignments)
+        usage = self.__dict__.get("_usage")
+        if usage is None:
+            usage = sum_steps(self.assignments)
+            object.__setattr__(self, "_usage", usage)
+        return usage
 
     def with_job(self, assignment: StepFunction) -> "Schedule":
-        return Schedule(self.assignments + (assignment,))
+        out = Schedule(self.assignments + (assignment,))
+        object.__setattr__(out, "_usage", self.total_usage() + assignment)
+        return out
 
     def scale_time(self, factor: float) -> "Schedule":
         return Schedule(a.scale_time(factor) for a in self.assignments)
@@ -444,16 +461,7 @@ def upper_resource_distribution(sched: Schedule, C: float, y: float) -> float:
         raise ContractError("y must lie in [0, 1]")
     if C < 0.0:
         raise ContractError("C must be nonnegative")
-    usage = sched.total_usage()
-    return _upper_area(usage, C, y)
-
-
-def _upper_area(usage: StepFunction, C: float, y: float) -> float:
-    if not usage.values.size or C <= 0.0:
-        return 0.0
-    hi = np.minimum(usage.edges[1:], C)
-    lo = np.minimum(usage.edges[:-1], C)
-    return float(np.dot(hi - lo, np.maximum(usage.values - y, 0.0)))
+    return float(_area_matrix(sched.total_usage(), np.array([C]), np.array([y]))[0, 0])
 
 
 def _area_matrix(usage: StepFunction, horizons: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -45,48 +45,19 @@ def greedy(jobs: JobSet) -> Schedule:
     n = len(jobs)
     order = sorted(range(n), key=lambda j: (jobs[j].volume, j))
     assignments: list[StepFunction | None] = [None] * n
-    edges = np.array([0.0])
-    usage = np.array([])  # one level per interval, 0 after edges[-1]
+    usage = StepFunction.zero()
     for j in order:
         v, r = jobs[j].volume, jobs[j].requirement
-        caps = np.minimum(r, np.maximum(1.0 - usage, 0.0))
-        widths = np.diff(edges)
-        acc = 0.0
-        t_done = None
-        rates = []
-        for k in range(widths.size):
-            if acc >= v:
-                t_done = float(edges[k])
-                break
-            gain = caps[k] * widths[k]
-            if acc + gain >= v and caps[k] > 0.0:
-                t_done = float(edges[k] + (v - acc) / caps[k])
-                rates.append(caps[k])
-                break
-            rates.append(caps[k])
-            acc += gain
-        if t_done is None:
-            t_done = float(edges[-1] + (v - acc) / r)
-            rates.append(r)
-        grid = np.append(edges[: len(rates)], t_done)
-        assignments[j] = StepFunction(grid, rates)
-        # fold into the usage profile
-        new_edges = np.unique(np.concatenate([edges, grid]))
-        mids = 0.5 * (new_edges[:-1] + new_edges[1:])
-        if usage.size:
-            old_idx = np.searchsorted(edges, mids, side="right") - 1
-            safe = np.clip(old_idx, 0, usage.size - 1)
-            old_val = np.where(old_idx < usage.size, usage[safe], 0.0)
-        else:
-            old_val = np.zeros(mids.size)
-        usage = old_val + assignments[j](mids)
-        edges = new_edges
-        # drop zero tail to keep the profile compact
-        while usage.size and usage[-1] == 0.0:
-            usage = usage[:-1]
-            edges = edges[:-1]
-        if not usage.size:
-            edges = np.array([0.0])
+        caps = np.minimum(r, np.maximum(1.0 - usage.values, 0.0))
+        filled = np.cumsum(caps * usage.widths())
+        k = int(np.searchsorted(filled, v, side="left"))   # first interval reaching v
+        before = float(filled[k - 1]) if k else 0.0
+        if k < filled.size:
+            rates, t_done = caps[: k + 1], usage.edges[k] + (v - before) / caps[k]
+        else:   # the rest runs at full requirement after the usage ends
+            rates, t_done = np.append(caps, r), usage.support_end + (v - before) / r
+        assignments[j] = StepFunction(np.append(usage.edges[: rates.size], t_done), rates)
+        usage = usage + assignments[j]
     return Schedule(assignments)
 
 

@@ -21,7 +21,8 @@ from .core import (
     JobSet,
     Schedule,
     StepFunction,
-    _upper_area,
+    _area_matrix,
+    _pieces_before,
 )
 
 E = math.e
@@ -64,16 +65,6 @@ class WaterfillOutcome:
     deficit: float = 0.0
 
 
-def _usage_before(usage: StepFunction, C: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge vector, widths and levels of ``usage`` restricted to [0, C)."""
-    cut = int(np.searchsorted(usage.edges, C, side="left"))
-    edges = np.append(usage.edges[:cut], C)
-    levels = usage.values[: edges.size - 1]
-    if levels.size < edges.size - 1:
-        levels = np.append(levels, np.zeros(edges.size - 1 - levels.size))
-    return edges, np.diff(edges), levels
-
-
 def waterfill_step(sched: Schedule, job: Job, deadline: float,
                    tol: float = DEFAULT_TOL) -> WaterfillOutcome:
     """Augment ``sched`` by ``job`` finishing by ``deadline`` if possible.
@@ -88,7 +79,7 @@ def waterfill_step(sched: Schedule, job: Job, deadline: float,
     usage = sched.total_usage()
     if deadline == 0.0:
         return WaterfillOutcome(ok=False, deficit=job.volume)
-    edges, widths, levels = _usage_before(usage, deadline)
+    edges, widths, levels = _pieces_before(usage, deadline)
     r, v = job.requirement, job.volume
 
     def volume_below(h: float) -> float:
@@ -307,8 +298,6 @@ def flatter_than_universal(sched: Schedule, volume: float,
         measures = measures[measures > 0.0]
         ystar = 1.0 - np.log(measures * (E - 1.0) / volume)
         ys = np.unique(np.concatenate([ys, ystar[(ystar >= 0.0) & (ystar <= 1.0)]]))
-    from .core import _area_matrix
-
     a_sched = _area_matrix(usage, horizons, ys)
     a_ref = _universal_area_matrix(u, horizons, ys)
     return bool(np.all(a_sched <= a_ref + tol * np.maximum(1.0, a_ref)))
@@ -330,16 +319,13 @@ def extendability_check(sched: Schedule, jobs: JobSet, ratio: float,
     p_max = jobs.max_processing_time()
     usage = sched.total_usage()
     lo = (ratio - 1.0) / ratio
-    ys = np.concatenate([
+    ys = np.unique(np.concatenate([
         usage.values[(usage.values > lo) & (usage.values <= 1.0)],
         np.linspace(lo, 1.0, grid + 1)[1:],
-    ])
-    far = usage.support_end + 1.0
-    for y in np.unique(ys):
-        bound = (ratio - 1.0) * (1.0 - y) / y * max(total, p_max * y)
-        if _upper_area(usage, far, float(y)) > bound + tol * max(1.0, bound):
-            return False
-    return True
+    ]))
+    areas = _area_matrix(usage, np.array([usage.support_end + 1.0]), ys)[:, 0]
+    bounds = (ratio - 1.0) * (1.0 - ys) / ys * np.maximum(total, p_max * ys)
+    return bool(np.all(areas <= bounds + tol * np.maximum(1.0, bounds)))
 
 
 def adversarial_instance(n: int) -> JobSet:

@@ -22,6 +22,32 @@ from sharesched.lp import build_discretized_lp, solve_lp
 from conftest import random_instance
 
 
+def reference_greedy_completions(jobs: JobSet) -> list[float]:
+    """Greedy as a scalar loop over a list-based usage profile."""
+    edges, usage = [0.0], []   # usage[k] holds on [edges[k], edges[k + 1])
+    done = [0.0] * len(jobs)
+    for j in sorted(range(len(jobs)), key=lambda j: (jobs[j].volume, j)):
+        v, r = jobs[j].volume, jobs[j].requirement
+        acc, k = 0.0, 0
+        while k < len(usage):
+            cap = min(r, max(1.0 - usage[k], 0.0))
+            if cap > 0.0 and acc + cap * (edges[k + 1] - edges[k]) >= v:
+                done[j] = edges[k] + (v - acc) / cap
+                break
+            acc += cap * (edges[k + 1] - edges[k])
+            k += 1
+        else:
+            done[j] = edges[-1] + (v - acc) / r
+            edges.append(done[j])
+            usage.append(0.0)
+        if done[j] < edges[k + 1]:   # split the interval the job ends in
+            edges.insert(k + 1, done[j])
+            usage.insert(k + 1, usage[k])
+        for i in range(k + 1):
+            usage[i] += min(r, max(1.0 - usage[i], 0.0))
+    return done
+
+
 class TestGreedy:
     def test_single_job(self):
         jobs = JobSet.of([(2.0, 0.5)])
@@ -47,7 +73,10 @@ class TestGreedy:
     def test_feasible_on_random_instances(self):
         for seed in range(50):
             jobs = random_instance(seed, 10)
-            assert validate_schedule(jobs, greedy(jobs)).feasible
+            sched = greedy(jobs)
+            assert validate_schedule(jobs, sched).feasible
+            want = reference_greedy_completions(jobs)
+            assert sched.completion_times() == pytest.approx(want, rel=1e-12)
 
     def test_at_most_one_partial_job_per_interval(self):
         for seed in range(30):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sharesched import core
 from sharesched import (
     COMPETITIVE_RATIO,
     ContractError,
@@ -14,6 +15,7 @@ from sharesched import (
     adversarial_instance,
     extendability_check,
     flatter_than_universal,
+    greedy,
     is_flatter,
     makespan,
     optimal_makespan,
@@ -155,6 +157,28 @@ class TestWaterfillOnline:
     def test_ratio_below_one_rejected(self):
         with pytest.raises(ContractError):
             waterfill_online(JobSet(), ratio=0.9)
+
+    def test_usage_is_folded_once_per_job(self, monkeypatch):
+        # water-filling and greedy each add one assignment to the usage so
+        # far per job, instead of summing every earlier assignment again
+        sizes = []
+        real = core.sum_steps
+        monkeypatch.setattr(core, "sum_steps", lambda fns: sizes.append(len(fns)) or real(fns))
+        for jobs in (random_instance(4, 50, n_min=50), adversarial_instance(50)):
+            for algo in (waterfill_online, greedy):
+                sizes.clear()
+                algo(jobs)
+                assert len(jobs) <= len(sizes) <= len(jobs) + 1 and max(sizes) <= 2
+
+    def test_kept_usage_matches_a_fresh_sum(self):
+        for seed in range(15):
+            jobs = random_instance(seed, 12)
+            for sched in waterfill_online(jobs).schedules:
+                kept, fresh = sched.total_usage(), core.sum_steps(sched.assignments)
+                assert np.array_equal(kept.edges, fresh.edges)
+                assert np.array_equal(kept.values, fresh.values)
+                plain = Schedule(sched.assignments)
+                assert sched == plain and repr(sched) == repr(plain)
 
     def test_prefix_flatness(self):
         for seed in range(25):
