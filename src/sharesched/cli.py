@@ -125,6 +125,8 @@ def run_algorithm(algo: str, jobs: JobSet, *, ratio: float, eps: float,
         extras["slot_width"] = info.slot_width
         extras["guarantee_slot_width"] = info.guarantee_slot_width
         extras["scale_factor"] = info.scale_factor
+        extras["lp_rounds"] = info.lp_rounds
+        extras["lp_pivots"] = info.lp_pivots
     elif algo == "best":
         params = tct.LsApproxParams(eps, kappa, slot_width=slot_width)
         sched, report = tct.best_schedule(jobs, params, use_exact_ls=use_exact_ls)

@@ -35,9 +35,64 @@ class InfeasibleInstanceError(RuntimeError):
 # dense bounded-variable two-phase simplex
 
 
+def _slack_rows(c, upper, cols, rows, vals):
+    """Rows with a slack column, and that column (the first one per row).
+
+    A slack column is a unit vector e_i with zero cost and no upper bound.
+    ``cols, rows, vals`` are the nonzero entries of A, ordered by column.
+    """
+    count = np.bincount(cols, minlength=c.size)
+    k = np.flatnonzero((vals == 1.0) & (count[cols] == 1) & (c[cols] == 0.0)
+                       & np.isposinf(upper[cols]))
+    slack_rows, first = np.unique(rows[k], return_index=True)
+    return slack_rows, cols[k][first]
+
+
+def _crash(c, upper, cols, rows, vals, xB, art):
+    """Greedy at-upper crash from a basis whose inverse is the identity.
+
+    Walks the boxed columns in ascending cost and puts each at its upper
+    bound when that lowers some artificial (rows flagged in ``art``) and
+    keeps every basic value nonnegative.  Updates ``xB`` in place and
+    returns the columns put at their upper bound.
+    """
+    reach = np.zeros(c.size, dtype=bool)
+    reach[cols[art[rows] & (vals > 0.0)]] = True
+    cand = np.flatnonzero(reach & np.isfinite(upper) & (upper > 0.0))
+    cand = cand[np.argsort(c[cand], kind="stable")]
+    starts = np.searchsorted(cols, cand)
+    ends = np.searchsorted(cols, cand, side="right")
+    x, is_art = xB.tolist(), art.tolist()
+    R, V = rows.tolist(), vals.tolist()
+    chosen = []
+    for j, s, e, u in zip(cand.tolist(), starts.tolist(), ends.tolist(),
+                          upper[cand].tolist()):
+        lowers = False
+        for k in range(s, e):
+            i, a = R[k], V[k]
+            if x[i] - a * u < 0.0:
+                break
+            lowers = lowers or (is_art[i] and a > 0.0)
+        else:
+            if lowers:
+                for k in range(s, e):
+                    x[R[k]] -= V[k] * u
+                chosen.append(j)
+    xB[:] = x
+    return chosen
+
+
 def dense_simplex(c, A, b, upper, bland: bool = False, stall_switch: int = 60,
                   max_pivots: int = 500_000):
     """min c@x subject to A@x == b (componentwise b >= 0), 0 <= x <= upper.
+
+    The start basis is the slack basis: a row with a slack column (see
+    ``_slack_rows``) starts with it basic, and only the other rows get an
+    artificial.  The artificials of slack rows stay in the tableau, banned,
+    so the row duals are still read off the artificial columns.  Before
+    phase 1, a greedy crash puts the cheapest boxed columns at their upper
+    bounds (``_crash``).  A pivot updates only the rows where the entering
+    column is nonzero.
 
     Entering variables are priced by the largest reduced cost, switching
     permanently to Bland's smallest-index rule after ``stall_switch``
@@ -53,20 +108,27 @@ def dense_simplex(c, A, b, upper, bland: bool = False, stall_switch: int = 60,
     if np.any(b < 0.0):
         raise ContractError("dense_simplex needs nonnegative right-hand sides")
     ncols = nvar + m
-    T = np.empty((m, ncols))
+    T = np.zeros((m, ncols))
     T[:, :nvar] = A
-    T[:, nvar:] = np.eye(m)
+    T[np.arange(m), np.arange(nvar, ncols)] = 1.0
+    cols, rows = np.nonzero(A.T)        # entries of A ordered by column
+    vals = A[rows, cols]
     xB = b.copy()
     basis = np.arange(nvar, ncols)
+    slack_rows, slack_cols = _slack_rows(c, upper, cols, rows, vals)
+    basis[slack_rows] = slack_cols
     in_basis = np.zeros(ncols, dtype=bool)
     in_basis[basis] = True
-    at_upper = np.zeros(ncols, dtype=bool)
-    u = np.concatenate([upper, np.full(m, np.inf)])
     banned = np.zeros(ncols, dtype=bool)
+    banned[nvar + slack_rows] = True
+    art = basis >= nvar
+    at_upper = np.zeros(ncols, dtype=bool)
+    at_upper[_crash(c, upper, cols, rows, vals, xB, art)] = True
+    u = np.concatenate([upper, np.full(m, np.inf)])
     pivots = 0
 
     def run(z, use_bland):
-        nonlocal T, xB, pivots
+        nonlocal xB, pivots
         degen = 0
         while True:
             if pivots > max_pivots:
@@ -112,7 +174,8 @@ def dense_simplex(c, A, b, upper, bland: bool = False, stall_switch: int = 60,
             T[rr] = piv_row
             colv = T[:, j].copy()
             colv[rr] = 0.0
-            T -= np.outer(colv, piv_row)
+            nz = np.flatnonzero(colv)
+            T[nz] -= colv[nz, None] * piv_row
             xB[rr] = enter_val
             if z[j] != 0.0:
                 z = z - z[j] * piv_row
@@ -125,7 +188,7 @@ def dense_simplex(c, A, b, upper, bland: bool = False, stall_switch: int = 60,
             pivots += 1
 
     c1 = np.zeros(ncols)
-    c1[nvar:] = 1.0
+    c1[nvar:][art] = 1.0
     z1 = c1 - c1[basis] @ T
     run(z1, use_bland=bland)
     art_rows = np.flatnonzero(basis >= nvar)
@@ -226,7 +289,7 @@ class LpSolution:
     pivots: int = 0
 
 
-def _aggregated_solve(inst: LpInstance, edges: np.ndarray, bland: bool):
+def _aggregated_solve(inst: LpInstance, edges: np.ndarray):
     """Dense-simplex solve of the LP restricted to block-constant solutions."""
     n = inst.n_jobs
     v = inst.jobs.volumes()
@@ -252,7 +315,7 @@ def _aggregated_solve(inst: LpInstance, edges: np.ndarray, bland: bool):
         (r[:, None] * (lens * d)[None, :]).ravel(),
         np.full(n + nb, np.inf),
     ])
-    x, y, _, piv = dense_simplex(cost, A, b, upper, bland=bland)
+    x, y, _, piv = dense_simplex(cost, A, b, upper)
     W = x[:N].reshape(n, nb)
     alpha = np.maximum(y[:n], 0.0)
     objective = float(cost[:N] @ x[:N])
@@ -282,7 +345,7 @@ def _structure_edges(inst: LpInstance, alpha: np.ndarray) -> np.ndarray:
 
 
 def solve_lp(inst: LpInstance, certificate_tol: float = 1e-9,
-             max_rounds: int = 64, bland: bool = False) -> LpSolution:
+             max_rounds: int = 64) -> LpSolution:
     """Solve the slot LP to certified optimality.
 
     Raises InfeasibleInstanceError when the demands exceed the horizon
@@ -312,7 +375,7 @@ def solve_lp(inst: LpInstance, certificate_tol: float = 1e-9,
     edges = np.unique(np.round(np.linspace(0, I, nb0 + 1)).astype(int))
     total_pivots = 0
     for rounds in range(1, max_rounds + 1):
-        W, alpha, objective, piv = _aggregated_solve(inst, edges, bland)
+        W, alpha, objective, piv = _aggregated_solve(inst, edges)
         total_pivots += piv
         gamma, beta, slot_gain = _slot_duals(inst, alpha)
         dual_obj = float(alpha @ inst.targets - slot_gain.sum())

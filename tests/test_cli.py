@@ -94,6 +94,13 @@ class TestRun:
         assert params["guarantee_slot_width"] < params["slot_width"]
         assert rec["validation"]["feasible"] is True
 
+    def test_lsapprox_records_lp_work(self, workdir, capsys):
+        code = main(["run", "lsapprox", "--input", str(workdir / "three.json")])
+        assert code == 0
+        params = json.loads(capsys.readouterr().out)["parameters"]
+        assert isinstance(params["lp_rounds"], int) and params["lp_rounds"] > 0
+        assert isinstance(params["lp_pivots"], int) and params["lp_pivots"] > 0
+
 
 class TestVerify:
     def test_feasible_schedule(self, workdir, tmp_path, capsys):

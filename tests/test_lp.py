@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from sharesched import (
     subdivide,
     validate_schedule,
 )
+from sharesched import lp as lpmod
 from sharesched.lp import _aggregated_solve
 
 from conftest import random_instance
@@ -55,33 +58,84 @@ class TestDenseSimplexEngine:
         assert x[0] == pytest.approx(2.0) and x[1] == pytest.approx(2.0)
 
     def test_against_scipy_on_random_boxed_lps(self):
+        # half the cases give some rows a unit slack column (zero cost, no
+        # upper bound), which then starts basic; every case runs under both
+        # pricing rules
         linprog = pytest.importorskip("scipy.optimize").linprog
-        for seed in range(25):
+        for seed in range(50):
             rng = np.random.default_rng(seed)
             m, n = int(rng.integers(1, 5)), int(rng.integers(2, 8))
             A = rng.uniform(0.0, 1.0, (m, n))
             x_feas = rng.uniform(0.0, 1.0, n)
-            b = A @ x_feas
             c = rng.uniform(-1.0, 1.0, n)
             upper = rng.uniform(0.5, 2.0, n)
             if np.any(x_feas > upper):
                 upper = np.maximum(upper, x_feas)
-            x, _, _, _ = dense_simplex(c, A, b, upper)
+            if seed % 2:
+                rows = np.flatnonzero(rng.uniform(size=m) < 0.6)
+                S = np.zeros((m, rows.size))
+                S[rows, np.arange(rows.size)] = 1.0
+                A = np.hstack([A, S])
+                x_feas = np.concatenate([x_feas, rng.uniform(0.0, 1.0, rows.size)])
+                c = np.concatenate([c, np.zeros(rows.size)])
+                upper = np.concatenate([upper, np.full(rows.size, np.inf)])
+            b = A @ x_feas
             ref = linprog(c, A_eq=A, b_eq=b, bounds=[(0.0, u) for u in upper],
                           method="highs")
             assert ref.success
-            assert np.all(x >= -1e-9) and np.all(x <= upper + 1e-9)
-            assert np.allclose(A @ x, b, atol=1e-8)
-            assert c @ x == pytest.approx(ref.fun, rel=1e-7, abs=1e-9)
+            boxed = np.isfinite(upper)
+            for bland in (False, True):
+                x, y, _, _ = dense_simplex(c, A, b, upper, bland=bland)
+                assert np.all(x >= -1e-9) and np.all(x <= upper + 1e-9)
+                assert np.allclose(A @ x, b, atol=1e-8)
+                assert c @ x == pytest.approx(ref.fun, rel=1e-7, abs=1e-9)
+                # bounded strong duality, and dual feasibility on the
+                # columns without an upper bound
+                d = c - A.T @ y
+                dual = y @ b + np.minimum(0.0, d[boxed]) @ upper[boxed]
+                assert c @ x == pytest.approx(dual, rel=1e-7, abs=1e-9)
+                assert np.all(d[~boxed] >= -1e-9)
 
-    def test_bland_mode_matches(self):
-        for seed in range(5):
-            jobs = random_instance(seed, 3)
-            horizon = max(len(jobs) * jobs.max_processing_time(), 1.0)
-            inst = build_discretized_lp(jobs, horizon=horizon, slot_width=horizon / 64)
-            fast = solve_lp(inst)
-            slow = solve_lp(inst, bland=True)
-            assert fast.objective == pytest.approx(slow.objective, rel=1e-9)
+    def test_slack_basis_is_optimal_without_pivots(self):
+        # every row has a unit slack and no cost is negative: the start
+        # basis is already optimal
+        rng = np.random.default_rng(7)
+        m, n = 6, 9
+        A = np.hstack([rng.uniform(0.0, 1.0, (m, n)), np.eye(m)])
+        b = rng.uniform(0.5, 2.0, m)
+        c = np.concatenate([rng.uniform(0.0, 1.0, n), np.zeros(m)])
+        upper = np.concatenate([rng.uniform(0.5, 2.0, n), np.full(m, np.inf)])
+        x, y, _, pivots = dense_simplex(c, A, b, upper)
+        assert pivots == 0
+        assert np.all(x[:n] == 0.0)
+        assert np.array_equal(x[n:], b)
+        assert np.all(y == 0.0)
+
+    def test_pivot_temporaries_stay_below_half_a_tableau(self, monkeypatch):
+        # the slot LP of 4 jobs on 256 one-slot blocks; a pivot touches only
+        # the rows where the entering column is nonzero
+        jobs = JobSet.of([(1.0, 0.9), (2.5, 0.4), (4.0, 0.7), (7.0, 0.3)])
+        horizon = len(jobs) * jobs.max_processing_time()
+        inst = build_discretized_lp(jobs, horizon=horizon, slot_width=horizon / 256)
+        captured = []
+
+        def record(*args):
+            captured.append(args)
+            return dense_simplex(*args)
+
+        monkeypatch.setattr(lpmod, "dense_simplex", record)
+        _aggregated_solve(inst, np.arange(inst.n_slots + 1))
+        monkeypatch.undo()
+        c, A, b, upper = captured[0]
+        m, nvar = A.shape
+        tableau_bytes = m * (nvar + m) * 8
+        tracemalloc.start()
+        try:
+            dense_simplex(c, A, b, upper)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * tableau_bytes
 
 
 class TestSolve:
@@ -120,7 +174,7 @@ class TestSolve:
             inst = build_discretized_lp(jobs, horizon=horizon, slot_width=horizon / 48)
             sol = solve_lp(inst)
             edges = np.arange(inst.n_slots + 1)  # one block per slot
-            _, _, objective, _ = _aggregated_solve(inst, edges, bland=False)
+            _, _, objective, _ = _aggregated_solve(inst, edges)
             assert sol.objective == pytest.approx(objective, rel=1e-9)
 
     def test_strong_duality_and_feasibility(self):
