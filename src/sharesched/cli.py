@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import glob as globmod
-import json
 import sys
 import time
 
@@ -253,7 +252,7 @@ def _cmd_compare(args) -> int:
     for path in paths:
         try:
             jobs = core.jobs_from_json(_read(path))
-        except (core.ContractError, json.JSONDecodeError):
+        except core.ContractError:
             for algo in algos:
                 rows.append(f"{path},{algo},,,,,,,,error,,")
             continue

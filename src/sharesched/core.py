@@ -531,10 +531,9 @@ def jobs_to_json(jobs: JobSet) -> str:
 
 
 def jobs_from_json(text: str) -> JobSet:
-    data = json.loads(text)
     try:
-        return JobSet(Job(rec["v"], rec["r"]) for rec in data["jobs"])
-    except (KeyError, TypeError) as exc:
+        return JobSet(Job(rec["v"], rec["r"]) for rec in json.loads(text)["jobs"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ContractError(f"malformed instance JSON: {exc}") from exc
 
 
@@ -551,17 +550,16 @@ def schedule_to_json(sched: Schedule) -> str:
 
 
 def schedule_from_json(text: str) -> Schedule:
-    data = json.loads(text)
     try:
+        data = json.loads(text)
         grid = [float(t) for t in data["breakpoints"]]
-        rows = data["assignments"]
-    except (KeyError, TypeError) as exc:
+        if not grid or grid[0] != 0.0:
+            raise ContractError("breakpoints must start at 0")
+        assignments = []
+        for row in data["assignments"]:
+            if len(row) != len(grid) - 1:
+                raise ContractError("assignment row length must be len(breakpoints) - 1")
+            assignments.append(StepFunction(grid, [float(x) for x in row]))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ContractError(f"malformed schedule JSON: {exc}") from exc
-    if not grid or grid[0] != 0.0:
-        raise ContractError("schedule breakpoints must start at 0")
-    assignments = []
-    for row in rows:
-        if len(row) != len(grid) - 1:
-            raise ContractError("assignment row length must be len(breakpoints) - 1")
-        assignments.append(StepFunction(grid, [float(x) for x in row]))
     return Schedule(assignments)

@@ -220,3 +220,22 @@ class TestUsage:
 
     def test_missing_input_file(self, tmp_path):
         assert main(["run", "greedy", "--input", str(tmp_path / "nope.json")]) == 2
+
+    def test_malformed_json_exits_2(self, workdir, tmp_path, capsys):
+        inst = workdir / "three.json"
+        bad_inst = tmp_path / "abc.json"
+        bad_inst.write_text('{"jobs": [{"v": "abc", "r": 0.5}]}\n')
+        bad_sched = tmp_path / "s.json"
+        bad_sched.write_text('{"breakpoints": [0, 1], "assignments": [1.0]}\n')
+        broken = tmp_path / "broken.json"
+        broken.write_text('{"jobs": [')
+        for path in (bad_inst, broken):
+            assert main(["run", "greedy", "--input", str(path)]) == 2
+            assert main(["verify", "--instance", str(path), "--schedule", str(bad_sched)]) == 2
+        assert main(["verify", "--instance", str(inst), "--schedule", str(bad_sched)]) == 2
+        assert main(["verify", "--instance", str(inst), "--schedule", str(broken)]) == 2
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--inputs", str(bad_inst), "--algos", "greedy",
+                     "--out", str(out)]) == 0
+        assert f"{bad_inst},greedy,,,,,,,,error,," in out.read_text().split("\n")
+        assert "Traceback" not in capsys.readouterr().err

@@ -270,3 +270,9 @@ class TestJson:
             schedule_from_json('{"breakpoints": [1.0, 2.0], "assignments": [[0.5]]}')
         with pytest.raises(ContractError):
             schedule_from_json('{"breakpoints": [0.0, 1.0], "assignments": [[0.5, 0.5]]}')
+        with pytest.raises(ContractError):
+            jobs_from_json('{"jobs": [')
+        with pytest.raises(ContractError):
+            jobs_from_json('{"jobs": [{"v": "abc", "r": 0.5}]}')
+        with pytest.raises(ContractError):
+            schedule_from_json('{"breakpoints": [0.0, 1.0], "assignments": [0.5]}')

@@ -160,6 +160,16 @@ class TestSolveAlpha:
             assert time.perf_counter() - start < 1.0
             assert report.chosen == "greedy" and report.line_error is not None
 
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_larger_instances_meet_targets_and_strong_duality(self, n):
+        for seed in (1, 2):
+            jobs = generate_random(n, seed)
+            alpha = solve_alpha(jobs, vol_tol=1e-8)
+            assert np.max(np.abs(scheduled_volumes(jobs, alpha) - jobs.volumes())) <= 1e-8
+            q = duality_quantities(build_line_schedule(jobs, alpha), jobs)
+            rhs = q.primal_cost + q.requirement_penalty + q.capacity_penalty
+            assert q.volume_payoff == pytest.approx(rhs, rel=1e-6)
+
     def test_intercepts_respect_volume_bound(self):
         # any fixed point keeps alpha_j below total volume / (v_j * min r)
         for seed in range(30):

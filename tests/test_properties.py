@@ -1,4 +1,4 @@
-"""Property tests for greedy and online water-filling.
+"""Property tests for greedy, online water-filling and exact line schedules.
 
 The examples are derandomized and kept few, so the suite stays fast and
 writes no example database.
@@ -11,20 +11,42 @@ from hypothesis import strategies as st
 
 from sharesched import (
     COMPETITIVE_RATIO,
+    DegenerateVolumesError,
     JobSet,
     greedy,
+    ls_exact,
     makespan,
     optimal_makespan,
+    scheduled_volumes,
+    solve_alpha,
     total_completion_time,
     validate_schedule,
     waterfill_online,
 )
+from sharesched.linesched import _check_volume_gaps
 
 PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, database=None, deadline=None)
 
 volumes = st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e)
 requirements = st.one_of(st.just(1.0), st.floats(-4.0, 0.0).map(lambda e: 10.0 ** e))
 instances = st.lists(st.tuples(volumes, requirements), min_size=1, max_size=12).map(JobSet.of)
+
+# line-schedule instances: volumes 10^[-2, 2], requirements 10^[-2, 0] or exactly 1
+ls_instances = st.lists(
+    st.tuples(st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e),
+              st.one_of(st.just(1.0), st.floats(-2.0, 0.0).map(lambda e: 10.0 ** e))),
+    min_size=1, max_size=8).map(JobSet.of)
+
+
+def volumes_apart(jobs: JobSet) -> bool:
+    try:
+        _check_volume_gaps(jobs.volumes(), 1e-8)
+    except DegenerateVolumesError:
+        return False
+    return True
+
+
+solvable = ls_instances.filter(volumes_apart)
 
 
 def doubled(jobs: JobSet) -> JobSet:
@@ -53,3 +75,48 @@ def test_waterfill_meets_every_prefix_target_and_scales(jobs):
     assert twice.ok
     assert makespan(twice.final_schedule()) == pytest.approx(
         2.0 * makespan(run.final_schedule()), rel=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(ls_instances)
+def test_solve_alpha_meets_vol_tol_unless_volumes_near_tie(jobs):
+    if not volumes_apart(jobs):
+        with pytest.raises(DegenerateVolumesError):
+            solve_alpha(jobs)
+        return
+    alpha = solve_alpha(jobs)
+    assert np.max(np.abs(scheduled_volumes(jobs, alpha) - jobs.volumes())) <= 1e-8
+
+
+@PROPERTY_SETTINGS
+@given(solvable)
+def test_ls_exact_is_valid_and_meets_strong_duality(jobs):
+    sched, _, q = ls_exact(jobs, vol_tol=1e-8)
+    # volumes are met to vol_tol, so that is the tolerance validation can ask
+    # for: near-tied volumes just outside the guard, such as 1 and
+    # 1.000000137244776 beside 10, leave a deficit of 1.6e-9
+    assert validate_schedule(jobs, sched, tol=1e-8).feasible
+    assert q.volume_payoff == pytest.approx(
+        q.primal_cost + q.requirement_penalty + q.capacity_penalty, rel=1e-6)
+    assert q.primal_cost == pytest.approx(
+        q.requirement_penalty + q.capacity_penalty, rel=1e-6)
+
+
+@PROPERTY_SETTINGS
+@given(solvable)
+def test_doubling_volumes_keeps_alpha_and_doubles_the_optimum(jobs):
+    _, alpha, q = ls_exact(jobs)
+    # the doubled volumes meet a doubled tolerance, so the near-tie guard
+    # sees the same relative threshold
+    _, alpha2, q2 = ls_exact(doubled(jobs), vol_tol=2e-8)
+    assert alpha2 == pytest.approx(alpha, rel=1e-6)
+    assert q2.primal_cost == pytest.approx(2.0 * q.primal_cost, rel=1e-6)
+
+
+@PROPERTY_SETTINGS
+@given(solvable, st.data())
+def test_permuting_jobs_permutes_alpha(jobs, data):
+    perm = data.draw(st.permutations(range(len(jobs))))
+    alpha = solve_alpha(jobs)
+    permuted = solve_alpha(JobSet([jobs[i] for i in perm]))
+    assert permuted == pytest.approx(alpha[perm], rel=1e-6)
