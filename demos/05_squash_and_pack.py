@@ -39,7 +39,8 @@ print(f"\nstage 2 - slot LP on the long-heavy jobs: horizon {info.horizon:.2f}, 
       f"slot width {info.slot_width:.4f}")
 print(f"  (guarantee-grade width would be {info.guarantee_slot_width:.3e}; the")
 print("   analysis needs it, the construction works at any width)")
-print(f"  LP solved in {info.lp_rounds} refinement rounds, {info.lp_pivots} pivots")
+print(f"  LP solved in {info.lp_rounds} refinement rounds, {info.lp_pivots} pivots, "
+      f"{info.lp_blocks} blocks")
 
 print(f"\nstage 3+4 - line schedule from LP intercepts, stretched by "
       f"s = {info.scale_factor:.6f} so every volume completes")

@@ -126,6 +126,7 @@ def run_algorithm(algo: str, jobs: JobSet, *, ratio: float, eps: float,
         extras["scale_factor"] = info.scale_factor
         extras["lp_rounds"] = info.lp_rounds
         extras["lp_pivots"] = info.lp_pivots
+        extras["lp_blocks"] = info.lp_blocks
     elif algo == "best":
         params = tct.LsApproxParams(eps, kappa, slot_width=slot_width)
         sched, report = tct.best_schedule(jobs, params, use_exact_ls=use_exact_ls)

@@ -11,6 +11,9 @@ piecewise constant between O(n^2) structure-change slots, the full problem is
 solved on an adaptively refined slot-block aggregation; every round a
 Lagrangian weak-duality bound certifies how far the aggregated optimum can be
 from the true one, and refinement stops once that certificate gap vanishes.
+The first blocks are cut at the breakpoints of the continuous optimum, the
+line schedule that ``linesched.solve_alpha`` solves for without slots, so
+most solves certify in the first round.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 
 from . import _kernel
 from .core import ContractError, JobSet, Schedule, StepFunction
+from .linesched import ConvergenceError, DegenerateVolumesError, solve_alpha
 
 
 class SimplexError(RuntimeError):
@@ -337,16 +341,44 @@ def _slot_duals(inst: LpInstance, alpha: np.ndarray):
 
 
 def _structure_edges(inst: LpInstance, alpha: np.ndarray) -> np.ndarray:
-    """Slot indices where the packing structure of ``alpha`` can change."""
+    """Inner slot edges around every slot where the packing of ``alpha``
+    can change (both edges of the slot a breakpoint falls in)."""
     t = _kernel.breakpoints(inst.jobs.volumes(), alpha)[0]
     t = t[(t > 0.0) & (t < inst.horizon)]
-    slots = np.unique((t / inst.slot_width).astype(int))
-    return np.unique(np.concatenate([slots, slots + 1]))
+    slots = (t / inst.slot_width).astype(int)
+    edges = np.unique(np.concatenate([slots, slots + 1]))
+    return edges[(edges > 0) & (edges < inst.n_slots)]
 
 
 def solve_lp(inst: LpInstance, certificate_tol: float = 1e-9,
              max_rounds: int = 64) -> LpSolution:
     """Solve the slot LP to certified optimality.
+
+    Each round solves the LP restricted to volumes that are constant on
+    slot blocks, with one ``dense_simplex`` call.  Its demand duals
+    ``alpha`` price every slot by the priority packing (``_slot_duals``), and
+    ``alpha . targets`` minus the packing gains is a lower bound on the full
+    LP.  Once that bound meets the block optimum to ``certificate_tol``
+    relative, the block solution is optimal for the full LP.
+
+    Why the breakpoints of the dual optimum lose nothing: under the optimal
+    ``alpha`` the full LP's slot problems decouple into priority packings of
+    the gains ``alpha_j - midpoint / v_j``.  Between two breakpoints (a line
+    crossing or a line zero) no gain changes sign or order, so every slot
+    packs the same rates, and there is an optimal solution that is constant
+    on each block between them.  The slot LP's duals tend to the continuous
+    optimum as the slots shrink, so the first blocks are cut around the
+    breakpoints of ``solve_alpha`` on the jobs with a positive target (the
+    others get alpha 0).  When ``solve_alpha`` raises (near-tied volumes, or
+    no convergence) the same loop starts from the single block ``{0, I}``.
+
+    A round that does not certify adds the breakpoints of its own ``alpha``,
+    and splits every block whose two end slots pack in another order or
+    sign: at its midpoint, and, for each job whose line reaches zero inside
+    it, where that job's block volume would end at its cap from the block
+    start.  The last split settles a job that ends just before a wide empty
+    block: the simplex may price it at that block's mean cost, and the other
+    two rules then only halve the block once a round.
 
     Raises InfeasibleInstanceError when the demands exceed the horizon
     capacity and SimplexError when refinement or pivot limits are hit.
@@ -371,8 +403,16 @@ def solve_lp(inst: LpInstance, certificate_tol: float = 1e-9,
             f"{r[j] * total_cap:.6g} before the horizon"
         )
 
-    nb0 = int(min(I, max(16, 4 * n * n)))
-    edges = np.unique(np.round(np.linspace(0, I, nb0 + 1)).astype(int))
+    edges = np.array([0, I])
+    positive = np.flatnonzero(inst.targets > 0.0)
+    seed = np.zeros(n)
+    try:
+        seed[positive] = solve_alpha(JobSet(inst.jobs[j] for j in positive),
+                                     inst.targets[positive])
+    except (DegenerateVolumesError, ConvergenceError):
+        pass    # no continuous optimum to seed from: start from one block
+    else:
+        edges = np.union1d(edges, _structure_edges(inst, seed))
     total_pivots = 0
     for rounds in range(1, max_rounds + 1):
         W, alpha, objective, piv = _aggregated_solve(inst, edges)
@@ -392,7 +432,7 @@ def solve_lp(inst: LpInstance, certificate_tol: float = 1e-9,
                               dual_obj_report, float(objective - dual_obj_report),
                               edges.copy(), rounds, total_pivots)
         new_edges = set(edges.tolist())
-        new_edges.update(int(s) for s in _structure_edges(inst, alpha) if 0 < s < I)
+        new_edges.update(_structure_edges(inst, alpha).tolist())
         gains = alpha[:, None] - inst.slot_midpoints()[None, :] / v[:, None]
         for k in range(edges.size - 1):
             a, b_ = int(edges[k]), int(edges[k + 1])
@@ -403,6 +443,9 @@ def solve_lp(inst: LpInstance, certificate_tol: float = 1e-9,
                                    np.argsort(-gb, kind="stable"))
                     and np.array_equal(ga > 0, gb > 0)):
                 new_edges.add((a + b_) // 2)
+                ends = (ga > 0) != (gb > 0)
+                fill = np.ceil(W[ends, k] / (r[ends] * inst.slot_width))
+                new_edges.update((a + np.clip(fill, 1, b_ - a - 1)).astype(int).tolist())
         if len(new_edges) == edges.size:
             widths = np.diff(edges)
             k = int(np.argmax(widths))

@@ -183,6 +183,7 @@ class LsApproxInfo:
     scale_factor: float | None
     lp_rounds: int
     lp_pivots: int
+    lp_blocks: int
 
 
 def lsapprox_report(jobs: JobSet, params: LsApproxParams) -> tuple[Schedule, LsApproxInfo]:
@@ -191,7 +192,7 @@ def lsapprox_report(jobs: JobSet, params: LsApproxParams) -> tuple[Schedule, LsA
     n = len(jobs)
     if n == 0:
         info = LsApproxInfo(mu, Subdivision(frozenset(), frozenset(), frozenset(), mu),
-                            0.0, 0.0, 0.0, None, 0, 0)
+                            0.0, 0.0, 0.0, None, 0, 0, 0)
         return Schedule.empty(0), info
     sub = subdivide(jobs, mu)
     p_max = jobs.max_processing_time()
@@ -200,7 +201,7 @@ def lsapprox_report(jobs: JobSet, params: LsApproxParams) -> tuple[Schedule, LsA
     guarantee = horizon * (mu / n) ** 6
     assignments: list[StepFunction | None] = [None] * n
     scale = None
-    lp_rounds = lp_pivots = 0
+    lp_rounds = lp_pivots = lp_blocks = 0
     lh = sorted(sub.long_heavy)
     if lh:
         lh_jobs = JobSet(jobs[i] for i in lh)
@@ -214,15 +215,20 @@ def lsapprox_report(jobs: JobSet, params: LsApproxParams) -> tuple[Schedule, LsA
             sol = lpmod.solve_lp(inst)
         except (lpmod.InfeasibleInstanceError, lpmod.SimplexError, ContractError) as exc:
             raise PipelineError("lp", str(exc)) from exc
-        lp_rounds, lp_pivots = sol.rounds, sol.pivots
+        lp_rounds, lp_pivots, lp_blocks = sol.rounds, sol.pivots, sol.block_edges.size - 1
         try:
             ls = build_line_schedule(lh_jobs, sol.alpha)
         except ContractError as exc:
             raise PipelineError("line-schedule", str(exc)) from exc
         vbar = ls.scheduled_volumes
         vols = lh_jobs.volumes()
-        if np.any(vbar <= 1e-15 * vols):
-            raise PipelineError("scale", "a long-heavy job received no volume from the LP intercepts")
+        # the line schedule's breakpoints are known to about eps * horizon,
+        # so job j's volume is known to about r_j * eps * horizon; a volume
+        # below that is rounding noise, and stretching by vols / vbar would
+        # carry the schedule far past the horizon
+        if np.any(vbar <= np.finfo(float).eps * horizon * lh_jobs.requirements()):
+            raise PipelineError("scale", "a long-heavy job received no volume from the LP "
+                                "intercepts (less than rounding noise)")
         scale = float(np.max(vols / vbar))
         squash = 1.0 - mu
         for pos, idx in enumerate(lh):
@@ -233,7 +239,7 @@ def lsapprox_report(jobs: JobSet, params: LsApproxParams) -> tuple[Schedule, LsA
         rate = min(mu / n, job.requirement)
         assignments[idx] = StepFunction.constant(rate, job.volume / rate)
     info = LsApproxInfo(mu, sub, horizon, slot_width, guarantee, scale,
-                        lp_rounds, lp_pivots)
+                        lp_rounds, lp_pivots, lp_blocks)
     return Schedule(assignments), info
 
 

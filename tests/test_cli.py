@@ -100,6 +100,7 @@ class TestRun:
         params = json.loads(capsys.readouterr().out)["parameters"]
         assert isinstance(params["lp_rounds"], int) and params["lp_rounds"] > 0
         assert isinstance(params["lp_pivots"], int) and params["lp_pivots"] > 0
+        assert isinstance(params["lp_blocks"], int) and params["lp_blocks"] > 0
 
 
 class TestVerify:

@@ -7,6 +7,7 @@ from sharesched import (
     ContractError,
     InfeasibleInstanceError,
     JobSet,
+    LsApproxParams,
     build_discretized_lp,
     dense_simplex,
     dump_lp,
@@ -17,6 +18,7 @@ from sharesched import (
     validate_schedule,
 )
 from sharesched import lp as lpmod
+from sharesched.cli import generate_random
 from sharesched.lp import _aggregated_solve
 
 from conftest import random_instance
@@ -213,6 +215,61 @@ class TestSolve:
             gaps.append(solve_lp(inst).objective - exact)
         assert gaps[0] > 1e-9
         assert gaps[1] <= gaps[0] * 0.55  # halving plus 10% slack
+
+
+class TestRefinementWork:
+    """The first blocks come from the breakpoints of the continuous optimum."""
+
+    @staticmethod
+    def lhs_lp(rng, n=3, slots=1024):
+        # Latin-hypercube volumes in [1, 10] (log scale) and requirements in
+        # (0.2, 1]; the horizon leaves room for one more job, as in lsapprox
+        u = (rng.permutation(n) + rng.random(n)) / n
+        w = (rng.permutation(n) + rng.random(n)) / n
+        jobs = JobSet.of(zip(10.0 ** u, 1.0 - 0.8 * w))
+        horizon = (n + 1) * jobs.max_processing_time()
+        return build_discretized_lp(jobs, horizon=horizon, slot_width=horizon / slots)
+
+    def test_few_rounds_and_blocks(self):
+        # the uniform start took a median of 5 rounds and 74.5 blocks here
+        rng = np.random.default_rng(5)
+        sols = [solve_lp(self.lhs_lp(rng)) for _ in range(20)]
+        assert np.median([s.rounds for s in sols]) <= 2
+        assert np.median([s.block_edges.size - 1 for s in sols]) <= 20
+
+    def test_sixteen_jobs_stay_small(self):
+        # a 1024-block start on these 16 long-heavy jobs peaked at 308 MB
+        jobs = generate_random(16, 1)
+        lh = sorted(subdivide(jobs, LsApproxParams(0.5).mu).long_heavy)
+        horizon = len(jobs) * jobs.max_processing_time()
+        inst = build_discretized_lp(JobSet(jobs[i] for i in lh), horizon=horizon,
+                                    slot_width=horizon / 1024)
+        tracemalloc.start()
+        try:
+            sol = solve_lp(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.certificate_gap <= 1e-9 * sol.objective
+        assert peak < 32e6
+
+    def test_tied_volumes_start_from_one_block(self, monkeypatch):
+        # solve_alpha refuses tied volumes; the refinement starts from {0, I}
+        jobs = JobSet.of([(2.0, 0.5), (2.0, 0.8), (5.0, 0.3)])
+        horizon = 3 * jobs.max_processing_time()
+        inst = build_discretized_lp(jobs, horizon=horizon, slot_width=horizon / 64)
+        starts = []
+
+        def record(inst, edges):
+            starts.append(edges.tolist())
+            return _aggregated_solve(inst, edges)
+
+        monkeypatch.setattr(lpmod, "_aggregated_solve", record)
+        sol = solve_lp(inst)
+        monkeypatch.undo()
+        assert starts[0] == [0, 64]
+        _, _, objective, _ = _aggregated_solve(inst, np.arange(inst.n_slots + 1))
+        assert sol.objective == pytest.approx(objective, rel=1e-9)
 
 
 class TestLpSchedule:

@@ -1,4 +1,5 @@
-"""Property tests for greedy, online water-filling and exact line schedules.
+"""Property tests for greedy, online water-filling, exact line schedules and
+the slot LP.
 
 The examples are derandomized and kept few, so the suite stays fast and
 writes no example database.
@@ -13,12 +14,14 @@ from sharesched import (
     COMPETITIVE_RATIO,
     DegenerateVolumesError,
     JobSet,
+    build_discretized_lp,
     greedy,
     ls_exact,
     makespan,
     optimal_makespan,
     scheduled_volumes,
     solve_alpha,
+    solve_lp,
     total_completion_time,
     validate_schedule,
     waterfill_online,
@@ -120,3 +123,60 @@ def test_permuting_jobs_permutes_alpha(jobs, data):
     alpha = solve_alpha(jobs)
     permuted = solve_alpha(JobSet([jobs[i] for i in perm]))
     assert permuted == pytest.approx(alpha[perm], rel=1e-6)
+
+
+def _min_horizon(targets, r) -> float:
+    """Shortest horizon the slot LP's demands fit in: every job subset S
+    needs ``targets(S) <= horizon * min(1, r(S))``."""
+    n = targets.size
+    need = 0.0
+    for mask in range(1, 2 ** n):
+        s = np.array([(mask >> j) & 1 for j in range(n)], dtype=bool)
+        need = max(need, targets[s].sum() / min(1.0, r[s].sum()))
+    return need
+
+
+@st.composite
+def slot_lps(draw):
+    """Slot LPs of 1-6 jobs on 8-256 slots, from a tight horizon to 3x slack.
+
+    Some targets are zero, and some volumes tie or nearly tie, which makes
+    ``solve_alpha`` refuse the seed and ``solve_lp`` start from one block.
+    """
+    jobs = draw(st.lists(
+        st.tuples(st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e),
+                  st.one_of(st.just(1.0), st.floats(-1.0, 0.0).map(lambda e: 10.0 ** e))),
+        min_size=1, max_size=6))
+    v = np.array([a for a, _ in jobs])
+    r = np.array([b for _, b in jobs])
+    if v.size > 1 and draw(st.booleans()):
+        v[1] = v[0] * (1.0 + draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9])))
+    targets = np.where(draw(st.lists(st.booleans(), min_size=v.size, max_size=v.size)), 0.0, v)
+    if not targets.any():
+        targets[0] = v[0]
+    horizon = _min_horizon(targets, r) * draw(st.floats(1.0, 3.0))
+    slots = draw(st.integers(8, 256))
+    return build_discretized_lp(JobSet.of(zip(v, r)), targets, horizon, horizon / slots)
+
+
+@PROPERTY_SETTINGS
+@given(slot_lps())
+def test_solve_lp_matches_linprog_and_certifies_itself(inst):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    n, m, d = inst.n_jobs, inst.n_slots, inst.slot_width
+    v, r = inst.jobs.volumes(), inst.jobs.requirements()
+    sol = solve_lp(inst)
+    cost = (inst.slot_midpoints()[None, :] / v[:, None]).ravel()
+    demand = -np.kron(np.eye(n), np.ones(m))
+    capacity = np.kron(np.ones(n), np.eye(m))
+    ref = linprog(cost, A_ub=np.vstack([demand, capacity]),
+                  b_ub=np.concatenate([-inst.targets, np.full(m, d)]),
+                  bounds=[(0.0, rj * d) for rj in r for _ in range(m)], method="highs")
+    assert ref.status == 0
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-7, abs=1e-12)
+    assert sol.certificate_gap <= 1e-9 * max(1.0, abs(sol.objective))
+    V = sol.volumes
+    assert np.all(V >= -1e-12)
+    assert np.all(V <= r[:, None] * d * (1.0 + 1e-9))
+    assert np.all(V.sum(axis=0) <= d * (1.0 + 1e-9))
+    assert np.all(V.sum(axis=1) >= inst.targets - 1e-9 * np.maximum(1.0, inst.targets))

@@ -17,6 +17,7 @@ from sharesched import (
     total_completion_time,
     validate_schedule,
 )
+from sharesched.cli import generate_random
 from sharesched.lp import build_discretized_lp, solve_lp
 
 from conftest import random_instance
@@ -244,6 +245,19 @@ class TestLsApprox:
             report = validate_schedule(jobs, sched)
             assert report.feasible
             assert np.all(sched.volumes() >= jobs.volumes() * (1 - 1e-6))
+
+    def test_stretch_never_ends_past_the_lp_horizon(self):
+        # an optimal LP dual can leave a long-heavy job a sliver of volume;
+        # on this instance one such dual asks for a stretch of about 1e14
+        jobs = generate_random(24, 2)
+        try:
+            sched, info = lsapprox_report(jobs, LsApproxParams(0.5))
+        except PipelineError as exc:
+            assert exc.stage == "scale"
+            return
+        assert validate_schedule(jobs, sched).feasible
+        lh = sorted(info.subdivision.long_heavy)
+        assert max(sched.assignments[i].support_end for i in lh) <= info.horizon
 
 
 class TestBestSchedule:
