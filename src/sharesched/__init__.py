@@ -56,7 +56,6 @@ from .linesched import (
     duality_quantities,
     scheduled_volumes,
     solve_alpha,
-    split_volume_ties,
 )
 from .lp import (
     InfeasibleInstanceError,

@@ -9,19 +9,13 @@ price gamma and the cap prices beta are read off the same packing.
 
 ``breakpoints``, ``pack`` and ``prices`` are the only copies of these rules;
 ``line_volumes``, ``line_structure``, ``linesched`` and ``lp`` all use them.
-One second path stays: for at most ``LOOP_MAX_N`` jobs, ``line_volumes`` runs
-a scalar interval loop.  The numpy path costs a nearly fixed 55-100 us per
-call up to n = 8, mostly numpy call overhead, while the loop takes 12-90 us
-at n = 2-4 and 150 us or more from n = 5 (CPython 3.11, numpy 2.4, random
-intercepts), so the two cross at n = 4.
+Equal volumes need no special case: parallel lines never cross, and the
+packing breaks equal priorities by volume and then by job order.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# Largest job count for which ``line_volumes`` runs the scalar loop.
-LOOP_MAX_N = 4
 
 
 def breakpoints(v, alpha):
@@ -86,8 +80,6 @@ def _packed(v, r, alpha):
 
 def line_volumes(v, r, alpha):
     """Scheduled volume per job for the line schedule of ``alpha``."""
-    if v.size <= LOOP_MAX_N:
-        return _loop_volumes(v, r, alpha)
     return _packed(v, r, alpha)[4]
 
 
@@ -115,57 +107,3 @@ def line_structure(v, r, alpha):
     velocity[cross, a[cross]] = s
     velocity[cross, b[cross]] = -s
     return grid, rates, vols, drop @ velocity
-
-
-def _loop_volumes(v, r, alpha):
-    """``line_volumes`` as a scalar interval loop, for a handful of jobs."""
-    n = v.size
-    maxpts = 1 + n + n * (n - 1) // 2
-    pts = np.empty(maxpts)
-    cnt = 0
-    pts[cnt] = 0.0
-    cnt += 1
-    for j in range(n):
-        if alpha[j] > 0.0:
-            pts[cnt] = alpha[j] * v[j]
-            cnt += 1
-    for j in range(n):
-        for k in range(j + 1, n):
-            ds = 1.0 / v[j] - 1.0 / v[k]
-            if ds != 0.0:
-                t = (alpha[j] - alpha[k]) / ds
-                if t > 0.0:
-                    pts[cnt] = t
-                    cnt += 1
-    g = np.sort(pts[:cnt])
-    vols = np.zeros(n)
-    d = np.empty(n)
-    order = np.empty(n, np.int64)
-    for i in range(cnt - 1):
-        t0 = g[i]
-        t1 = g[i + 1]
-        w = t1 - t0
-        if w <= 0.0:
-            continue
-        m = 0.5 * (t0 + t1)
-        for j in range(n):
-            d[j] = alpha[j] - m / v[j]
-            order[j] = j
-        for j in range(1, n):
-            key = order[j]
-            kd = d[key]
-            kv = v[key]
-            l = j - 1
-            while l >= 0 and (d[order[l]] < kd or (d[order[l]] == kd and v[order[l]] < kv)):
-                order[l + 1] = order[l]
-                l -= 1
-            order[l + 1] = key
-        rem = 1.0
-        for jj in range(n):
-            q = order[jj]
-            if d[q] <= 0.0 or rem <= 0.0:
-                break
-            take = r[q] if r[q] < rem else rem
-            rem -= take
-            vols[q] += take * w
-    return vols

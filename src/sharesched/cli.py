@@ -52,16 +52,12 @@ def generate_random(n: int, seed: int, vmin: float = 0.1, vmax: float = 10.0,
                     rmin: float = 0.05, rmax: float = 1.0) -> JobSet:
     """Log-uniform volumes in [vmin, vmax], requirements in (rmin, rmax].
 
-    Deterministic per seed; exactly equal volumes are split apart with the
-    documented tie-break helper.
+    Deterministic per seed.
     """
     rng = np.random.default_rng(seed)
     v = np.exp(rng.uniform(np.log(vmin), np.log(vmax), n))
     r = rmax - rng.uniform(0.0, rmax - rmin, n)
-    jobs = JobSet.of(zip(v, r))
-    if not jobs.non_degenerate():
-        jobs = linesched.split_volume_ties(jobs)
-    return jobs
+    return JobSet.of(zip(v, r))
 
 
 def _cmd_gen(args) -> int:
@@ -435,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--mu", type=float, default=None,
                    help="override mu directly (sets eps = mu / kappa)")
     r.add_argument("--delta", type=float, default=None, help="LP slot width")
-    r.add_argument("--vol-tol", type=float, default=1e-8)
+    r.add_argument("--vol-tol", type=float, default=core.DEFAULT_TOL)
     r.add_argument("--tol", type=float, default=core.DEFAULT_TOL)
     r.add_argument("--seed", type=int, default=None, help="echoed into the record")
     r.add_argument("--exact-ls", dest="lp_ls", action="store_false", default=False,
@@ -465,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--eps", type=float, default=0.5)
     c.add_argument("--kappa", type=float, default=0.05)
     c.add_argument("--delta", type=float, default=None)
-    c.add_argument("--vol-tol", type=float, default=1e-8)
+    c.add_argument("--vol-tol", type=float, default=core.DEFAULT_TOL)
     c.add_argument("--lp-ls", dest="lp_ls", action="store_true", default=False)
     c.set_defaults(func=_cmd_compare)
 

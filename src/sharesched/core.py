@@ -108,11 +108,6 @@ class JobSet:
     def max_processing_time(self) -> float:
         return max((j.processing_time for j in self.jobs), default=0.0)
 
-    def non_degenerate(self) -> bool:
-        """True when all volumes are pairwise distinct (exact comparison)."""
-        vols = [j.volume for j in self.jobs]
-        return len(set(vols)) == len(vols)
-
     def prefix(self, k: int) -> "JobSet":
         return JobSet(self.jobs[:k])
 
@@ -230,10 +225,15 @@ class StepFunction:
 
 
 def _canonical(e: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # absorb sliver intervals into the next wide interval (trailing slivers
-    # into the previous one); the perturbation is at most the sliver width
-    if v.size:
-        thresh = SLIVER_REL * e[-1]
+    # absorb sliver intervals, narrower than SLIVER_REL times the support end,
+    # into the next wide interval (trailing slivers into the previous one);
+    # the zero tail counts as an interval, so a sliver at the support end
+    # goes into it.  The perturbation is at most the sliver width.
+    k = v.size
+    while k and v[k - 1] == 0.0:
+        k -= 1
+    if k:
+        thresh = SLIVER_REL * e[k]
         w = np.diff(e)
         wide = w >= thresh
         if not wide.all() and wide.any():

@@ -21,16 +21,21 @@ from . import _kernel
 from .core import (
     ContractError,
     DEFAULT_TOL,
-    Job,
     JobSet,
     PiecewiseLinear,
+    SLIVER_REL,
     Schedule,
     StepFunction,
 )
 
 
 class DegenerateVolumesError(ContractError):
-    """Line schedules need pairwise distinct volumes (parallel lines tie)."""
+    """``solve_alpha`` cannot meet ``vol_tol``: two volumes are nearly equal.
+
+    Their priority lines are (nearly) parallel, so the volume map jumps where
+    one intercept passes the other.  Building a line schedule from given
+    intercepts needs no distinct volumes.
+    """
 
 
 class ConvergenceError(RuntimeError):
@@ -99,10 +104,6 @@ class SlacknessReport:
 
 
 def _check_inputs(jobs: JobSet, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if not jobs.non_degenerate():
-        raise DegenerateVolumesError(
-            "equal job volumes; use split_volume_ties() before building line schedules"
-        )
     a = np.asarray(alpha, dtype=float)
     if a.shape != (len(jobs),):
         raise ContractError(f"alpha must have length {len(jobs)}")
@@ -126,8 +127,13 @@ def build_line_schedule(jobs: JobSet, alpha) -> LineSchedule:
         return LineSchedule(Schedule.empty(0), a, (), PiecewiseLinear.zero(),
                             np.zeros(0), np.array([0.0]), np.zeros(0))
     grid, rates, vols, _ = _kernel.line_structure(v, r, a)
-    # collapse duplicated grid points for the stored interval structure
-    keep = np.concatenate([[True], np.diff(grid) > 0.0])
+    # drop duplicated grid points and slivers for the stored interval
+    # structure, each sliver into the next interval, once for all jobs:
+    # StepFunction measures slivers against each job's own support end, and
+    # jobs that absorbed one shared sliver differently would overlap on it
+    busy = np.flatnonzero(rates.any(axis=0))
+    end = grid[busy[-1] + 1] if busy.size else 0.0
+    keep = np.concatenate([[True], np.diff(grid) > SLIVER_REL * end])
     grid = grid[keep]
     rates = rates[:, keep[1:]]
     m = grid.size - 1
@@ -158,22 +164,7 @@ def scheduled_volumes(jobs: JobSet, alpha) -> np.ndarray:
     return _kernel.line_volumes(v, r, a)
 
 
-def split_volume_ties(jobs: JobSet, rel: float = 1e-12) -> JobSet:
-    """Explicit tie-break helper: nudge equal volumes apart.
-
-    The k-th member of each tie group is scaled by (1 + rel * k).  Never
-    applied silently; callers opt in before building line schedules.
-    """
-    seen: dict[float, int] = {}
-    out = []
-    for job in jobs:
-        k = seen.get(job.volume, 0)
-        seen[job.volume] = k + 1
-        out.append(Job(job.volume * (1.0 + rel * k), job.requirement))
-    return JobSet(out)
-
-
-def solve_alpha(jobs: JobSet, targets=None, vol_tol: float = 1e-8,
+def solve_alpha(jobs: JobSet, targets=None, vol_tol: float = DEFAULT_TOL,
                 max_iters: int = 200) -> np.ndarray:
     """Intercepts under which job j schedules exactly ``targets[j]`` volume.
 
@@ -260,8 +251,8 @@ def _check_volume_gaps(v, vol_tol) -> None:
     volume set to job 0's times (1 + g) for 50 gaps g from 1e-15 to 1e-6:
     the Newton ascent stalled on 9 of the 20 instances, at gaps up to 0.009-
     0.175 times that bound (largest: g = 4e-8 on 6 jobs, seed 5, against a
-    guard of 5.7e-8), each stall ending in 0.02-0.9 s.  The factor 0.25
-    covers them.
+    guard of 5.7e-8 at vol_tol = 1e-8), each stall ending in 0.02-0.9 s.
+    The factor 0.25 covers them.
     """
     sv = np.sort(v)
     gap = 0.25 * np.finfo(float).eps * float(sv.sum()) / vol_tol
@@ -269,9 +260,9 @@ def _check_volume_gaps(v, vol_tol) -> None:
     if close.size:
         lo, hi = sv[close[0]], sv[close[0] + 1]
         raise DegenerateVolumesError(
-            f"job volumes {lo!r} and {hi!r} lie within a relative {gap:.1e}; "
-            f"solve_alpha cannot meet vol_tol={vol_tol:g} with lines this close "
-            "to parallel"
+            f"job volumes {float(lo)!r} and {float(hi)!r} lie within a relative "
+            f"{gap:.1e}; solve_alpha cannot meet vol_tol={vol_tol:g} with lines "
+            "this close to parallel"
         )
 
 

@@ -38,6 +38,11 @@ class InfeasibleInstanceError(RuntimeError):
 # ---------------------------------------------------------------------------
 # dense bounded-variable two-phase simplex
 
+#: consecutive degenerate pivots after which pricing switches to Bland's rule
+STALL_SWITCH = 60
+#: pivots after which ``dense_simplex`` raises SimplexError
+MAX_PIVOTS = 500_000
+
 
 def _slack_rows(c, upper, cols, rows, vals):
     """Rows with a slack column, and that column (the first one per row).
@@ -86,8 +91,7 @@ def _crash(c, upper, cols, rows, vals, xB, art):
     return chosen
 
 
-def dense_simplex(c, A, b, upper, bland: bool = False, stall_switch: int = 60,
-                  max_pivots: int = 500_000):
+def dense_simplex(c, A, b, upper, bland: bool = False):
     """min c@x subject to A@x == b (componentwise b >= 0), 0 <= x <= upper.
 
     The start basis is the slack basis: a row with a slack column (see
@@ -99,7 +103,7 @@ def dense_simplex(c, A, b, upper, bland: bool = False, stall_switch: int = 60,
     column is nonzero.
 
     Entering variables are priced by the largest reduced cost, switching
-    permanently to Bland's smallest-index rule after ``stall_switch``
+    permanently to Bland's smallest-index rule after ``STALL_SWITCH``
     consecutive degenerate pivots (or from the start with ``bland=True``),
     which keeps the anti-cycling guarantee.  Returns
     ``(x, row_duals, reduced_costs, pivot_count)``.
@@ -135,7 +139,7 @@ def dense_simplex(c, A, b, upper, bland: bool = False, stall_switch: int = 60,
         nonlocal xB, pivots
         degen = 0
         while True:
-            if pivots > max_pivots:
+            if pivots > MAX_PIVOTS:
                 raise SimplexError("pivot limit exceeded")
             zm = np.where(in_basis | banned, 0.0, z)
             cand_lo = (~at_upper) & (zm < -1e-9)
@@ -143,7 +147,7 @@ def dense_simplex(c, A, b, upper, bland: bool = False, stall_switch: int = 60,
             cand = cand_lo | cand_up
             if not cand.any():
                 return z
-            if use_bland or degen > stall_switch:
+            if use_bland or degen > STALL_SWITCH:
                 j = int(np.flatnonzero(cand)[0])
             else:
                 j = int(np.argmax(np.where(cand, np.abs(zm), -1.0)))

@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import (
     ContractError,
+    DEFAULT_TOL,
     JobSet,
     Schedule,
     StepFunction,
@@ -93,7 +94,7 @@ def lower_bounds(jobs: JobSet, fractional_opt: float | None = None) -> Bounds:
     return Bounds(squashed, length, lb3)
 
 
-def ls_exact(jobs: JobSet, vol_tol: float = 1e-8) -> tuple[Schedule, np.ndarray, DualityQuantities]:
+def ls_exact(jobs: JobSet, vol_tol: float = DEFAULT_TOL) -> tuple[Schedule, np.ndarray, DualityQuantities]:
     """Line schedule meeting every volume exactly, with its duals.
 
     The returned schedule attains the optimal fractional completion time;
@@ -205,11 +206,6 @@ def lsapprox_report(jobs: JobSet, params: LsApproxParams) -> tuple[Schedule, LsA
     lh = sorted(sub.long_heavy)
     if lh:
         lh_jobs = JobSet(jobs[i] for i in lh)
-        if not lh_jobs.non_degenerate():
-            raise PipelineError(
-                "line-schedule",
-                "long-heavy volumes tie; apply split_volume_ties() to the instance first",
-            )
         try:
             inst = lpmod.build_discretized_lp(lh_jobs, horizon=horizon, slot_width=slot_width)
             sol = lpmod.solve_lp(inst)

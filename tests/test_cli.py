@@ -38,7 +38,7 @@ class TestGen:
         out = tmp_path / "g.json"
         main(["gen", "random", "--n", "6", "--seed", "1", "--out", str(out)])
         jobs = core.jobs_from_json(out.read_text())
-        assert len(jobs) == 6 and jobs.non_degenerate()
+        assert len(jobs) == 6 and np.unique(jobs.volumes()).size == 6
 
     def test_file_kind_round_trips(self, workdir, tmp_path):
         out = tmp_path / "copy.json"
@@ -101,6 +101,19 @@ class TestRun:
         assert isinstance(params["lp_rounds"], int) and params["lp_rounds"] > 0
         assert isinstance(params["lp_pivots"], int) and params["lp_pivots"] > 0
         assert isinstance(params["lp_blocks"], int) and params["lp_blocks"] > 0
+
+    def test_near_tied_volumes_fail_ls_and_best_falls_back(self, tmp_path, capsys):
+        # ls once stopped at a 1.6e-9 residual here, which validation rejects
+        inst = tmp_path / "near.json"
+        inst.write_text('{"jobs": [{"v": 1.0, "r": 1.0}, {"v": 10.0, "r": 1.0}, '
+                        '{"v": 1.000000137244776, "r": 1.0}]}\n')
+        assert main(["run", "ls", "--input", str(inst)]) == 3
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert "vol_tol" in err and "np.float64" not in err
+        assert main(["run", "best", "--input", str(inst)]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["validation"]["feasible"] is True
+        assert rec["parameters"]["chosen"] == "greedy"
 
 
 class TestVerify:

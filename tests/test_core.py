@@ -54,11 +54,6 @@ class TestJob:
         with pytest.raises(ContractError):
             Job(v, r)
 
-    def test_jobset_degeneracy(self):
-        assert JobSet.of([(1, 1), (2, 1)]).non_degenerate()
-        assert not JobSet.of([(1, 1), (1, 0.5)]).non_degenerate()
-        assert JobSet().non_degenerate()
-
 
 class TestStepFunction:
     def test_basic_shape_checks(self):
@@ -99,6 +94,16 @@ class TestStepFunction:
         f = StepFunction([0.0, 1.0, 1.0 + 1e-15, 2.0], [0.5, 0.9, 0.25])
         assert np.array_equal(f.edges, [0.0, 1.0, 2.0])
         assert np.array_equal(f.values, [0.5, 0.25])
+
+    def test_slivers_measured_against_the_support_end(self):
+        # a far zero tail does not widen the sliver threshold
+        f = StepFunction([0.0, 1.0, 2.0, 1e13], [1.0, 0.5, 0.0])
+        assert np.array_equal(f.edges, [0.0, 1.0, 2.0])
+        assert f.integral() == 1.5
+        # a sliver at the support end goes into the zero tail after it, as it
+        # would into the next interval of a job that runs on past it
+        g = StepFunction([0.0, 1.0, 1.0 + 1e-15, 5.0], [0.5, 0.25, 0.0])
+        assert np.array_equal(g.edges, [0.0, 1.0])
 
     def test_transforms(self):
         f = StepFunction([0.0, 1.0, 3.0], [1.0, 0.5])

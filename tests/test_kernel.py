@@ -14,17 +14,6 @@ def _instances(count: int, zero_share: float):
         yield v, r, alpha
 
 
-def test_loop_and_numpy_paths_agree():
-    assert 1 <= _kernel.LOOP_MAX_N < 8  # both paths are exercised below
-    for v, r, alpha in _instances(160, zero_share=0.3):
-        loop = _kernel._loop_volumes(v, r, alpha)
-        vectorized = _kernel.line_structure(v, r, alpha)[2]
-        scale = max(1.0, float(np.max(np.abs(loop))))
-        assert np.max(np.abs(loop - vectorized)) <= 1e-12 * scale
-        assert np.array_equal(_kernel.line_volumes(v, r, alpha),
-                              loop if v.size <= _kernel.LOOP_MAX_N else vectorized)
-
-
 def test_jacobian_matches_central_differences():
     h = 1e-7
     for v, r, alpha in _instances(80, zero_share=0.0):  # alpha - h stays valid

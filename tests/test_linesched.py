@@ -20,7 +20,6 @@ from sharesched import (
     scheduled_volumes,
     solve_alpha,
     solve_lp,
-    split_volume_ties,
 )
 from sharesched.cli import generate_random
 
@@ -65,23 +64,24 @@ class TestBuildLineSchedule:
         assert r[2](3.0) == pytest.approx(0.5)
         assert r[2](7.0) == pytest.approx(2.0 / 3.0)
 
-    def test_rejects_degenerate_and_bad_alpha(self):
-        twins = JobSet.of([(1, 0.5), (1, 0.8)])
-        with pytest.raises(DegenerateVolumesError):
-            build_line_schedule(twins, [1.0, 1.0])
+    def test_rejects_bad_alpha(self):
         jobs = JobSet.of([(1, 0.5), (2, 0.8)])
         with pytest.raises(ContractError):
             build_line_schedule(jobs, [1.0, -0.5])
         with pytest.raises(ContractError):
             build_line_schedule(jobs, [1.0])
 
-    def test_split_volume_ties(self):
+    def test_exact_twins_meet_slackness_and_duality(self):
+        # parallel lines never cross, and equal priorities pack in job order
         twins = JobSet.of([(1, 0.5), (1, 0.8), (2, 0.3)])
-        fixed = split_volume_ties(twins)
-        assert fixed.non_degenerate()
-        assert fixed[0].volume == 1.0
-        assert fixed[1].volume == pytest.approx(1.0, rel=1e-11)
-        assert fixed[1].volume != 1.0
+        for alpha in ([1.0, 1.0, 1.0], [1.0, 1.5, 0.7], [2.0, 2.0, 0.0], [3.0, 3.0, 3.0]):
+            ls = build_line_schedule(twins, alpha)
+            assert check_slackness(ls, twins).max_violation() <= 1e-12
+            q = duality_quantities(ls, twins)
+            rhs = q.primal_cost + q.requirement_penalty + q.capacity_penalty
+            assert q.volume_payoff == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+            assert q.primal_cost == pytest.approx(
+                q.requirement_penalty + q.capacity_penalty, rel=1e-12, abs=1e-12)
 
 
 class TestScheduledVolumes:
@@ -143,13 +143,13 @@ class TestSolveAlpha:
             solve_alpha(JobSet.of([(1, 0.5), (1, 0.6)]))
 
     def test_near_tied_volumes_fail_fast(self):
-        # volumes a relative 1e-15 apart, and split twins (1e-12 apart), are
-        # too close for vol_tol; iterating on them stalls for several seconds
+        # volumes a relative 1e-15 apart, and twins 1e-12 apart, are too
+        # close for vol_tol; iterating on them stalls for several seconds
         base = list(generate_random(6, 5))
         nudged = JobSet([base[0], Job(base[0].volume * (1 + 1e-15), base[1].requirement)]
                         + base[2:])
-        twins = split_volume_ties(
-            JobSet([base[0], Job(base[0].volume, base[1].requirement)] + base[2:]))
+        twins = JobSet([base[0], Job(base[0].volume * (1 + 1e-12), base[1].requirement)]
+                       + base[2:])
         for jobs in (nudged, twins):
             start = time.perf_counter()
             with pytest.raises(DegenerateVolumesError, match="vol_tol"):
