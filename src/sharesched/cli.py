@@ -131,6 +131,8 @@ def run_algorithm(algo: str, jobs: JobSet, *, ratio: float, eps: float,
         extras["line_cost"] = report.line_cost
         if report.line_error:
             extras["line_error"] = report.line_error
+        if report.fractional_optimum is not None:
+            extras["fractional_optimum"] = report.fractional_optimum
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
     return sched, extras

@@ -131,11 +131,12 @@ class StepFunction:
             raise ContractError("need len(edges) == len(values) + 1")
         if e.size == 0 or e[0] != 0.0:
             raise ContractError("edges must start at 0")
-        if not np.all(np.isfinite(e)) or not np.all(np.isfinite(v)):
+        if not np.isfinite(e).all() or not np.isfinite(v).all():
             raise ContractError("edges and values must be finite")
-        if np.any(np.diff(e) <= 0.0):
+        w = e[1:] - e[:-1]
+        if (w <= 0.0).any():
             raise ContractError("edges must be strictly increasing")
-        e, v = _canonical(e, v)
+        e, v = _canonical(e, v, w)
         object.__setattr__(self, "edges", e)
         object.__setattr__(self, "values", v)
 
@@ -224,7 +225,8 @@ class StepFunction:
         return f"StepFunction(edges={self.edges.tolist()}, values={self.values.tolist()})"
 
 
-def _canonical(e: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _canonical(e: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # ``w`` holds the interval widths ``e[1:] - e[:-1]``.
     # absorb sliver intervals, narrower than SLIVER_REL times the support end,
     # into the next wide interval (trailing slivers into the previous one);
     # the zero tail counts as an interval, so a sliver at the support end
@@ -233,22 +235,19 @@ def _canonical(e: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     while k and v[k - 1] == 0.0:
         k -= 1
     if k:
-        thresh = SLIVER_REL * e[k]
-        w = np.diff(e)
-        wide = w >= thresh
+        wide = w >= SLIVER_REL * e[k]
         if not wide.all() and wide.any():
             idx = np.flatnonzero(wide)
             ends = e[idx + 1]
             ends[-1] = e[-1]
-            e = np.concatenate([[e[0]], ends])
+            e = np.concatenate((e[:1], ends))
             v = v[idx]
     # merge equal adjacent values
     if v.size:
         keep = np.empty(v.size, dtype=bool)
         keep[0] = True
-        keep[1:] = v[1:] != v[:-1]
-        starts = e[:-1][keep]
-        e = np.append(starts, e[-1])
+        np.not_equal(v[1:], v[:-1], out=keep[1:])
+        e = np.concatenate((e[:-1][keep], e[-1:]))
         v = v[keep]
     # trim zero tail
     while v.size and v[-1] == 0.0:
@@ -274,12 +273,23 @@ def sum_steps(fns: Sequence[StepFunction]) -> StepFunction:
     fns = [f for f in fns if f.values.size]
     if not fns:
         return StepFunction.zero()
+    return StepFunction(*_grid_sum(fns))
+
+
+def _grid_sum(fns: Sequence[StepFunction]) -> tuple[np.ndarray, np.ndarray]:
+    """Union grid of the edges of ``fns`` and their summed value on each interval.
+
+    The grid refines every operand, so each operand's value on a grid
+    interval is the value of its piece that starts at or before the
+    interval's left end, gathered in one ``searchsorted``.  Nothing is
+    canonicalized: intervals of any width keep their own sum.
+    """
     grid = np.unique(np.concatenate([f.edges for f in fns]))
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    total = np.zeros(mids.size)
+    left = grid[:-1]
+    total = np.zeros(left.size)
     for f in fns:
-        total += f(mids)
-    return StepFunction(grid, total)
+        total += np.append(f.values, 0.0)[np.searchsorted(f.edges, left, side="right") - 1]
+    return grid, total
 
 
 class PiecewiseLinear:
@@ -419,14 +429,16 @@ def validate_schedule(jobs: JobSet, sched: Schedule, tol: float = DEFAULT_TOL) -
         deficit = job.volume - a.integral()
         if deficit > tol * max(1.0, job.volume):
             violations.append(Violation("volume-deficit", float(deficit), job=idx))
-    usage = sched.total_usage()
-    if usage.values.size:
-        over = usage.values - 1.0
-        if float(over.max()) > tol:
+    # the raw union grid, not the canonical usage: an overlap on an interval
+    # narrower than SLIVER_REL times the support end is still an overlap
+    if sched.n_jobs:
+        grid, total = _grid_sum(sched.assignments)
+        over = total - 1.0
+        if over.size and float(over.max()) > tol:
             k = int(np.argmax(over))
             violations.append(
                 Violation("overuse", float(over[k]),
-                          interval=(float(usage.edges[k]), float(usage.edges[k + 1])))
+                          interval=(float(grid[k]), float(grid[k + 1])))
             )
     return ValidationReport(feasible=not violations, violations=tuple(violations))
 

@@ -247,7 +247,12 @@ def lsapprox(jobs: JobSet, params: LsApproxParams) -> Schedule:
 
 @dataclass(frozen=True)
 class BestReport:
-    """Objectives of both candidates plus the lower bounds."""
+    """Objectives of both candidates plus the lower bounds.
+
+    ``fractional_optimum`` is the exact line schedule's fractional optimum,
+    the one ``bounds.fractional_plus_half_length`` rests on; None when the
+    exact branch did not run or failed.
+    """
 
     greedy_cost: float
     line_cost: float | None
@@ -255,6 +260,7 @@ class BestReport:
     bounds: Bounds
     line_branch: str
     line_error: str | None = None
+    fractional_optimum: float | None = None
 
 
 def best_schedule(jobs: JobSet, params: LsApproxParams | None = None,
@@ -283,5 +289,5 @@ def best_schedule(jobs: JobSet, params: LsApproxParams | None = None,
         err = str(exc)
     bounds = lower_bounds(jobs, fractional_opt=fractional)
     if line_cost is not None and line_cost < g_cost:
-        return line_sched, BestReport(g_cost, line_cost, branch, bounds, branch, err)
-    return g, BestReport(g_cost, line_cost, "greedy", bounds, branch, err)
+        return line_sched, BestReport(g_cost, line_cost, branch, bounds, branch, err, fractional)
+    return g, BestReport(g_cost, line_cost, "greedy", bounds, branch, err, fractional)

@@ -73,6 +73,15 @@ def waterfill_step(sched: Schedule, job: Job, deadline: float,
     kinks only at the usage levels and usage levels + requirement, so the
     smallest sufficient level is found exactly by interpolating between
     those candidates.
+
+    The bracket is found in one vectorized pass.  With the usage levels
+    sorted, prefix sums of the widths and of width x level give
+    ``F(x) = sum w * max(x - level, 0)`` at every candidate, and the volume
+    below h is ``F(h) - F(h - r)``; one ``searchsorted`` over those volumes
+    gives the first candidate that reaches the job's volume.  The prefix
+    sums round differently from the direct sum, so the bracket is then
+    confirmed with the direct sum at its two ends, stepping to a neighbour
+    while it fails, and the level is interpolated from the direct sums.
     """
     if deadline < 0.0:
         raise ContractError("deadline must be nonnegative")
@@ -88,22 +97,34 @@ def waterfill_step(sched: Schedule, job: Job, deadline: float,
     capacity = volume_below(1.0)
     if capacity < v - tol * max(1.0, v):
         return WaterfillOutcome(ok=False, deficit=v - capacity)
-    cands = np.unique(np.concatenate([levels, levels + r, [0.0, 1.0]]))
-    cands = cands[(cands >= 0.0) & (cands <= 1.0)]
-    if cands[-1] < 1.0:
-        cands = np.append(cands, 1.0)
-    level = 1.0
-    prev_h, prev_vol = cands[0], volume_below(cands[0])
-    if prev_vol >= v:
-        level = float(prev_h)
-    else:
-        for h in cands[1:]:
-            val = volume_below(h)
-            if val >= v:
-                level = float(prev_h + (v - prev_vol) * (h - prev_h) / (val - prev_vol)) \
-                    if val > prev_vol else float(h)
-                break
-            prev_h, prev_vol = h, val
+    level = 1.0     # kept when the capacity falls short of v by less than tol
+    if capacity >= v:
+        order = np.argsort(levels)
+        low, w = levels[order], widths[order]
+        cum_w = np.zeros(w.size + 1)
+        cum_wl = np.zeros(w.size + 1)
+        np.cumsum(w, out=cum_w[1:])
+        np.cumsum(w * low, out=cum_wl[1:])
+
+        def uncapped(x: np.ndarray) -> np.ndarray:   # F: the volume below x without r
+            k = np.searchsorted(low, x)
+            return x * cum_w[k] - cum_wl[k]
+
+        cands = np.unique(np.concatenate((low, low + r, (0.0, 1.0))))
+        cands = cands[np.searchsorted(cands, 0.0):np.searchsorted(cands, 1.0, side="right")]
+        # volume_below(1.0) >= v ends the upward walk at the last candidate
+        i = min(int(np.searchsorted(uncapped(cands) - uncapped(cands - r), v)), cands.size - 1)
+        val = volume_below(cands[i])
+        while val < v:
+            i += 1
+            val = volume_below(cands[i])
+        while i and (prev_vol := volume_below(cands[i - 1])) >= v:
+            i, val = i - 1, prev_vol
+        if i == 0:
+            level = float(cands[0])
+        else:
+            prev_h, h = cands[i - 1], cands[i]
+            level = float(prev_h + (v - prev_vol) * (h - prev_h) / (val - prev_vol))
     rates = np.minimum(r, np.maximum(level - levels, 0.0))
     assignment = StepFunction(edges, rates)
     return WaterfillOutcome(ok=True, schedule=sched.with_job(assignment), level=level)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sharesched import JobSet
+from sharesched import JobSet, StepFunction
 
 
 def random_instance(seed: int, n_max: int, n_min: int = 1,
@@ -12,6 +12,20 @@ def random_instance(seed: int, n_max: int, n_min: int = 1,
     v = np.exp(rng.uniform(np.log(v_range[0]), np.log(v_range[1]), n))
     r = 1.0 - rng.uniform(0.0, 1.0 - r_floor, n)
     return JobSet.of(zip(v, r))
+
+
+def midpoint_sum(fns) -> StepFunction:
+    """Reference pointwise sum: every operand evaluated at the midpoints of
+    the union grid.  ``sum_steps`` must agree with it bit for bit."""
+    fns = [f for f in fns if f.values.size]
+    if not fns:
+        return StepFunction.zero()
+    grid = np.unique(np.concatenate([f.edges for f in fns]))
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    total = np.zeros(mids.size)
+    for f in fns:
+        total += f(mids)
+    return StepFunction(grid, total)
 
 
 @pytest.fixture

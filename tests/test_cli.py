@@ -75,6 +75,21 @@ class TestRun:
         rec = json.loads(capsys.readouterr().out)
         assert rec["total_completion_time"] == pytest.approx(4.0)
 
+    def test_best_records_the_exact_branch_bound(self, tmp_path, capsys):
+        inst = tmp_path / "r6.json"
+        main(["gen", "random", "--n", "6", "--seed", "3", "--out", str(inst)])
+        assert main(["run", "ls", "--input", str(inst)]) == 0
+        ls_rec = json.loads(capsys.readouterr().out)
+        assert main(["run", "best", "--input", str(inst)]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        fractional = ls_rec["parameters"]["fractional_optimum"]
+        assert rec["parameters"]["fractional_optimum"] == fractional
+        lb3 = rec["bounds"]["fractional_plus_half_length"]
+        assert lb3 == ls_rec["bounds"]["fractional_plus_half_length"]
+        assert lb3 > max(rec["bounds"]["squashed_area"], rec["bounds"]["total_length"])
+        ratio = rec["ratios"]["tct_over_best_bound"]
+        assert ratio == rec["total_completion_time"] / lb3 and ratio <= 1.5
+
     def test_schedule_out_roundtrips(self, workdir, tmp_path, capsys):
         sched_path = tmp_path / "s.json"
         main(["run", "ls", "--input", str(workdir / "three.json"),

@@ -25,7 +25,7 @@ from sharesched import (
 )
 from sharesched.tct import greedy
 
-from conftest import random_instance
+from conftest import midpoint_sum, random_instance
 
 
 def brute_eval(edges, values, t):
@@ -94,6 +94,10 @@ class TestStepFunction:
         f = StepFunction([0.0, 1.0, 1.0 + 1e-15, 2.0], [0.5, 0.9, 0.25])
         assert np.array_equal(f.edges, [0.0, 1.0, 2.0])
         assert np.array_equal(f.values, [0.5, 0.25])
+        # a trailing sliver with nothing after it goes into the previous one
+        g = StepFunction([0.0, 1.0, 1.0 + 1e-15], [0.5, 0.9])
+        assert np.array_equal(g.edges, [0.0, 1.0 + 1e-15])
+        assert np.array_equal(g.values, [0.5])
 
     def test_slivers_measured_against_the_support_end(self):
         # a far zero tail does not widen the sliver threshold
@@ -123,6 +127,28 @@ class TestStepFunction:
         for t, want in [(0.5, 0.75), (1.5, 1.0), (2.5, 0.5), (3.5, 0.0)]:
             assert s(t) == pytest.approx(want)
 
+    def test_sum_steps_matches_midpoint_evaluation(self):
+        # operands share edges, or miss each other by 1e-15 or by one ulp,
+        # and carry zero values and equal neighbours
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            base = np.cumsum(rng.uniform(0.01, 2.0, 10))
+            fns = []
+            for _ in range(int(rng.integers(1, 6))):
+                ends = np.sort(rng.choice(base, int(rng.integers(1, 9)), replace=False))
+                shift = rng.integers(0, 4, ends.size)
+                ends = np.where(shift == 1, ends + 1e-15, ends)
+                ends = np.where(shift == 2, np.nextafter(ends, np.inf), ends)
+                vals = rng.choice([0.0, 0.25, 0.5, 1.0 / 3.0, rng.uniform()], ends.size)
+                same = rng.random(ends.size) < 0.3
+                for k in range(1, ends.size):
+                    if same[k]:
+                        vals[k] = vals[k - 1]
+                fns.append(StepFunction(np.append(0.0, ends), vals))
+            got, want = sum_steps(fns), midpoint_sum(fns)
+            assert np.array_equal(got.edges, want.edges)
+            assert np.array_equal(got.values, want.values)
+
 
 class TestPiecewiseLinear:
     def test_eval_and_integral(self):
@@ -147,6 +173,18 @@ class TestValidation:
         assert "overuse" in kinds
         over = [v for v in report.violations if v.kind == "overuse"][0]
         assert over.magnitude == pytest.approx(0.2)
+
+    def test_overuse_on_a_sliver_interval_detected(self):
+        # job 0 ends 4.7e-15 after job 1 starts; the summed usage absorbs
+        # that sliver, the check on the raw grid of the assignments does not
+        end = 1.0 + 4.7e-15
+        jobs = JobSet.of([(0.66 * end, 0.7), (0.65, 0.7)])
+        sched = Schedule([StepFunction.constant(0.66, end),
+                          StepFunction([0.0, 1.0, 2.0], [0.0, 0.65])])
+        assert sched.total_usage().values.max() < 1.0
+        over = [v for v in validate_schedule(jobs, sched).violations if v.kind == "overuse"]
+        assert len(over) == 1 and over[0].magnitude == pytest.approx(0.31)
+        assert over[0].interval == (1.0, end)
 
     def test_volume_deficit_detected(self):
         jobs = JobSet.of([(1.0, 1.0)])

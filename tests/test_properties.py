@@ -66,6 +66,18 @@ def test_greedy_is_feasible_and_scales(jobs):
 
 
 @PROPERTY_SETTINGS
+@given(instances.filter(lambda jobs: np.unique(jobs.volumes()).size == len(jobs)), st.data())
+def test_permuting_jobs_with_distinct_volumes_permutes_greedy(jobs, data):
+    # greedy places jobs by ascending volume; only equal volumes see job order
+    perm = data.draw(st.permutations(range(len(jobs))))
+    sched = greedy(jobs)
+    permuted = greedy(JobSet([jobs[i] for i in perm]))
+    for got, i in zip(permuted.assignments, perm):
+        assert np.array_equal(got.edges, sched.assignments[i].edges)
+        assert np.array_equal(got.values, sched.assignments[i].values)
+
+
+@PROPERTY_SETTINGS
 @given(instances)
 def test_waterfill_meets_every_prefix_target_and_scales(jobs):
     run = waterfill_online(jobs)

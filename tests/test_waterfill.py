@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -25,9 +26,63 @@ from sharesched import (
     waterfill_step,
 )
 
-from conftest import random_instance
+from conftest import midpoint_sum, random_instance
 
 E = math.e
+
+
+def scan_level(usage, job, deadline, tol=1e-9):
+    """Reference water level: every candidate level scanned in order.
+
+    Returns the edges and usage levels before the deadline and the smallest
+    sufficient level, or None when the job does not fit.  ``waterfill_step``
+    must agree with it bit for bit.
+    """
+    edges, widths, lv = core._pieces_before(usage, deadline)
+    r, v = job.requirement, job.volume
+
+    def volume_below(h):
+        return float(np.dot(widths, np.minimum(r, np.maximum(h - lv, 0.0))))
+
+    if volume_below(1.0) < v - tol * max(1.0, v):
+        return None
+    cands = np.unique(np.concatenate([lv, lv + r, [0.0, 1.0]]))
+    cands = cands[(cands >= 0.0) & (cands <= 1.0)]
+    level = 1.0
+    prev_h, prev_vol = cands[0], volume_below(cands[0])
+    if prev_vol >= v:
+        level = float(prev_h)
+    else:
+        for h in cands[1:]:
+            val = volume_below(h)
+            if val >= v:
+                level = float(prev_h + (v - prev_vol) * (h - prev_h) / (val - prev_vol)) \
+                    if val > prev_vol else float(h)
+                break
+            prev_h, prev_vol = h, val
+    return edges, lv, level
+
+
+def scan_waterfill(jobs, ratio=COMPETITIVE_RATIO):
+    """Reference water-filling through ``scan_level``, folding the usage by
+    ``midpoint_sum``.  Returns the levels, the assignments and the usage
+    after each placed job, stopping at the first job that does not fit."""
+    usage = StepFunction.zero()
+    levels, assignments, usages = [], [], []
+    total = p_max = 0.0
+    for job in jobs:
+        total += job.volume
+        p_max = max(p_max, job.processing_time)
+        found = scan_level(usage, job, ratio * max(total, p_max))
+        if found is None:
+            break
+        edges, lv, level = found
+        assignment = StepFunction(edges, np.minimum(job.requirement, np.maximum(level - lv, 0.0)))
+        usage = midpoint_sum([usage, assignment])
+        levels.append(level)
+        assignments.append(assignment)
+        usages.append(usage)
+    return levels, assignments, usages
 
 
 class TestOptimalMakespan:
@@ -97,6 +152,28 @@ class TestWaterfillStep:
                                        np.minimum(job.requirement, np.maximum(h - lv, 0.0))))
                     assert got < job.volume
                 sched = out.schedule
+
+    def test_level_matches_the_candidate_scan_at_candidate_volumes(self):
+        # a volume equal to the direct sum at a candidate level is where the
+        # prefix sums can round to the other side of the bracket
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            k = int(rng.integers(1, 12))
+            edges = np.append(0.0, np.cumsum(rng.uniform(0.05, 2.0, k)))
+            sched = Schedule([StepFunction(edges, np.sort(rng.uniform(0.0, 1.0, k))[::-1])])
+            r = float(rng.uniform(0.05, 1.0))
+            deadline = float(edges[-1] * rng.uniform(0.5, 2.0))
+            _, widths, lv = core._pieces_before(sched.total_usage(), deadline)
+            cands = np.unique(np.concatenate([lv, lv + r, [1.0]]))
+            cands = cands[cands <= 1.0]
+            h = cands[int(rng.integers(0, cands.size))]
+            v = float(np.dot(widths, np.minimum(r, np.maximum(h - lv, 0.0))))
+            if v <= 0.0:
+                continue
+            job = Job(v, r)
+            out = waterfill_step(sched, job, deadline)
+            _, _, level = scan_level(sched.total_usage(), job, deadline)
+            assert out.ok and out.level == level
 
     def test_staircase_preserved(self):
         # nonincreasing total usage stays nonincreasing after each pour
@@ -169,6 +246,34 @@ class TestWaterfillOnline:
                 sizes.clear()
                 algo(jobs)
                 assert len(jobs) <= len(sizes) <= len(jobs) + 1 and max(sizes) <= 2
+
+    def test_matches_the_candidate_scan(self):
+        pools = [(random_instance(seed, 30), COMPETITIVE_RATIO) for seed in range(40)]
+        pools += [(adversarial_instance(n), COMPETITIVE_RATIO) for n in (50, 120, 300)]
+        pools.append((adversarial_instance(200), 1.55))
+        for jobs, ratio in pools:
+            run = waterfill_online(jobs, ratio=ratio)
+            levels, assignments, usages = scan_waterfill(jobs, ratio)
+            assert run.failure_index == (None if len(levels) == len(jobs) else len(levels))
+            assert np.array_equal(run.levels, levels)
+            final = run.final_schedule().assignments
+            assert len(final) == len(assignments)
+            for got, want in zip(final, assignments):
+                assert np.array_equal(got.edges, want.edges)
+                assert np.array_equal(got.values, want.values)
+            for sched, want in zip(run.schedules, usages):
+                kept = sched.total_usage()
+                assert np.array_equal(kept.edges, want.edges)
+                assert np.array_equal(kept.values, want.values)
+
+    def test_adversarial_2000_is_fast_and_valid(self):
+        # fails fast if the level search turns quadratic again; scanning the
+        # candidate levels one at a time takes 15-18 s here
+        jobs = adversarial_instance(2000)
+        start = time.perf_counter()
+        run = waterfill_online(jobs)
+        assert time.perf_counter() - start < 5.0
+        assert run.ok and validate_schedule(jobs, run.final_schedule()).feasible
 
     def test_kept_usage_matches_a_fresh_sum(self):
         for seed in range(15):
