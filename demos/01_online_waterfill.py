@@ -25,13 +25,14 @@ print("1. A small arrival sequence, poured step by step")
 print("=" * 72)
 jobs = ss.JobSet.of([(1.0, 1.0), (2.0, 0.4), (0.5, 0.9), (3.0, 0.35)])
 run = ss.waterfill_online(jobs)
+final = run.final_schedule()
 for k, (job, level, target, opt) in enumerate(
         zip(jobs, run.levels, run.targets, run.prefix_optima)):
-    sched = run.schedules[k]
+    # each assignment is fixed on arrival: prefix k is the first k + 1
+    sched = ss.Schedule(final.assignments[:k + 1])
     print(f"  job {k}: v={job.volume:<4} r={job.requirement:<5} "
           f"deadline={target:7.3f}  water level={level:.3f}  "
           f"makespan={ss.makespan(sched):7.3f}  offline opt={opt:.3f}")
-final = run.final_schedule()
 print(f"  final makespan {ss.makespan(final):.3f} vs offline optimum "
       f"{run.prefix_optima[-1]:.3f} "
       f"(ratio {ss.makespan(final) / run.prefix_optima[-1]:.4f}, "
@@ -52,8 +53,10 @@ for seed in range(100):
     r = 1.0 - rng.uniform(0.0, 0.95, n)
     run = ss.waterfill_online(ss.JobSet.of(zip(v, r)))
     assert run.ok
-    for k, sched in enumerate(run.schedules):
-        worst = max(worst, ss.makespan(sched) / run.prefix_optima[k])
+    final = run.final_schedule()
+    for k in range(final.n_jobs):
+        prefix = ss.Schedule(final.assignments[:k + 1])
+        worst = max(worst, ss.makespan(prefix) / run.prefix_optima[k])
 print(f"  worst prefix ratio observed: {worst:.6f}")
 print(f"  theoretical guarantee:       {ss.COMPETITIVE_RATIO:.6f}")
 
@@ -71,12 +74,12 @@ for ratio in (1.40, 1.50, 1.55, 1.57, ss.COMPETITIVE_RATIO):
 print("  every target below e/(e-1) eventually fails; at e/(e-1) the pour")
 print("  always fits, because each prefix stays flatter than the universal")
 print("  reference shape of the same volume:")
-run = ss.waterfill_online(ss.adversarial_instance(40))
+final = ss.waterfill_online(ss.adversarial_instance(40)).final_schedule()
 volume = 0.0
 flat = []
-for k, sched in enumerate(run.schedules):
+for k in range(final.n_jobs):
     volume += 1.0 / 40
-    flat.append(ss.flatter_than_universal(sched, volume))
+    flat.append(ss.flatter_than_universal(ss.Schedule(final.assignments[:k + 1]), volume))
 print(f"  prefixes flatter than the reference on n=40: {all(flat)}")
 
 u = ss.UniversalSchedule(1.0)

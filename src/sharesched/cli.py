@@ -54,6 +54,10 @@ def generate_random(n: int, seed: int, vmin: float = 0.1, vmax: float = 10.0,
 
     Deterministic per seed.
     """
+    if min(n, seed) < 0:
+        raise core.ContractError(f"n and seed must be nonnegative, got {n}, {seed}")
+    if not (min(vmin, vmax) > 0.0 and np.isfinite([vmin, vmax]).all()):
+        raise core.ContractError(f"vmin and vmax must be positive and finite, got {vmin}, {vmax}")
     rng = np.random.default_rng(seed)
     v = np.exp(rng.uniform(np.log(vmin), np.log(vmax), n))
     r = rmax - rng.uniform(0.0, rmax - rmin, n)
@@ -389,9 +393,20 @@ def _cmd_plot(args) -> int:
     jobs = core.jobs_from_json(_read(args.instance)) if args.instance else JobSet()
     alpha = None
     if args.alpha:
-        alpha = [float(x) for x in args.alpha.split(",")]
         if not args.instance:
             print("--alpha requires --instance", file=sys.stderr)
+            return EXIT_USAGE
+        try:
+            alpha = [float(x) for x in args.alpha.split(",")]
+            if not np.isfinite(alpha).all():
+                raise ValueError
+        except ValueError:
+            print(f"--alpha needs comma-separated finite numbers, got {args.alpha!r}",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        if len(alpha) != len(jobs):
+            print(f"--alpha gives {len(alpha)} intercepts for {len(jobs)} jobs",
+                  file=sys.stderr)
             return EXIT_USAGE
     if args.duals and alpha is None:
         print("--duals requires --alpha", file=sys.stderr)

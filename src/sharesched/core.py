@@ -342,12 +342,7 @@ class PiecewiseLinear:
 
 @dataclass(frozen=True)
 class Schedule:
-    """One resource-rate step function per job, in job order.
-
-    The total usage is summed once and kept; ``with_job`` hands the extended
-    schedule its usage as the old usage plus the new assignment.  The kept
-    usage is not a field, so it takes no part in equality or repr.
-    """
+    """One resource-rate step function per job, in job order."""
 
     assignments: tuple[StepFunction, ...]
 
@@ -369,16 +364,7 @@ class Schedule:
         return np.array([a.integral() for a in self.assignments])
 
     def total_usage(self) -> StepFunction:
-        usage = self.__dict__.get("_usage")
-        if usage is None:
-            usage = sum_steps(self.assignments)
-            object.__setattr__(self, "_usage", usage)
-        return usage
-
-    def with_job(self, assignment: StepFunction) -> "Schedule":
-        out = Schedule(self.assignments + (assignment,))
-        object.__setattr__(out, "_usage", self.total_usage() + assignment)
-        return out
+        return sum_steps(self.assignments)
 
     def scale_time(self, factor: float) -> "Schedule":
         return Schedule(a.scale_time(factor) for a in self.assignments)

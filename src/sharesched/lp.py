@@ -91,7 +91,7 @@ def _crash(c, upper, cols, rows, vals, xB, art):
     return chosen
 
 
-def dense_simplex(c, A, b, upper, bland: bool = False):
+def dense_simplex(c, A, b, upper):
     """min c@x subject to A@x == b (componentwise b >= 0), 0 <= x <= upper.
 
     The start basis is the slack basis: a row with a slack column (see
@@ -104,8 +104,7 @@ def dense_simplex(c, A, b, upper, bland: bool = False):
 
     Entering variables are priced by the largest reduced cost, switching
     permanently to Bland's smallest-index rule after ``STALL_SWITCH``
-    consecutive degenerate pivots (or from the start with ``bland=True``),
-    which keeps the anti-cycling guarantee.  Returns
+    consecutive degenerate pivots, which keeps the anti-cycling guarantee.  Returns
     ``(x, row_duals, reduced_costs, pivot_count)``.
     """
     c = np.asarray(c, dtype=float)
@@ -135,7 +134,7 @@ def dense_simplex(c, A, b, upper, bland: bool = False):
     u = np.concatenate([upper, np.full(m, np.inf)])
     pivots = 0
 
-    def run(z, use_bland):
+    def run(z):
         nonlocal xB, pivots
         degen = 0
         while True:
@@ -147,7 +146,7 @@ def dense_simplex(c, A, b, upper, bland: bool = False):
             cand = cand_lo | cand_up
             if not cand.any():
                 return z
-            if use_bland or degen > STALL_SWITCH:
+            if degen > STALL_SWITCH:
                 j = int(np.flatnonzero(cand)[0])
             else:
                 j = int(np.argmax(np.where(cand, np.abs(zm), -1.0)))
@@ -198,7 +197,7 @@ def dense_simplex(c, A, b, upper, bland: bool = False):
     c1 = np.zeros(ncols)
     c1[nvar:][art] = 1.0
     z1 = c1 - c1[basis] @ T
-    run(z1, use_bland=bland)
+    run(z1)
     art_rows = np.flatnonzero(basis >= nvar)
     residual = float(xB[art_rows].sum()) if art_rows.size else 0.0
     if residual > 1e-7 * max(1.0, float(np.abs(b).sum())):
@@ -209,7 +208,7 @@ def dense_simplex(c, A, b, upper, bland: bool = False):
     c2 = np.zeros(ncols)
     c2[:nvar] = c
     z2 = c2 - c2[basis] @ T
-    z2 = run(z2, use_bland=bland)
+    z2 = run(z2)
     x = np.where(at_upper[:nvar] & np.isfinite(upper), upper, 0.0)
     mask = basis < nvar
     x[basis[mask]] = xB[mask]

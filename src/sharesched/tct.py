@@ -143,15 +143,13 @@ class LsApproxParams:
     """Accuracy knobs for the approximation pipeline.
 
     ``mu`` is kappa * epsilon rounded down so that 1/mu is an integer (and
-    at least 2, keeping mu < 1).  ``slot_width`` and ``horizon`` override the
-    LP discretization; by default the horizon is n * p_max and the width
-    horizon / 1024.
+    at least 2, keeping mu < 1).  The LP runs on the horizon n * p_max;
+    ``slot_width`` overrides its default slot width, horizon / 1024.
     """
 
     epsilon: float
     kappa: float = 0.05
     slot_width: float | None = None
-    horizon: float | None = None
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -196,8 +194,7 @@ def lsapprox_report(jobs: JobSet, params: LsApproxParams) -> tuple[Schedule, LsA
                             0.0, 0.0, 0.0, None, 0, 0, 0)
         return Schedule.empty(0), info
     sub = subdivide(jobs, mu)
-    p_max = jobs.max_processing_time()
-    horizon = params.horizon if params.horizon is not None else n * p_max
+    horizon = n * jobs.max_processing_time()
     slot_width = params.slot_width if params.slot_width is not None else horizon / 1024.0
     guarantee = horizon * (mu / n) ** 6
     assignments: list[StepFunction | None] = [None] * n

@@ -53,21 +53,21 @@ def optimal_makespan(jobs: JobSet) -> tuple[float, Schedule]:
 class WaterfillOutcome:
     """Result of one water-fill step.
 
-    On success ``schedule`` extends the input by the new job's assignment
-    (the chosen water level truncated to the deadline) and ``level`` is that
-    smallest sufficient water level.  On failure ``deficit`` is the volume
-    that does not fit below level 1 by the deadline.
+    On success ``assignment`` is the new job's rate profile (the chosen water
+    level truncated to the deadline) and ``level`` is that smallest
+    sufficient water level.  On failure ``deficit`` is the volume that does
+    not fit below level 1 by the deadline.
     """
 
     ok: bool
-    schedule: Schedule | None = None
+    assignment: StepFunction | None = None
     level: float | None = None
     deficit: float = 0.0
 
 
-def waterfill_step(sched: Schedule, job: Job, deadline: float,
+def waterfill_step(usage: StepFunction, job: Job, deadline: float,
                    tol: float = DEFAULT_TOL) -> WaterfillOutcome:
-    """Augment ``sched`` by ``job`` finishing by ``deadline`` if possible.
+    """Pour ``job`` into the total ``usage`` to finish by ``deadline`` if possible.
 
     The level map h -> available volume below h is piecewise linear with
     kinks only at the usage levels and usage levels + requirement, so the
@@ -85,7 +85,6 @@ def waterfill_step(sched: Schedule, job: Job, deadline: float,
     """
     if deadline < 0.0:
         raise ContractError("deadline must be nonnegative")
-    usage = sched.total_usage()
     if deadline == 0.0:
         return WaterfillOutcome(ok=False, deficit=job.volume)
     edges, widths, levels = _pieces_before(usage, deadline)
@@ -126,21 +125,22 @@ def waterfill_step(sched: Schedule, job: Job, deadline: float,
             prev_h, h = cands[i - 1], cands[i]
             level = float(prev_h + (v - prev_vol) * (h - prev_h) / (val - prev_vol))
     rates = np.minimum(r, np.maximum(level - levels, 0.0))
-    assignment = StepFunction(edges, rates)
-    return WaterfillOutcome(ok=True, schedule=sched.with_job(assignment), level=level)
+    return WaterfillOutcome(ok=True, assignment=StepFunction(edges, rates), level=level)
 
 
 @dataclass(frozen=True)
 class OnlineRun:
     """Trace of the online water-filling recursion.
 
-    ``schedules[j]`` is the schedule after placing jobs 0..j; ``targets`` and
-    ``prefix_optima`` hold the attempted deadline and the offline optimum of
-    each prefix (targets = ratio * prefix_optima).  ``failure_index`` is the
-    0-based position of the first job that did not fit, or None.
+    ``schedule`` holds the placed jobs' assignments, each fixed on arrival, so
+    the schedule after job k is ``Schedule(schedule.assignments[:k + 1])``.
+    ``targets`` and ``prefix_optima`` hold the attempted deadline and the
+    offline optimum of each prefix (targets = ratio * prefix_optima).
+    ``failure_index`` is the 0-based position of the first job that did not
+    fit, or None.
     """
 
-    schedules: tuple[Schedule, ...]
+    schedule: Schedule
     targets: tuple[float, ...]
     prefix_optima: tuple[float, ...]
     levels: tuple[float, ...]
@@ -152,20 +152,21 @@ class OnlineRun:
         return self.failure_index is None
 
     def final_schedule(self) -> Schedule:
-        return self.schedules[-1] if self.schedules else Schedule.empty(0)
+        return self.schedule
 
 
 def waterfill_online(jobs: JobSet, ratio: float = COMPETITIVE_RATIO,
                      tol: float = DEFAULT_TOL) -> OnlineRun:
     """Run water-filling in list order with targets ratio * prefix optimum.
 
-    Failure is data, not an exception: the run stops at the first job whose
-    volume does not fit and records its index and deficit.
+    The usage is folded once per job, as in ``greedy``.  Failure is data,
+    not an exception: the run stops at the first job whose volume does not
+    fit and records its index and deficit.
     """
     if ratio < 1.0:
         raise ContractError("competitive ratio must be at least 1")
-    sched = Schedule.empty(0)
-    schedules: list[Schedule] = []
+    usage = StepFunction.zero()
+    assignments: list[StepFunction] = []
     targets: list[float] = []
     optima: list[float] = []
     levels: list[float] = []
@@ -178,15 +179,15 @@ def waterfill_online(jobs: JobSet, ratio: float = COMPETITIVE_RATIO,
         target = ratio * opt
         optima.append(opt)
         targets.append(target)
-        outcome = waterfill_step(sched, job, target, tol=tol)
+        outcome = waterfill_step(usage, job, target, tol=tol)
         if not outcome.ok:
-            return OnlineRun(tuple(schedules), tuple(targets), tuple(optima),
+            return OnlineRun(Schedule(assignments), tuple(targets), tuple(optima),
                              tuple(levels), failure_index=idx,
                              failure_deficit=outcome.deficit)
-        sched = outcome.schedule
-        schedules.append(sched)
+        usage = usage + outcome.assignment
+        assignments.append(outcome.assignment)
         levels.append(outcome.level)
-    return OnlineRun(tuple(schedules), tuple(targets), tuple(optima), tuple(levels))
+    return OnlineRun(Schedule(assignments), tuple(targets), tuple(optima), tuple(levels))
 
 
 class UniversalSchedule:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sharesched import JobSet, StepFunction
+from sharesched import JobSet, Schedule, StepFunction
 
 
 def random_instance(seed: int, n_max: int, n_min: int = 1,
@@ -26,6 +26,14 @@ def midpoint_sum(fns) -> StepFunction:
     for f in fns:
         total += f(mids)
     return StepFunction(grid, total)
+
+
+def prefix_schedules(run) -> list[Schedule]:
+    """The schedule after each placed job of an online run: every
+    assignment is fixed on arrival, so prefix k is the first k + 1
+    assignments of the final schedule."""
+    final = run.final_schedule().assignments
+    return [Schedule(final[:k + 1]) for k in range(len(final))]
 
 
 @pytest.fixture

@@ -49,6 +49,18 @@ class TestGen:
     def test_file_kind_requires_path(self):
         assert main(["gen", "file"]) == 2
 
+    @pytest.mark.parametrize("flags, cause", [
+        (["--n", "-1"], "n and seed must be nonnegative"),
+        (["--seed", "-1"], "n and seed must be nonnegative"),
+        (["--vmin", "0"], "vmin and vmax must be positive"),
+        (["--vmax", "0"], "vmin and vmax must be positive"),
+        (["--vmax", "inf"], "vmin and vmax must be positive"),
+    ])
+    def test_bad_random_parameters_exit_2(self, flags, cause, capsys):
+        assert main(["gen", "random", *flags]) == 2
+        err = capsys.readouterr().err
+        assert cause in err and "Traceback" not in err
+
 
 class TestRun:
     def test_greedy_record(self, workdir, capsys):
@@ -216,6 +228,26 @@ class TestPlot:
         assert svg.startswith("<svg")
         assert svg.count("<polygon") == 3
         assert "polyline" in svg  # capacity price overlay
+
+    @pytest.mark.parametrize("alpha, duals, cause", [
+        ("1,x,2", True, "comma-separated finite numbers"),
+        ("1,x,2", False, "comma-separated finite numbers"),
+        ("1,nan,2", False, "comma-separated finite numbers"),
+        ("1,2", False, "2 intercepts for 3 jobs"),
+        ("1,2,3,4", True, "4 intercepts for 3 jobs"),
+    ])
+    def test_bad_alpha_exits_2(self, workdir, tmp_path, capsys, alpha, duals, cause):
+        sched_path = tmp_path / "s.json"
+        main(["run", "greedy", "--input", str(workdir / "three.json"),
+              "--record", str(tmp_path / "rec.json"), "--schedule-out", str(sched_path)])
+        capsys.readouterr()
+        out = tmp_path / "p.svg"
+        code = main(["plot", "--schedule", str(sched_path),
+                     "--instance", str(workdir / "three.json"), "--alpha", alpha,
+                     *(["--duals"] if duals else []), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert cause in err and "Traceback" not in err
 
     def test_empty_schedule_renders_axes_only(self, tmp_path, capsys):
         sched = tmp_path / "empty.json"

@@ -59,11 +59,13 @@ class TestDenseSimplexEngine:
         assert c @ x == pytest.approx(-6.0)
         assert x[0] == pytest.approx(2.0) and x[1] == pytest.approx(2.0)
 
-    def test_against_scipy_on_random_boxed_lps(self):
+    def test_against_scipy_on_random_boxed_lps(self, monkeypatch):
         # half the cases give some rows a unit slack column (zero cost, no
         # upper bound), which then starts basic; every case runs under both
-        # pricing rules
+        # pricing rules: a stall switch of -1 selects Bland's rule from the
+        # first pivot
         linprog = pytest.importorskip("scipy.optimize").linprog
+        switches = (lpmod.STALL_SWITCH, -1)
         for seed in range(50):
             rng = np.random.default_rng(seed)
             m, n = int(rng.integers(1, 5)), int(rng.integers(2, 8))
@@ -86,8 +88,9 @@ class TestDenseSimplexEngine:
                           method="highs")
             assert ref.success
             boxed = np.isfinite(upper)
-            for bland in (False, True):
-                x, y, _, _ = dense_simplex(c, A, b, upper, bland=bland)
+            for switch in switches:
+                monkeypatch.setattr(lpmod, "STALL_SWITCH", switch)
+                x, y, _, _ = dense_simplex(c, A, b, upper)
                 assert np.all(x >= -1e-9) and np.all(x <= upper + 1e-9)
                 assert np.allclose(A @ x, b, atol=1e-8)
                 assert c @ x == pytest.approx(ref.fun, rel=1e-7, abs=1e-9)

@@ -28,6 +28,8 @@ from sharesched import (
 )
 from sharesched.linesched import _check_volume_gaps
 
+from conftest import prefix_schedules
+
 PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, database=None, deadline=None)
 
 volumes = st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e)
@@ -83,7 +85,7 @@ def test_waterfill_meets_every_prefix_target_and_scales(jobs):
     run = waterfill_online(jobs)
     assert run.ok
     assert validate_schedule(jobs, run.final_schedule()).feasible
-    for k, sched in enumerate(run.schedules):
+    for k, sched in enumerate(prefix_schedules(run)):
         opt, _ = optimal_makespan(jobs.prefix(k + 1))
         assert makespan(sched) <= COMPETITIVE_RATIO * opt * (1.0 + 1e-12)
     twice = waterfill_online(doubled(jobs))

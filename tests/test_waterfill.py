@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from sharesched import (
     waterfill_step,
 )
 
-from conftest import midpoint_sum, random_instance
+from conftest import midpoint_sum, prefix_schedules, random_instance
 
 E = math.e
 
@@ -113,45 +114,44 @@ class TestOptimalMakespan:
 
 class TestWaterfillStep:
     def test_pour_into_empty(self):
-        out = waterfill_step(Schedule.empty(0), Job(1, 0.5), 2.0)
+        out = waterfill_step(StepFunction.zero(), Job(1, 0.5), 2.0)
         assert out.ok and out.level == pytest.approx(0.5)
-        a = out.schedule.assignments[-1]
+        a = out.assignment
         assert a.values.tolist() == [0.5] and a.support_end == 2.0
 
     def test_insufficient_deadline(self):
-        out = waterfill_step(Schedule.empty(0), Job(1, 0.5), 1.0)
+        out = waterfill_step(StepFunction.zero(), Job(1, 0.5), 1.0)
         assert not out.ok
         assert out.deficit == pytest.approx(0.5)
 
     def test_fills_leftover_area(self):
-        busy = Schedule([StepFunction.constant(1.0, 1.0)])
+        busy = StepFunction.constant(1.0, 1.0)
         out = waterfill_step(busy, Job(1, 1), 2.0)
         assert out.ok and out.level == pytest.approx(1.0)
-        a = out.schedule.assignments[-1]
+        a = out.assignment
         assert a(0.5) == 0.0 and a(1.5) == pytest.approx(1.0)
 
     def test_level_is_minimal(self):
         for seed in range(20):
             jobs = random_instance(seed, 5)
-            sched = Schedule.empty(0)
+            usage = StepFunction.zero()
             total, p_max = 0.0, 0.0
             for job in jobs:
                 total += job.volume
                 p_max = max(p_max, job.processing_time)
                 deadline = COMPETITIVE_RATIO * max(total, p_max)
-                out = waterfill_step(sched, job, deadline)
+                out = waterfill_step(usage, job, deadline)
                 assert out.ok
                 # a slightly smaller level no longer fits the volume
                 h = out.level - 1e-6
                 if h > 0:
-                    usage = sched.total_usage()
                     edges = np.append(usage.edges[usage.edges < deadline], deadline)
                     lv = usage.values[: edges.size - 1]
                     lv = np.append(lv, np.zeros(edges.size - 1 - lv.size))
                     got = float(np.dot(np.diff(edges),
                                        np.minimum(job.requirement, np.maximum(h - lv, 0.0))))
                     assert got < job.volume
-                sched = out.schedule
+                usage = usage + out.assignment
 
     def test_level_matches_the_candidate_scan_at_candidate_volumes(self):
         # a volume equal to the direct sum at a candidate level is where the
@@ -160,10 +160,10 @@ class TestWaterfillStep:
         for _ in range(300):
             k = int(rng.integers(1, 12))
             edges = np.append(0.0, np.cumsum(rng.uniform(0.05, 2.0, k)))
-            sched = Schedule([StepFunction(edges, np.sort(rng.uniform(0.0, 1.0, k))[::-1])])
+            usage = StepFunction(edges, np.sort(rng.uniform(0.0, 1.0, k))[::-1])
             r = float(rng.uniform(0.05, 1.0))
             deadline = float(edges[-1] * rng.uniform(0.5, 2.0))
-            _, widths, lv = core._pieces_before(sched.total_usage(), deadline)
+            _, widths, lv = core._pieces_before(usage, deadline)
             cands = np.unique(np.concatenate([lv, lv + r, [1.0]]))
             cands = cands[cands <= 1.0]
             h = cands[int(rng.integers(0, cands.size))]
@@ -171,8 +171,8 @@ class TestWaterfillStep:
             if v <= 0.0:
                 continue
             job = Job(v, r)
-            out = waterfill_step(sched, job, deadline)
-            _, _, level = scan_level(sched.total_usage(), job, deadline)
+            out = waterfill_step(usage, job, deadline)
+            _, _, level = scan_level(usage, job, deadline)
             assert out.ok and out.level == level
 
     def test_staircase_preserved(self):
@@ -181,7 +181,7 @@ class TestWaterfillStep:
             jobs = random_instance(seed, 8)
             run = waterfill_online(jobs)
             assert run.ok
-            for sched in run.schedules:
+            for sched in prefix_schedules(run):
                 usage = sched.total_usage()
                 assert np.all(np.diff(usage.values) <= 1e-12)
 
@@ -203,12 +203,13 @@ class TestWaterfillStep:
             rng = np.random.default_rng(seed + 10_000)
             job = Job(float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.1, 1.0)))
             deadline = max(makespan(bumpy), makespan(flat)) + job.processing_time + 1.0
-            poured_s = waterfill_step(bumpy, job, deadline)
+            poured_s = waterfill_step(bumpy.total_usage(), job, deadline)
             if not poured_s.ok:
                 continue
-            poured_r = waterfill_step(flat, job, deadline)
+            poured_r = waterfill_step(flat.total_usage(), job, deadline)
             assert poured_r.ok
-            assert is_flatter(poured_r.schedule, poured_s.schedule)
+            assert is_flatter(Schedule(flat.assignments + (poured_r.assignment,)),
+                              Schedule(bumpy.assignments + (poured_s.assignment,)))
             checked += 1
         assert checked >= 10
 
@@ -217,14 +218,14 @@ class TestWaterfillOnline:
     def test_two_unit_jobs(self):
         run = waterfill_online(JobSet.of([(1, 1), (1, 1)]))
         assert run.ok
-        first = run.schedules[0].assignments[0]
+        first = run.final_schedule().assignments[0]
         assert first.values.tolist() == pytest.approx([(E - 1.0) / E])
         assert first.support_end == pytest.approx(E / (E - 1.0))
         assert makespan(run.final_schedule()) <= COMPETITIVE_RATIO * 2.0 + 1e-9
 
     def test_empty_run(self):
         run = waterfill_online(JobSet())
-        assert run.ok and run.schedules == () and run.failure_index is None
+        assert run.ok and run.final_schedule() == Schedule.empty(0) and run.failure_index is None
 
     def test_low_ratio_fails_on_adversarial_family(self):
         run = waterfill_online(adversarial_instance(200), ratio=1.55)
@@ -261,10 +262,10 @@ class TestWaterfillOnline:
             for got, want in zip(final, assignments):
                 assert np.array_equal(got.edges, want.edges)
                 assert np.array_equal(got.values, want.values)
-            for sched, want in zip(run.schedules, usages):
-                kept = sched.total_usage()
-                assert np.array_equal(kept.edges, want.edges)
-                assert np.array_equal(kept.values, want.values)
+            for sched, want in zip(prefix_schedules(run), usages):
+                fresh = sched.total_usage()
+                assert np.array_equal(fresh.edges, want.edges)
+                assert np.array_equal(fresh.values, want.values)
 
     def test_adversarial_2000_is_fast_and_valid(self):
         # fails fast if the level search turns quadratic again; scanning the
@@ -275,15 +276,17 @@ class TestWaterfillOnline:
         assert time.perf_counter() - start < 5.0
         assert run.ok and validate_schedule(jobs, run.final_schedule()).feasible
 
-    def test_kept_usage_matches_a_fresh_sum(self):
-        for seed in range(15):
-            jobs = random_instance(seed, 12)
-            for sched in waterfill_online(jobs).schedules:
-                kept, fresh = sched.total_usage(), core.sum_steps(sched.assignments)
-                assert np.array_equal(kept.edges, fresh.edges)
-                assert np.array_equal(kept.values, fresh.values)
-                plain = Schedule(sched.assignments)
-                assert sched == plain and repr(sched) == repr(plain)
+    def test_memory_is_linear_in_n(self):
+        # a run keeps one schedule; a schedule per prefix, each with its
+        # own usage, would peak at about 11 MB here
+        jobs = adversarial_instance(1000)
+        tracemalloc.start()
+        try:
+            waterfill_online(jobs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_prefix_flatness(self):
         for seed in range(25):
@@ -291,7 +294,7 @@ class TestWaterfillOnline:
             run = waterfill_online(jobs)
             assert run.ok
             volume = 0.0
-            for k, sched in enumerate(run.schedules):
+            for k, sched in enumerate(prefix_schedules(run)):
                 volume += jobs[k].volume
                 assert flatter_than_universal(sched, volume)
                 assert makespan(sched) <= COMPETITIVE_RATIO * run.prefix_optima[k] + 1e-9
