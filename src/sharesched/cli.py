@@ -148,30 +148,38 @@ class AlgorithmFailure(RuntimeError):
         super().__init__(message)
 
 
+#: failures of an algorithm on valid input; any other ContractError is a usage error
+ALGORITHM_ERRORS = (RuntimeError, linesched.DegenerateVolumesError)
+
+
+def _measure(jobs: JobSet, sched: Schedule, extras: dict):
+    """(makespan, tct, ftct, lower bounds, tct over the best bound)."""
+    cost = core.total_completion_time(jobs, sched)
+    _, ftct = core.fractional_completion_time(jobs, sched)
+    bounds = tct.lower_bounds(jobs, fractional_opt=extras.get("fractional_optimum"))
+    return core.makespan(sched), cost, ftct, bounds, _ratio(cost, bounds.best)
+
+
 def _record(instance: str, algo: str, jobs: JobSet, sched: Schedule,
             extras: dict, wall_ms: float, seed, tol: float) -> dict:
     report = core.validate_schedule(jobs, sched, tol=tol)
-    _, ftct = core.fractional_completion_time(jobs, sched)
-    cost = core.total_completion_time(jobs, sched)
-    frac_opt = extras.get("fractional_optimum")
-    bounds = tct.lower_bounds(jobs, fractional_opt=frac_opt)
-    lb3 = bounds.fractional_plus_half_length
-    rec = {
+    span, cost, ftct, bounds, ratio = _measure(jobs, sched, extras)
+    return {
         "instance": instance,
         "algorithm": algo,
         "n": len(jobs),
-        "makespan": core.makespan(sched),
+        "makespan": span,
         "total_completion_time": cost,
         "fractional_completion_time": ftct,
         "bounds": {
             "squashed_area": bounds.squashed_area,
             "total_length": bounds.total_length,
-            "fractional_plus_half_length": lb3,
+            "fractional_plus_half_length": bounds.fractional_plus_half_length,
         },
         "ratios": {
             "tct_over_squashed_area": _ratio(cost, bounds.squashed_area),
             "tct_over_total_length": _ratio(cost, bounds.total_length),
-            "tct_over_best_bound": _ratio(cost, bounds.best),
+            "tct_over_best_bound": ratio,
         },
         "validation": {
             "feasible": report.feasible,
@@ -181,7 +189,6 @@ def _record(instance: str, algo: str, jobs: JobSet, sched: Schedule,
         "seed": seed,
         "parameters": extras,
     }
-    return rec
 
 
 def _cmd_run(args) -> int:
@@ -193,7 +200,7 @@ def _cmd_run(args) -> int:
             slot_width=args.delta, vol_tol=args.vol_tol,
             use_exact_ls=not args.lp_ls,
         )
-    except (AlgorithmFailure, RuntimeError, core.ContractError) as exc:
+    except ALGORITHM_ERRORS as exc:
         err = {"error": str(exc), "algorithm": args.algo, "instance": args.input}
         if isinstance(exc, AlgorithmFailure):
             err.update(exc.data)
@@ -236,9 +243,7 @@ def _cmd_verify(args) -> int:
 
 
 def _csv_num(x) -> str:
-    if x is None:
-        return ""
-    return format(float(x), ".17g")
+    return "" if x is None else core._fmt(x)
 
 
 def _cmd_compare(args) -> int:
@@ -267,23 +272,16 @@ def _cmd_compare(args) -> int:
                     slot_width=args.delta, vol_tol=args.vol_tol,
                     use_exact_ls=not args.lp_ls,
                 )
-            except (AlgorithmFailure, RuntimeError, core.ContractError) as exc:
+            except ALGORITHM_ERRORS:
                 rows.append(f"{path},{algo},{len(jobs)},,,,,,,error,,")
                 continue
             wall = (time.perf_counter() - t0) * 1e3 if args.timing else 0.0
-            cost = core.total_completion_time(jobs, sched)
-            _, ftct = core.fractional_completion_time(jobs, sched)
-            bounds = tct.lower_bounds(jobs, fractional_opt=extras.get("fractional_optimum"))
-            ratio = _ratio(cost, bounds.best)
+            span, cost, ftct, bounds, ratio = _measure(jobs, sched, extras)
             if ratio is not None:
                 max_ratio[algo] = max(max_ratio.get(algo, 0.0), ratio)
-            rows.append(",".join([
-                path, algo, str(len(jobs)),
-                _csv_num(core.makespan(sched)), _csv_num(cost), _csv_num(ftct),
-                _csv_num(bounds.squashed_area), _csv_num(bounds.total_length),
-                _csv_num(bounds.fractional_plus_half_length),
-                _csv_num(ratio), _csv_num(wall), "",
-            ]))
+            rows.append(",".join([path, algo, str(len(jobs)), *map(_csv_num, (
+                span, cost, ftct, bounds.squashed_area, bounds.total_length,
+                bounds.fractional_plus_half_length, ratio, wall)), ""]))
     for algo in algos:
         rows.append(",".join([
             "summary:max_ratio", algo, "", "", "", "", "", "", "",
@@ -423,6 +421,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="sharesched",
                                 description="shared-resource scheduling toolkit")
     sub = p.add_subparsers(dest="command", required=True)
+    # algorithm options shared by run and compare
+    algo_opts = argparse.ArgumentParser(add_help=False)
+    algo_opts.add_argument("--c", type=float, default=mk.COMPETITIVE_RATIO,
+                           help="water-fill competitive target ratio")
+    algo_opts.add_argument("--eps", type=float, default=0.5)
+    algo_opts.add_argument("--kappa", type=float, default=0.05)
+    algo_opts.add_argument("--delta", type=float, default=None, help="LP slot width")
+    algo_opts.add_argument("--vol-tol", type=float, default=core.DEFAULT_TOL)
+    algo_opts.add_argument("--lp-ls", dest="lp_ls", action="store_true", default=False,
+                           help="best: use the LP-based approximation pipeline")
 
     g = sub.add_parser("gen", help="generate an instance JSON")
     g.add_argument("kind", choices=["random", "adversarial", "file"])
@@ -436,25 +444,17 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", default="-")
     g.set_defaults(func=_cmd_gen)
 
-    r = sub.add_parser("run", help="run one algorithm on an instance")
+    r = sub.add_parser("run", parents=[algo_opts], help="run one algorithm on an instance")
     r.add_argument("algo", choices=["waterfill", "greedy", "ls", "lsapprox", "best"])
     r.add_argument("--input", required=True)
     r.add_argument("--record", default="-", help="run-record JSON output path")
     r.add_argument("--schedule-out", help="schedule JSON output path")
-    r.add_argument("--c", type=float, default=mk.COMPETITIVE_RATIO,
-                   help="water-fill competitive target ratio")
-    r.add_argument("--eps", type=float, default=0.5)
-    r.add_argument("--kappa", type=float, default=0.05)
     r.add_argument("--mu", type=float, default=None,
                    help="override mu directly (sets eps = mu / kappa)")
-    r.add_argument("--delta", type=float, default=None, help="LP slot width")
-    r.add_argument("--vol-tol", type=float, default=core.DEFAULT_TOL)
     r.add_argument("--tol", type=float, default=core.DEFAULT_TOL)
     r.add_argument("--seed", type=int, default=None, help="echoed into the record")
     r.add_argument("--exact-ls", dest="lp_ls", action="store_false", default=False,
                    help="best: use the exact fixed-point line schedule (default)")
-    r.add_argument("--lp-ls", dest="lp_ls", action="store_true",
-                   help="best: use the LP-based approximation pipeline")
     r.set_defaults(func=_cmd_run)
 
     v = sub.add_parser("verify", help="validate a schedule against an instance")
@@ -468,18 +468,13 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--out", default="-")
     v.set_defaults(func=_cmd_verify)
 
-    c = sub.add_parser("compare", help="run algorithms over instances into a CSV")
+    c = sub.add_parser("compare", parents=[algo_opts],
+                       help="run algorithms over instances into a CSV")
     c.add_argument("--inputs", required=True, help="glob of instance JSON files")
     c.add_argument("--algos", default="greedy,ls")
     c.add_argument("--out", default="-")
     c.add_argument("--timing", action="store_true",
                    help="record wall times (breaks byte-for-byte reproducibility)")
-    c.add_argument("--c", type=float, default=mk.COMPETITIVE_RATIO)
-    c.add_argument("--eps", type=float, default=0.5)
-    c.add_argument("--kappa", type=float, default=0.05)
-    c.add_argument("--delta", type=float, default=None)
-    c.add_argument("--vol-tol", type=float, default=core.DEFAULT_TOL)
-    c.add_argument("--lp-ls", dest="lp_ls", action="store_true", default=False)
     c.set_defaults(func=_cmd_compare)
 
     pl = sub.add_parser("plot", help="render a schedule as a stacked-area SVG")

@@ -399,8 +399,10 @@ def validate_schedule(jobs: JobSet, sched: Schedule, tol: float = DEFAULT_TOL) -
 
     Resource clauses use ``tol`` absolutely; the volume clause scales it by
     max(1, volume).  Raises ContractError when job and assignment counts
-    differ.
+    differ or ``tol`` is negative.
     """
+    if not tol >= 0.0:
+        raise ContractError(f"tol must be nonnegative, got {tol}")
     if len(jobs) != sched.n_jobs:
         raise ContractError(f"{len(jobs)} jobs but {sched.n_jobs} assignments")
     violations: list[Violation] = []

@@ -194,7 +194,8 @@ def solve_alpha(jobs: JobSet, targets=None, vol_tol: float = DEFAULT_TOL,
     taken when ``max_iters`` iterations do not reach ``vol_tol``, or earlier
     when the line search can no longer move alpha.  Raises
     DegenerateVolumesError up front when two volumes are too close for any
-    alpha to meet ``vol_tol``.
+    alpha to meet ``vol_tol``, and ContractError when ``vol_tol`` is not
+    positive.
     """
     v = jobs.volumes()
     r = jobs.requirements()
@@ -205,6 +206,8 @@ def solve_alpha(jobs: JobSet, targets=None, vol_tol: float = DEFAULT_TOL,
         raise ContractError("targets must have one entry per job")
     if np.any(tau <= 0.0):
         raise ContractError("targets must be positive")
+    if not vol_tol > 0.0:
+        raise ContractError(f"vol_tol must be positive, got {vol_tol}")
     _check_volume_gaps(v, vol_tol)
     n = v.size
     if n == 0:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernel
-from .core import ContractError, JobSet, Schedule, StepFunction
+from .core import ContractError, JobSet, Schedule, StepFunction, _fmt
 from .linesched import ConvergenceError, DegenerateVolumesError, solve_alpha
 
 
@@ -42,6 +42,12 @@ class InfeasibleInstanceError(RuntimeError):
 STALL_SWITCH = 60
 #: pivots after which ``dense_simplex`` raises SimplexError
 MAX_PIVOTS = 500_000
+#: relative certificate gap at which ``solve_lp`` accepts a block optimum
+CERTIFICATE_TOL = 1e-9
+#: refinement rounds after which ``solve_lp`` raises SimplexError
+MAX_ROUNDS = 64
+#: slots on the horizon when no slot width is given
+SLOTS = 1024
 
 
 def _slack_rows(c, upper, cols, rows, vals):
@@ -248,8 +254,8 @@ def build_discretized_lp(jobs: JobSet, targets=None, horizon: float | None = Non
 
     Defaults: demands equal the job volumes, the horizon is n * p_max (large
     enough that an optimal fractional schedule never runs past it), and the
-    slot width is horizon / 1024.  The slot width must divide the horizon to
-    within 1e-9 relative.
+    slot width is horizon / ``SLOTS``.  The slot width must divide the
+    horizon to within 1e-9 relative.
     """
     v = jobs.volumes()
     if targets is None:
@@ -264,7 +270,7 @@ def build_discretized_lp(jobs: JobSet, targets=None, horizon: float | None = Non
     if horizon <= 0.0:
         raise ContractError("horizon must be positive")
     if slot_width is None:
-        slot_width = horizon / 1024.0
+        slot_width = horizon / SLOTS
     if slot_width <= 0.0:
         raise ContractError("slot width must be positive")
     ratio = horizon / slot_width
@@ -280,8 +286,8 @@ class LpSolution:
 
     ``volumes[j, i]`` is job j's volume in slot i.  ``alpha`` are the demand
     duals from the simplex basis; ``gamma``/``beta`` the per-slot capacity
-    and box duals.  ``certificate_gap`` bounds the distance to the true
-    optimum (it is the primal objective minus the dual objective).
+    and box duals.  ``certificate_gap`` is the objective minus the Lagrangian
+    bound ``dual_objective`` that ``solve_lp`` stopped on.
     """
 
     volumes: np.ndarray
@@ -343,26 +349,38 @@ def _slot_duals(inst: LpInstance, alpha: np.ndarray):
     return gamma, beta, (rates * gains).sum(axis=0) * inst.slot_width
 
 
-def _structure_edges(inst: LpInstance, alpha: np.ndarray) -> np.ndarray:
-    """Inner slot edges around every slot where the packing of ``alpha``
-    can change (both edges of the slot a breakpoint falls in)."""
-    t = _kernel.breakpoints(inst.jobs.volumes(), alpha)[0]
-    t = t[(t > 0.0) & (t < inst.horizon)]
-    slots = (t / inst.slot_width).astype(int)
-    edges = np.unique(np.concatenate([slots, slots + 1]))
-    return edges[(edges > 0) & (edges < inst.n_slots)]
+def _cuts(inst: LpInstance, alpha: np.ndarray, edges=None, W=None) -> np.ndarray:
+    """Inner slot edges cut by the breakpoints of ``alpha`` (rules in
+    ``solve_lp``); the block splits need the block ``edges`` and volumes ``W``."""
+    d = inst.slot_width
+    t, a, b = _kernel.breakpoints(inst.jobs.volumes(), alpha)
+    keep = (t > 0.0) & (t < inst.horizon)
+    t, a, b = t[keep], a[keep], b[keep]
+    slots = (t / d).astype(int)
+    cuts = [slots, slots + 1]
+    if edges is not None:
+        k = np.searchsorted(edges[1:-1], slots, side="right")   # block of each breakpoint
+        lo, hi = edges[k], edges[k + 1]
+        inner = (t > (lo + 0.5) * d) & (t < (hi - 0.5) * d)
+        zero = inner & (b < 0)
+        fill = np.ceil(W[a[zero], k[zero]] / (inst.jobs.requirements()[a[zero]] * d))
+        cuts += [(lo + hi)[inner] // 2,
+                 lo[zero] + np.clip(fill, 1, (hi - lo)[zero] - 1).astype(int)]
+    cuts = np.concatenate(cuts)
+    return cuts[(cuts > 0) & (cuts < inst.n_slots)]
 
 
-def solve_lp(inst: LpInstance, certificate_tol: float = 1e-9,
-             max_rounds: int = 64) -> LpSolution:
+def solve_lp(inst: LpInstance) -> LpSolution:
     """Solve the slot LP to certified optimality.
 
     Each round solves the LP restricted to volumes that are constant on
     slot blocks, with one ``dense_simplex`` call.  Its demand duals
     ``alpha`` price every slot by the priority packing (``_slot_duals``), and
     ``alpha . targets`` minus the packing gains is a lower bound on the full
-    LP.  Once that bound meets the block optimum to ``certificate_tol``
-    relative, the block solution is optimal for the full LP.
+    LP.  Once that bound meets the block optimum to ``CERTIFICATE_TOL``
+    relative, the block solution is optimal for the full LP; the solution
+    reports that bound as ``dual_objective`` and the gap that stopped the
+    loop as ``certificate_gap``.
 
     Why the breakpoints of the dual optimum lose nothing: under the optimal
     ``alpha`` the full LP's slot problems decouple into priority packings of
@@ -375,13 +393,16 @@ def solve_lp(inst: LpInstance, certificate_tol: float = 1e-9,
     others get alpha 0).  When ``solve_alpha`` raises (near-tied volumes, or
     no convergence) the same loop starts from the single block ``{0, I}``.
 
-    A round that does not certify adds the breakpoints of its own ``alpha``,
-    and splits every block whose two end slots pack in another order or
-    sign: at its midpoint, and, for each job whose line reaches zero inside
-    it, where that job's block volume would end at its cap from the block
-    start.  The last split settles a job that ends just before a wide empty
-    block: the simplex may price it at that block's mean cost, and the other
-    two rules then only halve the block once a round.
+    Every cut comes from one ``_kernel.breakpoints`` call (``_cuts``).  The
+    seed, and each round that does not certify, cut both edges of the slot
+    that holds each breakpoint of their ``alpha``.  A round also splits every
+    block that holds a breakpoint strictly between the midpoints of its first
+    and last slot: at its midpoint, and, for each line zero there, where that
+    job's block volume would end at its cap from the block start.  The last
+    split settles a job that ends just before a wide empty block: the simplex
+    may price it at that block's mean cost, and the other two rules then only
+    halve the block once a round.  A round that adds no edge halves the
+    widest block.
 
     Raises InfeasibleInstanceError when the demands exceed the horizon
     capacity and SimplexError when refinement or pivot limits are hit.
@@ -391,7 +412,6 @@ def solve_lp(inst: LpInstance, certificate_tol: float = 1e-9,
     if n == 0:
         return LpSolution(np.zeros((0, I)), 0.0, np.zeros(0), np.zeros((0, I)),
                           np.zeros(I), 0.0, 0.0, np.array([0, I]), 0, 0)
-    v = inst.jobs.volumes()
     r = inst.jobs.requirements()
     total_cap = inst.horizon
     if inst.targets.sum() > total_cap * (1.0 + 1e-12):
@@ -415,48 +435,26 @@ def solve_lp(inst: LpInstance, certificate_tol: float = 1e-9,
     except (DegenerateVolumesError, ConvergenceError):
         pass    # no continuous optimum to seed from: start from one block
     else:
-        edges = np.union1d(edges, _structure_edges(inst, seed))
+        edges = np.union1d(edges, _cuts(inst, seed))
     total_pivots = 0
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, MAX_ROUNDS + 1):
         W, alpha, objective, piv = _aggregated_solve(inst, edges)
         total_pivots += piv
         gamma, beta, slot_gain = _slot_duals(inst, alpha)
         dual_obj = float(alpha @ inst.targets - slot_gain.sum())
         gap = objective - dual_obj
-        if gap <= certificate_tol * max(1.0, abs(objective)):
-            lens = np.diff(edges).astype(float)
-            volumes = np.repeat(W / lens[None, :], np.diff(edges), axis=1)
-            dual_obj_report = float(
-                alpha @ inst.targets
-                - inst.slot_width * gamma.sum()
-                - inst.slot_width * float((r[:, None] * beta).sum())
-            )
-            return LpSolution(volumes, objective, alpha, beta, gamma,
-                              dual_obj_report, float(objective - dual_obj_report),
-                              edges.copy(), rounds, total_pivots)
-        new_edges = set(edges.tolist())
-        new_edges.update(_structure_edges(inst, alpha).tolist())
-        gains = alpha[:, None] - inst.slot_midpoints()[None, :] / v[:, None]
-        for k in range(edges.size - 1):
-            a, b_ = int(edges[k]), int(edges[k + 1])
-            if b_ - a <= 1:
-                continue
-            ga, gb = gains[:, a], gains[:, b_ - 1]
-            if not (np.array_equal(np.argsort(-ga, kind="stable"),
-                                   np.argsort(-gb, kind="stable"))
-                    and np.array_equal(ga > 0, gb > 0)):
-                new_edges.add((a + b_) // 2)
-                ends = (ga > 0) != (gb > 0)
-                fill = np.ceil(W[ends, k] / (r[ends] * inst.slot_width))
-                new_edges.update((a + np.clip(fill, 1, b_ - a - 1)).astype(int).tolist())
-        if len(new_edges) == edges.size:
+        if gap <= CERTIFICATE_TOL * max(1.0, abs(objective)):
+            volumes = np.repeat(W / np.diff(edges), np.diff(edges), axis=1)
+            return LpSolution(volumes, objective, alpha, beta, gamma, dual_obj, gap,
+                              edges, rounds, total_pivots)
+        new_edges = np.union1d(edges, _cuts(inst, alpha, edges, W))
+        if new_edges.size == edges.size:
             widths = np.diff(edges)
             k = int(np.argmax(widths))
-            if widths[k] > 1:
-                new_edges.add(int(edges[k] + widths[k] // 2))
-            else:
+            if widths[k] <= 1:
                 raise SimplexError(f"certificate gap {gap:.3e} at full resolution")
-        edges = np.array(sorted(new_edges), dtype=int)
+            new_edges = np.insert(edges, k + 1, edges[k] + widths[k] // 2)
+        edges = new_edges
     raise SimplexError(f"block refinement did not converge (gap {gap:.3e})")
 
 
@@ -471,18 +469,17 @@ def lp_schedule(inst: LpInstance, sol: LpSolution) -> Schedule:
 
 def dump_lp(inst: LpInstance) -> str:
     """Fixed-order plain-text dump: objective row, then constraint rows."""
-    fmt = lambda x: format(float(x), ".17g")
     v = inst.jobs.volumes()
     r = inst.jobs.requirements()
     mids = inst.slot_midpoints()
     lines = []
-    coeffs = " ".join(fmt(mids[i] / v[j]) for j in range(inst.n_jobs) for i in range(inst.n_slots))
+    coeffs = " ".join(_fmt(mids[i] / v[j]) for j in range(inst.n_jobs) for i in range(inst.n_slots))
     lines.append(f"min {coeffs}".rstrip())
     for j in range(inst.n_jobs):
-        lines.append(f"demand {j} >= {fmt(inst.targets[j])}")
+        lines.append(f"demand {j} >= {_fmt(inst.targets[j])}")
     for i in range(inst.n_slots):
-        lines.append(f"capacity {i} <= {fmt(inst.slot_width)}")
+        lines.append(f"capacity {i} <= {_fmt(inst.slot_width)}")
     for j in range(inst.n_jobs):
         for i in range(inst.n_slots):
-            lines.append(f"box {j} {i} <= {fmt(r[j] * inst.slot_width)}")
+            lines.append(f"box {j} {i} <= {_fmt(r[j] * inst.slot_width)}")
     return "\n".join(lines) + "\n"

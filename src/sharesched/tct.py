@@ -144,7 +144,7 @@ class LsApproxParams:
 
     ``mu`` is kappa * epsilon rounded down so that 1/mu is an integer (and
     at least 2, keeping mu < 1).  The LP runs on the horizon n * p_max;
-    ``slot_width`` overrides its default slot width, horizon / 1024.
+    ``slot_width`` overrides its default slot width, horizon / ``lp.SLOTS``.
     """
 
     epsilon: float
@@ -152,10 +152,12 @@ class LsApproxParams:
     slot_width: float | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ContractError("epsilon must be positive")
-        if self.kappa <= 0.0:
+        if not self.kappa > 0.0:
             raise ContractError("kappa must be positive")
+        if self.slot_width is not None and not self.slot_width > 0.0:
+            raise ContractError("slot width must be positive")
 
     @property
     def mu(self) -> float:
@@ -195,7 +197,7 @@ def lsapprox_report(jobs: JobSet, params: LsApproxParams) -> tuple[Schedule, LsA
         return Schedule.empty(0), info
     sub = subdivide(jobs, mu)
     horizon = n * jobs.max_processing_time()
-    slot_width = params.slot_width if params.slot_width is not None else horizon / 1024.0
+    slot_width = params.slot_width if params.slot_width is not None else horizon / lpmod.SLOTS
     guarantee = horizon * (mu / n) ** 6
     assignments: list[StepFunction | None] = [None] * n
     scale = None

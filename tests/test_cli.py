@@ -129,6 +129,22 @@ class TestRun:
         assert isinstance(params["lp_pivots"], int) and params["lp_pivots"] > 0
         assert isinstance(params["lp_blocks"], int) and params["lp_blocks"] > 0
 
+    @pytest.mark.parametrize("algo, flags, cause", [
+        ("waterfill", ["--c", "0.5"], "competitive ratio must be at least 1"),
+        ("lsapprox", ["--eps", "0"], "epsilon must be positive"),
+        ("lsapprox", ["--kappa", "nan"], "kappa must be positive"),
+        ("lsapprox", ["--delta", "-1"], "slot width must be positive"),
+        ("best", ["--lp-ls", "--delta", "0"], "slot width must be positive"),
+        ("ls", ["--vol-tol", "0"], "vol_tol must be positive"),
+        ("ls", ["--vol-tol", "-1"], "vol_tol must be positive"),
+        ("greedy", ["--tol", "-1"], "tol must be nonnegative"),
+    ])
+    def test_bad_parameter_values_exit_2(self, workdir, capsys, algo, flags, cause):
+        # a value out of range is a usage error (2), not an algorithm failure (3)
+        assert main(["run", algo, "--input", str(workdir / "three.json"), *flags]) == 2
+        captured = capsys.readouterr()
+        assert cause in captured.err and captured.out == ""
+
     def test_near_tied_volumes_fail_ls_and_best_falls_back(self, tmp_path, capsys):
         # ls once stopped at a 1.6e-9 residual here, which validation rejects
         inst = tmp_path / "near.json"
@@ -199,6 +215,13 @@ class TestCompare:
 
     def test_empty_glob_is_usage_error(self, tmp_path):
         assert main(["compare", "--inputs", str(tmp_path / "none*.json")]) == 2
+
+    def test_bad_parameter_value_exits_2(self, workdir, tmp_path, capsys):
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--inputs", str(workdir / "three.json"),
+                     "--algos", "lsapprox", "--eps", "0", "--out", str(out)]) == 2
+        assert "epsilon must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failed_run_marks_row(self, tmp_path):
         inst = tmp_path / "deg.json"

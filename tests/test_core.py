@@ -204,6 +204,13 @@ class TestValidation:
         with pytest.raises(ContractError):
             validate_schedule(JobSet.of([(1, 1)]), Schedule.empty(2))
 
+    def test_negative_tol_raises(self):
+        jobs = JobSet.of([(1.0, 1.0)])
+        sched = Schedule([StepFunction.constant(1.0, 1.0)])
+        assert validate_schedule(jobs, sched, tol=0.0).feasible
+        with pytest.raises(ContractError, match="tol must be nonnegative"):
+            validate_schedule(jobs, sched, tol=-1e-9)
+
 
 class TestObjectives:
     def test_makespan_examples(self):

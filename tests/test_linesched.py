@@ -142,6 +142,13 @@ class TestSolveAlpha:
         with pytest.raises(DegenerateVolumesError):
             solve_alpha(JobSet.of([(1, 0.5), (1, 0.6)]))
 
+    @pytest.mark.parametrize("vol_tol", [0.0, -1.0, float("nan")])
+    def test_rejects_a_vol_tol_that_is_not_positive(self, vol_tol):
+        # a plain ContractError: the near-tie guard would divide by vol_tol
+        with pytest.raises(ContractError, match="vol_tol must be positive") as err:
+            solve_alpha(JobSet.of([(1, 0.5), (2, 0.6)]), vol_tol=vol_tol)
+        assert not isinstance(err.value, DegenerateVolumesError)
+
     def test_near_tied_volumes_fail_fast(self):
         # volumes a relative 1e-15 apart, and twins 1e-12 apart, are too
         # close for vol_tol; iterating on them stalls for several seconds

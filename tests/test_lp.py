@@ -17,11 +17,43 @@ from sharesched import (
     subdivide,
     validate_schedule,
 )
-from sharesched import lp as lpmod
+from sharesched import _kernel, lp as lpmod
 from sharesched.cli import generate_random
+from sharesched.linesched import ConvergenceError
 from sharesched.lp import _aggregated_solve
 
 from conftest import random_instance
+
+
+def argsort_refinement(inst, edges, W, alpha):
+    """Reference refinement step, the per-block rule that the breakpoint cuts
+    replaced: add both edges of the slot that holds each breakpoint, and split
+    every block whose two end slots pack in another order or sign, at its
+    midpoint and at the cap-fill edge of each job whose gain changes sign.
+    A step that adds no edge halves the widest block."""
+    v, r, d = inst.jobs.volumes(), inst.jobs.requirements(), inst.slot_width
+    t = _kernel.breakpoints(v, alpha)[0]
+    slots = (t[(t > 0.0) & (t < inst.horizon)] / d).astype(int)
+    new_edges = set(edges.tolist())
+    new_edges.update(e for e in np.concatenate([slots, slots + 1]).tolist()
+                     if 0 < e < inst.n_slots)
+    gains = alpha[:, None] - inst.slot_midpoints()[None, :] / v[:, None]
+    for k in range(edges.size - 1):
+        a, b = int(edges[k]), int(edges[k + 1])
+        if b - a <= 1:
+            continue
+        ga, gb = gains[:, a], gains[:, b - 1]
+        if not (np.array_equal(np.argsort(-ga, kind="stable"), np.argsort(-gb, kind="stable"))
+                and np.array_equal(ga > 0, gb > 0)):
+            new_edges.add((a + b) // 2)
+            ends = (ga > 0) != (gb > 0)
+            fill = np.ceil(W[ends, k] / (r[ends] * d))
+            new_edges.update((a + np.clip(fill, 1, b - a - 1)).astype(int).tolist())
+    if len(new_edges) == edges.size:
+        widths = np.diff(edges)
+        k = int(np.argmax(widths))
+        new_edges.add(int(edges[k] + widths[k] // 2))
+    return sorted(new_edges)
 
 
 class TestBuild:
@@ -190,6 +222,9 @@ class TestSolve:
             inst = build_discretized_lp(jobs, horizon=horizon, slot_width=horizon / slots)
             sol = solve_lp(inst)
             assert sol.objective == pytest.approx(sol.dual_objective, rel=1e-7, abs=1e-9)
+            # the reported certificate is the one that stopped the refinement
+            assert sol.certificate_gap == sol.objective - sol.dual_objective
+            assert sol.certificate_gap <= 1e-9 * max(1.0, abs(sol.objective))
             V = sol.volumes
             r = jobs.requirements()
             assert np.all(V >= -1e-9)
@@ -255,6 +290,36 @@ class TestRefinementWork:
             tracemalloc.stop()
         assert sol.certificate_gap <= 1e-9 * sol.objective
         assert peak < 32e6
+
+    def test_cuts_match_the_argsort_reference(self, monkeypatch):
+        # from the one-block start every LP takes several rounds; each round's
+        # breakpoint cuts must equal the per-block argsort rule's edges
+        def no_seed(*args, **kwargs):
+            raise ConvergenceError(float("inf"), 0)
+
+        rounds = []
+
+        def record(inst, edges):
+            out = _aggregated_solve(inst, edges)
+            rounds.append((edges, out[0], out[1]))
+            return out
+
+        monkeypatch.setattr(lpmod, "solve_alpha", no_seed)
+        monkeypatch.setattr(lpmod, "_aggregated_solve", record)
+        compared = 0
+        for n in (3, 6):
+            for seed in range(1, 6):
+                jobs = generate_random(n, seed)
+                horizon = n * jobs.max_processing_time()
+                inst = build_discretized_lp(jobs, horizon=horizon, slot_width=horizon / 64)
+                rounds.clear()
+                sol = solve_lp(inst)
+                assert rounds[0][0].tolist() == [0, 64]
+                assert sol.block_edges.tolist() == rounds[-1][0].tolist()
+                for (edges, W, alpha), (after, _, _) in zip(rounds, rounds[1:]):
+                    assert after.tolist() == argsort_refinement(inst, edges, W, alpha)
+                    compared += 1
+        assert compared >= 20
 
     def test_tied_volumes_start_from_one_block(self, monkeypatch):
         # solve_alpha refuses tied volumes; the refinement starts from {0, I}

@@ -192,10 +192,13 @@ class TestLsApproxParams:
         assert inv == pytest.approx(round(inv))
 
     def test_rejects_bad_values(self):
-        with pytest.raises(ContractError):
-            LsApproxParams(0.0)
-        with pytest.raises(ContractError):
-            LsApproxParams(0.5, kappa=0.0)
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ContractError, match="epsilon must be positive"):
+                LsApproxParams(bad)
+            with pytest.raises(ContractError, match="kappa must be positive"):
+                LsApproxParams(0.5, kappa=bad)
+            with pytest.raises(ContractError, match="slot width must be positive"):
+                LsApproxParams(0.5, slot_width=bad)
 
 
 class TestLsApprox:
