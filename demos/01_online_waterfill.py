@@ -86,4 +86,4 @@ u = ss.UniversalSchedule(1.0)
 print(f"  reference shape for volume 1: full resource until "
       f"{u.plateau_end:.4f}, log roll-off until {u.support_end:.4f}")
 print(f"  area above height y: (e^(1-y) - 1)/(e-1), e.g. y=0.5 -> "
-      f"{ss.universal_upper_area(1.0, 0.5):.4f}")
+      f"{u.upper_area(0.5):.4f}")

@@ -40,7 +40,6 @@ from .waterfill import (
     extendability_check,
     flatter_than_universal,
     optimal_makespan,
-    universal_upper_area,
     waterfill_online,
     waterfill_step,
 )
@@ -54,7 +53,6 @@ from .linesched import (
     check_slackness,
     cost_rates_on_grid,
     duality_quantities,
-    scheduled_volumes,
     solve_alpha,
 )
 from .lp import (
@@ -79,7 +77,6 @@ from .tct import (
     greedy,
     lower_bounds,
     ls_exact,
-    lsapprox,
     lsapprox_report,
     subdivide,
 )

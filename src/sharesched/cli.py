@@ -233,8 +233,7 @@ def _cmd_verify(args) -> int:
         ],
     }
     if args.ratio is not None:
-        payload["extendable"] = mk.extendability_check(
-            sched, jobs, args.ratio, grid=args.grid, tol=args.tol)
+        payload["extendable"] = mk.extendability_check(sched, jobs, args.ratio, tol=args.tol)
     _write(args.out, core._dump(payload) + "\n")
     return EXIT_OK if report.feasible else EXIT_INVALID
 
@@ -429,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     algo_opts.add_argument("--kappa", type=float, default=0.05)
     algo_opts.add_argument("--delta", type=float, default=None, help="LP slot width")
     algo_opts.add_argument("--vol-tol", type=float, default=core.DEFAULT_TOL)
-    algo_opts.add_argument("--lp-ls", dest="lp_ls", action="store_true", default=False,
+    algo_opts.add_argument("--lp-ls", action="store_true",
                            help="best: use the LP-based approximation pipeline")
 
     g = sub.add_parser("gen", help="generate an instance JSON")
@@ -449,12 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--input", required=True)
     r.add_argument("--record", default="-", help="run-record JSON output path")
     r.add_argument("--schedule-out", help="schedule JSON output path")
-    r.add_argument("--mu", type=float, default=None,
-                   help="override mu directly (sets eps = mu / kappa)")
     r.add_argument("--tol", type=float, default=core.DEFAULT_TOL)
     r.add_argument("--seed", type=int, default=None, help="echoed into the record")
-    r.add_argument("--exact-ls", dest="lp_ls", action="store_false", default=False,
-                   help="best: use the exact fixed-point line schedule (default)")
     r.set_defaults(func=_cmd_run)
 
     v = sub.add_parser("verify", help="validate a schedule against an instance")
@@ -463,8 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--tol", type=float, default=core.DEFAULT_TOL)
     v.add_argument("--ratio", type=float, default=None,
                    help="also check extendability at this competitive ratio")
-    v.add_argument("--grid", type=int, default=64,
-                   help="uniform height samples for the extendability check")
     v.add_argument("--out", default="-")
     v.set_defaults(func=_cmd_verify)
 
@@ -493,8 +486,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
-    if getattr(args, "mu", None) is not None:
-        args.eps = args.mu / args.kappa
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -204,13 +204,6 @@ class StepFunction:
             raise ContractError("time scale factor must be positive")
         return StepFunction(self.edges * factor, self.values)
 
-    def restrict(self, C: float) -> "StepFunction":
-        """Truncate to [0, C)."""
-        if C <= 0.0:
-            return StepFunction.zero()
-        edges, _, values = _pieces_before(self, C)
-        return StepFunction(edges, values)
-
     def __add__(self, other: "StepFunction") -> "StepFunction":
         return sum_steps([self, other])
 
@@ -365,9 +358,6 @@ class Schedule:
 
     def total_usage(self) -> StepFunction:
         return sum_steps(self.assignments)
-
-    def scale_time(self, factor: float) -> "Schedule":
-        return Schedule(a.scale_time(factor) for a in self.assignments)
 
 
 @dataclass(frozen=True)

@@ -156,14 +156,6 @@ def build_line_schedule(jobs: JobSet, alpha) -> LineSchedule:
     return LineSchedule(Schedule(assignments), a, beta, gamma, vols, grid, v)
 
 
-def scheduled_volumes(jobs: JobSet, alpha) -> np.ndarray:
-    """Per-job volume the line schedule of ``alpha`` actually schedules."""
-    v, r, a = _check_inputs(jobs, alpha)
-    if v.size == 0:
-        return np.zeros(0)
-    return _kernel.line_volumes(v, r, a)
-
-
 def solve_alpha(jobs: JobSet, targets=None, vol_tol: float = DEFAULT_TOL,
                 max_iters: int = 200) -> np.ndarray:
     """Intercepts under which job j schedules exactly ``targets[j]`` volume.
@@ -282,43 +274,41 @@ def duality_quantities(ls: LineSchedule, jobs: JobSet) -> DualityQuantities:
     return DualityQuantities(float(primal), payoff, float(req), float(cap))
 
 
-def check_slackness(ls: LineSchedule, jobs: JobSet, tol: float = DEFAULT_TOL) -> SlacknessReport:
-    """Evaluate all four slackness families plus dual feasibility.
+def check_slackness(ls: LineSchedule, jobs: JobSet) -> SlacknessReport:
+    """Evaluate all four slackness families plus dual feasibility, exactly.
 
-    Sampled at every grid-interval midpoint and at +/- eps around every
-    breakpoint; exact grid integrals feed the volume condition.
+    On each ``ls.grid`` interval the rates are constant and ``d_j``,
+    ``beta_j`` and ``gamma`` are affine, so every family is affine there and
+    its largest magnitude sits at an end of the interval.  Each family is
+    read at both ends of every interval (the right end as the limit from
+    inside), and dual feasibility also just past the grid, where only the
+    lines are left.  Exact grid integrals feed the volume condition.
     """
     v = jobs.volumes()
     r = jobs.requirements()
-    n = v.size
-    vol_viol = 0.0
-    for j in range(n):
-        got = ls.schedule.assignments[j].integral()
-        vol_viol = max(vol_viol, abs(ls.alpha[j] * (ls.scheduled_volumes[j] - got)))
+    vol_viol = float(np.max(np.abs(ls.alpha * (ls.scheduled_volumes - ls.schedule.volumes())),
+                            initial=0.0))
     grid = ls.grid
     if grid.size < 2:
         return SlacknessReport(vol_viol, 0.0, 0.0, 0.0, 0.0)
-    eps = 1e-7 * grid[-1]
-    samples = np.concatenate([
-        0.5 * (grid[:-1] + grid[1:]),
-        grid[1:] - eps,
-        grid[:-1] + eps,
-        [grid[-1] + eps],
-    ])
-    samples = samples[samples >= 0.0]
-    req_viol = cap_viol = rate_viol = feas_viol = 0.0
-    usage = ls.schedule.total_usage()
-    gamma_t = ls.gamma(samples)
-    used_t = usage(samples)
-    cap_viol = float(np.max(np.abs(gamma_t * (1.0 - used_t)))) if samples.size else 0.0
-    for j in range(n):
-        rate_t = ls.schedule.assignments[j](samples)
-        beta_t = ls.beta[j](samples)
-        d_t = ls.alpha[j] - samples / v[j]
-        req_viol = max(req_viol, float(np.max(np.abs(beta_t * (r[j] - rate_t)))))
-        rate_viol = max(rate_viol, float(np.max(np.abs(rate_t * (d_t - beta_t - gamma_t)))))
-        feas_viol = max(feas_viol, float(np.max(d_t - beta_t - gamma_t, initial=0.0)))
-    return SlacknessReport(vol_viol, req_viol, cap_viol, rate_viol, feas_viol)
+    w = np.diff(grid)
+    rates = np.vstack([a(0.5 * (grid[:-1] + grid[1:])) for a in ls.schedule.assignments])
+    ends = np.stack([grid[:-1], grid[1:]])[:, None, :]                 # (2, 1, m)
+
+    def at_ends(starts, slopes):                                      # (2, rows, m)
+        return np.stack([starts, starts + slopes * w])
+
+    beta = at_ends(np.vstack([b.starts for b in ls.beta]), np.vstack([b.slopes for b in ls.beta]))
+    gamma = at_ends(ls.gamma.starts[None, :], ls.gamma.slopes[None, :])
+    reduced = ls.alpha[:, None] - ends / v[:, None] - beta - gamma     # d_j - beta_j - gamma
+    tail = ls.alpha - grid[-1] / v
+    return SlacknessReport(
+        vol_viol,
+        float(np.max(np.abs(beta * (r[:, None] - rates)))),
+        float(np.max(np.abs(gamma * (1.0 - rates.sum(axis=0))))),
+        float(np.max(np.abs(rates * reduced))),
+        float(max(reduced.max(), tail.max(), 0.0)),
+    )
 
 
 def cost_rates_on_grid(ls: LineSchedule) -> np.ndarray:

@@ -240,10 +240,6 @@ class LpInstance:
     def n_jobs(self) -> int:
         return len(self.jobs)
 
-    @property
-    def n_variables(self) -> int:
-        return len(self.jobs) * self.n_slots
-
     def slot_midpoints(self) -> np.ndarray:
         return (np.arange(1, self.n_slots + 1) - 0.5) * self.slot_width
 

@@ -3,7 +3,7 @@ based algorithms.
 
 ``greedy`` packs jobs in ascending volume as early and as fully as possible.
 ``ls_exact`` solves for intercepts whose line schedule meets every volume
-exactly (optimal fractional completion time).  ``lsapprox`` is the
+exactly (optimal fractional completion time).  ``lsapprox_report`` runs the
 polynomial-time variant: it reserves a small resource share for jobs that are
 cheap to finish, solves the slot LP for the remaining ("long-heavy") jobs,
 rebuilds a line schedule from the LP duals, and stretches/squashes it to fit.
@@ -188,7 +188,11 @@ class LsApproxInfo:
 
 
 def lsapprox_report(jobs: JobSet, params: LsApproxParams) -> tuple[Schedule, LsApproxInfo]:
-    """Run the approximation pipeline, returning the schedule and its report."""
+    """Run the approximation pipeline, returning the schedule and its report.
+
+    Raises ContractError when ``params.slot_width`` does not divide the LP
+    horizon, and PipelineError when a stage cannot proceed.
+    """
     mu = params.mu
     n = len(jobs)
     if n == 0:
@@ -205,10 +209,12 @@ def lsapprox_report(jobs: JobSet, params: LsApproxParams) -> tuple[Schedule, LsA
     lh = sorted(sub.long_heavy)
     if lh:
         lh_jobs = JobSet(jobs[i] for i in lh)
+        # a slot width that does not divide the horizon is a bad parameter:
+        # its ContractError is not a pipeline failure
+        inst = lpmod.build_discretized_lp(lh_jobs, horizon=horizon, slot_width=slot_width)
         try:
-            inst = lpmod.build_discretized_lp(lh_jobs, horizon=horizon, slot_width=slot_width)
             sol = lpmod.solve_lp(inst)
-        except (lpmod.InfeasibleInstanceError, lpmod.SimplexError, ContractError) as exc:
+        except (lpmod.InfeasibleInstanceError, lpmod.SimplexError) as exc:
             raise PipelineError("lp", str(exc)) from exc
         lp_rounds, lp_pivots, lp_blocks = sol.rounds, sol.pivots, sol.block_edges.size - 1
         try:
@@ -236,12 +242,6 @@ def lsapprox_report(jobs: JobSet, params: LsApproxParams) -> tuple[Schedule, LsA
     info = LsApproxInfo(mu, sub, horizon, slot_width, guarantee, scale,
                         lp_rounds, lp_pivots, lp_blocks)
     return Schedule(assignments), info
-
-
-def lsapprox(jobs: JobSet, params: LsApproxParams) -> Schedule:
-    """Approximation-pipeline schedule; see lsapprox_report for diagnostics."""
-    sched, _ = lsapprox_report(jobs, params)
-    return sched
 
 
 @dataclass(frozen=True)
@@ -282,7 +282,7 @@ def best_schedule(jobs: JobSet, params: LsApproxParams | None = None,
             line_sched, _, quantities = ls_exact(jobs)
             fractional = quantities.primal_cost
         else:
-            line_sched = lsapprox(jobs, params if params is not None else LsApproxParams(0.5))
+            line_sched = lsapprox_report(jobs, params or LsApproxParams(0.5))[0]
         line_cost = total_completion_time(jobs, line_sched)
     except (ConvergenceError, DegenerateVolumesError, PipelineError) as exc:
         err = str(exc)

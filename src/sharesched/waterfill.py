@@ -227,21 +227,23 @@ class UniversalSchedule:
             return 1.0 - math.log(t * (E - 1.0) / self.volume)
         return 0.0
 
-    def time_above(self, y: float) -> float:
-        """sup{t : U(t) > y} for y in [0, 1]."""
-        if self.volume == 0.0:
-            return 0.0
-        return self.volume * math.exp(1.0 - y) / (E - 1.0)
+    def time_above(self, y):
+        """sup{t : U(t) > y} for y in [0, 1]; vectorized over y."""
+        return self.volume * np.exp(1.0 - np.asarray(y, dtype=float)) / (E - 1.0)
 
-    def upper_area(self, y: float, horizon: float = math.inf) -> float:
-        """Exact volume above height y before ``horizon``."""
-        if self.volume == 0.0 or horizon <= 0.0 or y >= 1.0:
-            return 0.0
-        T = min(horizon, self.time_above(y))
+    def upper_area(self, y, horizon=math.inf):
+        """Exact volume above height y before ``horizon``; vectorized over both.
+
+        With no horizon this is the closed form ``(e^(1-y) - 1) / (e-1) * V``.
+        """
+        y = np.asarray(y, dtype=float)
+        T = np.minimum(horizon, self.time_above(y))
         plateau = self.plateau_end
-        if T <= plateau:
-            return (1.0 - y) * T
-        return T * (2.0 - y - math.log(T * (E - 1.0) / self.volume)) - plateau
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rolloff = T * (2.0 - y - np.log(T * (E - 1.0) / self.volume)) - plateau
+        out = np.where(T <= plateau, (1.0 - y) * T, rolloff)
+        out = np.where((y >= 1.0) | (self.volume == 0.0), 0.0, np.maximum(out, 0.0))
+        return float(out) if out.ndim == 0 else out
 
     def step_under(self, levels: int = 512) -> StepFunction:
         """Staircase below the shape (each slab cut at its upper height)."""
@@ -255,7 +257,7 @@ class UniversalSchedule:
         if self.volume == 0.0:
             return StepFunction.zero()
         ys = np.linspace(0.0, 1.0, levels + 1)
-        times = np.array([self.time_above(y) for y in ys])  # decreasing in y
+        times = self.time_above(ys)                         # decreasing in y
         edges = np.concatenate([[0.0], times[::-1]])        # 0, tau(1), ..., tau(0)
         # intervals: [0, tau(1)), then [tau(y_{k+1}), tau(y_k)) for k = m-1..0;
         # the shape lies in (y_k, y_{k+1}] there, so the staircase takes the
@@ -266,29 +268,6 @@ class UniversalSchedule:
         else:
             vals = np.concatenate([[1.0], ys_desc[:-1]])
         return StepFunction(edges, vals)
-
-
-def universal_upper_area(volume: float, y: float) -> float:
-    """Closed-form upper area of the universal schedule: (e^(1-y)-1)/(e-1)*V."""
-    if not (0.0 <= y <= 1.0):
-        raise ContractError("y must lie in [0, 1]")
-    return (math.exp(1.0 - y) - 1.0) / (E - 1.0) * volume
-
-
-def _universal_area_matrix(u: UniversalSchedule, horizons: np.ndarray,
-                           ys: np.ndarray) -> np.ndarray:
-    """u.upper_area at every (y, horizon) pair, vectorized."""
-    if u.volume == 0.0:
-        return np.zeros((ys.size, horizons.size))
-    tau = u.volume * np.exp(1.0 - ys) / (E - 1.0)
-    T = np.minimum(horizons[None, :], tau[:, None])
-    plateau = u.plateau_end
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_term = np.log(np.maximum(T, 1e-300) * (E - 1.0) / u.volume)
-    rolloff = T * (2.0 - ys[:, None] - log_term) - plateau
-    out = np.where(T <= plateau, (1.0 - ys[:, None]) * T, rolloff)
-    out[ys >= 1.0, :] = 0.0
-    return np.maximum(out, 0.0)
 
 
 def flatter_than_universal(sched: Schedule, volume: float,
@@ -321,30 +300,35 @@ def flatter_than_universal(sched: Schedule, volume: float,
         ystar = 1.0 - np.log(measures * (E - 1.0) / volume)
         ys = np.unique(np.concatenate([ys, ystar[(ystar >= 0.0) & (ystar <= 1.0)]]))
     a_sched = _area_matrix(usage, horizons, ys)
-    a_ref = _universal_area_matrix(u, horizons, ys)
+    a_ref = u.upper_area(ys[:, None], horizons[None, :])
     return bool(np.all(a_sched <= a_ref + tol * np.maximum(1.0, a_ref)))
 
 
 def extendability_check(sched: Schedule, jobs: JobSet, ratio: float,
-                        grid: int = 64, tol: float = DEFAULT_TOL) -> bool:
+                        tol: float = DEFAULT_TOL) -> bool:
     """Whether ``sched`` can absorb any further job at the same ratio.
 
     Tests A(y) <= (ratio-1) * (1-y)/y * max(V, p_max * y) for all heights y
-    in ((ratio-1)/ratio, 1], evaluated at every usage level plus ``grid``
-    uniform samples.
+    in [(ratio-1)/ratio, 1], where A is the upper area of the usage.  The
+    check is exact.  Between consecutive usage levels A is linear with slope
+    -S, S the measure of {usage > y}; the bound is linear above V/p_max and
+    convex below it.  So the excess A - bound peaks at a usage level, at an
+    end of the range, at V/p_max, or where the slopes meet below V/p_max:
+    at y* = sqrt((ratio-1) V / S).  Exactly those heights are checked.
     """
     if ratio <= 1.0:
         raise ContractError("ratio must exceed 1")
-    if grid < 1:
-        raise ContractError("grid must be positive")
     total = jobs.total_volume()
     p_max = jobs.max_processing_time()
     usage = sched.total_usage()
     lo = (ratio - 1.0) / ratio
-    ys = np.unique(np.concatenate([
-        usage.values[(usage.values > lo) & (usage.values <= 1.0)],
-        np.linspace(lo, 1.0, grid + 1)[1:],
-    ]))
+    ys = np.concatenate([usage.values, [lo, 1.0, total / p_max if p_max else 1.0]])
+    ys = np.unique(ys[(ys >= lo) & (ys <= 1.0)])
+    measure = (usage.values[None, :] > ys[:-1, None]) @ usage.widths()
+    with np.errstate(divide="ignore", invalid="ignore"):   # no usage above: no y*
+        ystar = np.sqrt((ratio - 1.0) * total / measure)
+    inside = (ys[:-1] < ystar) & (ystar < ys[1:])
+    ys = np.concatenate([ys, ystar[inside]])
     areas = _area_matrix(usage, np.array([usage.support_end + 1.0]), ys)[:, 0]
     bounds = (ratio - 1.0) * (1.0 - ys) / ys * np.maximum(total, p_max * ys)
     return bool(np.all(areas <= bounds + tol * np.maximum(1.0, bounds)))

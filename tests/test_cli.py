@@ -112,7 +112,7 @@ class TestRun:
 
     def test_lsapprox_echoes_effective_parameters(self, workdir, capsys):
         code = main(["run", "lsapprox", "--input", str(workdir / "three.json"),
-                     "--mu", "0.05", "--delta", str(27.0 / 256.0)])
+                     "--eps", "1", "--delta", str(27.0 / 256.0)])
         assert code == 0
         rec = json.loads(capsys.readouterr().out)
         params = rec["parameters"]
@@ -138,6 +138,9 @@ class TestRun:
         ("ls", ["--vol-tol", "0"], "vol_tol must be positive"),
         ("ls", ["--vol-tol", "-1"], "vol_tol must be positive"),
         ("greedy", ["--tol", "-1"], "tol must be nonnegative"),
+        # 0.4 does not divide the LP horizon 3 * 9 = 27
+        ("lsapprox", ["--delta", "0.4"], "slot width must divide the horizon"),
+        ("best", ["--lp-ls", "--delta", "0.4"], "slot width must divide the horizon"),
     ])
     def test_bad_parameter_values_exit_2(self, workdir, capsys, algo, flags, cause):
         # a value out of range is a usage error (2), not an algorithm failure (3)
@@ -168,6 +171,25 @@ class TestVerify:
         code = main(["verify", "--instance", str(workdir / "three.json"),
                      "--schedule", str(sched_path)])
         assert code == 0
+
+    def test_ratio_reports_extendability(self, workdir, tmp_path, capsys):
+        sched_path = tmp_path / "wf.json"
+        assert main(["run", "waterfill", "--input", str(workdir / "three.json"),
+                     "--schedule-out", str(sched_path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--instance", str(workdir / "three.json"),
+                     "--schedule", str(sched_path), "--ratio", "1.582"]) == 0
+        assert json.loads(capsys.readouterr().out)["extendable"] is True
+        # one job flat at rate u on [0, 1) with u just above 4 (c - 1) / c^2
+        c = 1.582
+        u = 4.0 * (c - 1.0) / c**2 + 1e-5
+        inst = tmp_path / "flat.json"
+        inst.write_text(core.jobs_to_json(core.JobSet.of([(u, u)])))
+        flat = tmp_path / "flat_sched.json"
+        flat.write_text(core.schedule_to_json(core.Schedule([core.StepFunction.constant(u, 1.0)])))
+        assert main(["verify", "--instance", str(inst), "--schedule", str(flat),
+                     "--ratio", str(c)]) == 0
+        assert json.loads(capsys.readouterr().out)["extendable"] is False
 
     def test_infeasible_schedule_exits_4(self, tmp_path, capsys):
         inst = tmp_path / "i.json"

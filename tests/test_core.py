@@ -116,9 +116,6 @@ class TestStepFunction:
         assert g.integral() == pytest.approx(2.0 * f.integral())
         h = f.scale_values(0.5)
         assert h.integral() == pytest.approx(0.5 * f.integral())
-        t = f.restrict(2.0)
-        assert t.support_end == 2.0
-        assert t.integral() == pytest.approx(1.0 + 0.5)
 
     def test_sum_steps(self):
         a = StepFunction([0.0, 2.0], [0.5])

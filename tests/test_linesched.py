@@ -17,7 +17,6 @@ from sharesched import (
     check_slackness,
     cost_rates_on_grid,
     duality_quantities,
-    scheduled_volumes,
     solve_alpha,
     solve_lp,
 )
@@ -87,13 +86,13 @@ class TestBuildLineSchedule:
 class TestScheduledVolumes:
     def test_zero_alpha_schedules_nothing(self):
         jobs = JobSet.of([(1, 0.5), (2, 0.8)])
-        assert scheduled_volumes(jobs, [0.0, 0.0]).tolist() == [0.0, 0.0]
+        assert build_line_schedule(jobs, [0.0, 0.0]).scheduled_volumes.tolist() == [0.0, 0.0]
 
     def test_single(self):
-        assert scheduled_volumes(JobSet.of([(1, 1)]), [1.0]).tolist() == [1.0]
+        assert build_line_schedule(JobSet.of([(1, 1)]), [1.0]).scheduled_volumes.tolist() == [1.0]
 
     def test_worked_example(self, three_jobs):
-        got = scheduled_volumes(three_jobs, ALPHA_EXPECTED)
+        got = build_line_schedule(three_jobs, ALPHA_EXPECTED).scheduled_volumes
         assert got == pytest.approx([1.0, 4.0, 6.0], abs=1e-12)
 
 
@@ -111,7 +110,7 @@ class TestSolveAlpha:
         for seed in range(40):
             jobs = random_instance(seed, 6)
             alpha = solve_alpha(jobs, vol_tol=1e-8)
-            got = scheduled_volumes(jobs, alpha)
+            got = build_line_schedule(jobs, alpha).scheduled_volumes
             assert np.max(np.abs(got - jobs.volumes())) <= 1e-8
 
     def test_agrees_with_lp_duals(self):
@@ -123,14 +122,14 @@ class TestSolveAlpha:
             inst = build_discretized_lp(jobs, horizon=horizon, slot_width=horizon / 4096)
             sol = solve_lp(inst)
             assert np.max(np.abs(sol.alpha - alpha) / np.maximum(alpha, 1e-9)) < 0.02
-            lp_line_vols = scheduled_volumes(jobs, sol.alpha)
+            lp_line_vols = build_line_schedule(jobs, sol.alpha).scheduled_volumes
             assert np.max(np.abs(lp_line_vols - jobs.volumes()) / jobs.volumes()) < 0.05
 
     def test_custom_targets(self):
         jobs = JobSet.of([(2.0, 0.5), (3.0, 0.8)])
         targets = [1.0, 1.5]
         alpha = solve_alpha(jobs, targets=targets)
-        assert scheduled_volumes(jobs, alpha) == pytest.approx(targets, abs=1e-8)
+        assert build_line_schedule(jobs, alpha).scheduled_volumes == pytest.approx(targets, abs=1e-8)
 
     def test_convergence_error_carries_residual(self):
         jobs = JobSet.of([(1.0, 0.5), (1.2, 0.7)])
@@ -172,8 +171,9 @@ class TestSolveAlpha:
         for seed in (1, 2):
             jobs = generate_random(n, seed)
             alpha = solve_alpha(jobs, vol_tol=1e-8)
-            assert np.max(np.abs(scheduled_volumes(jobs, alpha) - jobs.volumes())) <= 1e-8
-            q = duality_quantities(build_line_schedule(jobs, alpha), jobs)
+            ls = build_line_schedule(jobs, alpha)
+            assert np.max(np.abs(ls.scheduled_volumes - jobs.volumes())) <= 1e-8
+            q = duality_quantities(ls, jobs)
             rhs = q.primal_cost + q.requirement_penalty + q.capacity_penalty
             assert q.volume_payoff == pytest.approx(rhs, rel=1e-6)
 
@@ -240,6 +240,24 @@ class TestSlackness:
         report = check_slackness(bad, jobs)
         assert report.capacity > 0.1
 
+    def test_violations_are_read_exactly_at_interval_ends(self):
+        # one job (1, 0.5) at alpha 2 runs at rate 0.5 on grid [0, 2); every
+        # family is affine there, so its peak is its value at an end
+        jobs = JobSet.of([(1, 0.5)])
+        good = build_line_schedule(jobs, [2.0])
+
+        def report(alpha, beta, gamma):
+            return check_slackness(LineSchedule(
+                good.schedule, np.array([alpha]), (PiecewiseLinear(good.grid, *beta),),
+                PiecewiseLinear(good.grid, *gamma), good.scheduled_volumes, good.grid,
+                good.job_volumes), jobs)
+
+        # gamma (1 - 0.5) peaks at the left end, 2 * 0.5, and at the right, 1 * 0.5
+        assert report(2.0, ([2.0], [-1.0]), ([2.0], [-0.5])).capacity == 1.0
+        assert report(2.0, ([2.0], [-1.0]), ([0.0], [0.5])).capacity == 0.5
+        # at alpha 2.5 the line 2.5 - t is still 0.5 when the grid ends
+        assert report(2.5, ([2.5], [-1.0]), ([0.0], [0.0])).dual_feasibility == 0.5
+
     def test_volume_condition_uses_scheduled_volumes(self, three_jobs):
         ls = build_line_schedule(three_jobs, ALPHA_EXPECTED)
         assert check_slackness(ls, three_jobs).volume <= 1e-12
@@ -270,11 +288,11 @@ class TestStructuralProperties:
             jobs = random_instance(seed, 6, n_min=2)
             rng = np.random.default_rng(seed + 1)
             alpha = rng.uniform(0.1, 2.0 / jobs.requirements().min(), len(jobs))
-            base = scheduled_volumes(jobs, alpha)
+            base = build_line_schedule(jobs, alpha).scheduled_volumes
             j = int(rng.integers(0, len(jobs)))
             bumped = alpha.copy()
             bumped[j] += float(rng.uniform(0.05, 0.5))
-            after = scheduled_volumes(jobs, bumped)
+            after = build_line_schedule(jobs, bumped).scheduled_volumes
             assert after[j] >= base[j] - 1e-12
             others = np.arange(len(jobs)) != j
             assert np.all(after[others] <= base[others] + 1e-12)

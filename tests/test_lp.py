@@ -60,7 +60,6 @@ class TestBuild:
     def test_single_job_structure(self):
         inst = build_discretized_lp(JobSet.of([(1, 1)]), horizon=1.0, slot_width=0.25)
         assert inst.n_slots == 4
-        assert inst.n_variables == 4
         assert inst.targets.tolist() == [1.0]
         assert inst.slot_midpoints().tolist() == [0.125, 0.375, 0.625, 0.875]
 
@@ -71,7 +70,6 @@ class TestBuild:
 
     def test_empty_instance(self):
         inst = build_discretized_lp(JobSet())
-        assert inst.n_variables == 0
         sol = solve_lp(inst)
         assert sol.objective == 0.0
 

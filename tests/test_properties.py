@@ -15,17 +15,18 @@ from sharesched import (
     DegenerateVolumesError,
     JobSet,
     build_discretized_lp,
+    build_line_schedule,
     greedy,
     ls_exact,
     makespan,
     optimal_makespan,
-    scheduled_volumes,
     solve_alpha,
     solve_lp,
     total_completion_time,
     validate_schedule,
     waterfill_online,
 )
+from sharesched.cli import generate_random
 from sharesched.linesched import _check_volume_gaps
 
 from conftest import prefix_schedules
@@ -52,6 +53,10 @@ def volumes_apart(jobs: JobSet) -> bool:
 
 
 solvable = ls_instances.filter(volumes_apart)
+
+# volumes log-uniform over twelve decades
+spread_instances = st.builds(lambda n, seed: generate_random(n, seed, vmin=1e-6, vmax=1e6),
+                             st.integers(1, 8), st.integers(0, 2**32 - 1))
 
 
 def doubled(jobs: JobSet) -> JobSet:
@@ -95,14 +100,27 @@ def test_waterfill_meets_every_prefix_target_and_scales(jobs):
 
 
 @PROPERTY_SETTINGS
+@given(spread_instances)
+def test_greedy_and_waterfill_are_valid_on_wide_volume_spreads(jobs):
+    assert validate_schedule(jobs, greedy(jobs)).feasible
+    run = waterfill_online(jobs)
+    assert run.ok
+    for k, sched in enumerate(prefix_schedules(run)):
+        assert validate_schedule(jobs.prefix(k + 1), sched).feasible
+        assert makespan(sched) <= run.targets[k]
+
+
+@PROPERTY_SETTINGS
 @given(ls_instances)
 def test_solve_alpha_meets_vol_tol_unless_volumes_near_tie(jobs):
+    # ``volumes_apart`` applies the near-tie guard at vol_tol = 1e-8
     if not volumes_apart(jobs):
         with pytest.raises(DegenerateVolumesError):
-            solve_alpha(jobs)
+            solve_alpha(jobs, vol_tol=1e-8)
         return
-    alpha = solve_alpha(jobs)
-    assert np.max(np.abs(scheduled_volumes(jobs, alpha) - jobs.volumes())) <= 1e-8
+    alpha = solve_alpha(jobs, vol_tol=1e-8)
+    vols = build_line_schedule(jobs, alpha).scheduled_volumes
+    assert np.max(np.abs(vols - jobs.volumes())) <= 1e-8
 
 
 @PROPERTY_SETTINGS
@@ -122,9 +140,10 @@ def test_ls_exact_is_valid_and_meets_strong_duality(jobs):
 @PROPERTY_SETTINGS
 @given(solvable)
 def test_doubling_volumes_keeps_alpha_and_doubles_the_optimum(jobs):
-    _, alpha, q = ls_exact(jobs)
-    # the doubled volumes meet a doubled tolerance, so the near-tie guard
-    # sees the same relative threshold
+    # ``solvable`` keeps volumes apart at vol_tol = 1e-8; the doubled volumes
+    # meet a doubled tolerance, so the near-tie guard sees the same relative
+    # threshold
+    _, alpha, q = ls_exact(jobs, vol_tol=1e-8)
     _, alpha2, q2 = ls_exact(doubled(jobs), vol_tol=2e-8)
     assert alpha2 == pytest.approx(alpha, rel=1e-6)
     assert q2.primal_cost == pytest.approx(2.0 * q.primal_cost, rel=1e-6)
@@ -133,9 +152,10 @@ def test_doubling_volumes_keeps_alpha_and_doubles_the_optimum(jobs):
 @PROPERTY_SETTINGS
 @given(solvable, st.data())
 def test_permuting_jobs_permutes_alpha(jobs, data):
+    # at the vol_tol that ``solvable`` keeps the volumes apart for
     perm = data.draw(st.permutations(range(len(jobs))))
-    alpha = solve_alpha(jobs)
-    permuted = solve_alpha(JobSet([jobs[i] for i in perm]))
+    alpha = solve_alpha(jobs, vol_tol=1e-8)
+    permuted = solve_alpha(JobSet([jobs[i] for i in perm]), vol_tol=1e-8)
     assert permuted == pytest.approx(alpha[perm], rel=1e-6)
 
 

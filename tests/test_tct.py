@@ -12,7 +12,6 @@ from sharesched import (
     greedy,
     lower_bounds,
     ls_exact,
-    lsapprox,
     lsapprox_report,
     subdivide,
     total_completion_time,
@@ -232,7 +231,7 @@ class TestLsApprox:
 
     def test_exact_twin_long_heavy_jobs_get_a_valid_schedule(self):
         jobs = JobSet.of([(1.0, 0.5), (1.0, 0.8)])
-        assert validate_schedule(jobs, lsapprox(jobs, LsApproxParams(0.5))).feasible
+        assert validate_schedule(jobs, lsapprox_report(jobs, LsApproxParams(0.5))[0]).feasible
 
     def test_near_twin_long_heavy_jobs_stay_feasible(self):
         # twins 1e-12 apart cross near t = 1e12, so the line schedule's grid
@@ -244,7 +243,7 @@ class TestLsApprox:
             base = list(generate_random(6, seed))
             twin = Job(base[0].volume * (1 + 1e-12), base[1].requirement)
             jobs = JobSet([base[0], twin] + base[2:])
-            sched = lsapprox(jobs, LsApproxParams(0.5))
+            sched = lsapprox_report(jobs, LsApproxParams(0.5))[0]
             assert validate_schedule(jobs, sched).feasible
             grid = np.unique(np.concatenate([a.edges for a in sched.assignments]))
             mids = 0.5 * (grid[:-1] + grid[1:])
@@ -259,7 +258,7 @@ class TestLsApprox:
         for seed in range(20):
             jobs = random_instance(seed, 6, r_floor=0.002)
             horizon = len(jobs) * jobs.max_processing_time()
-            sched = lsapprox(jobs, LsApproxParams(0.5, slot_width=horizon / 256))
+            sched = lsapprox_report(jobs, LsApproxParams(0.5, slot_width=horizon / 256))[0]
             report = validate_schedule(jobs, sched)
             assert report.feasible
             assert np.all(sched.volumes() >= jobs.volumes() * (1 - 1e-6))

@@ -21,7 +21,6 @@ from sharesched import (
     is_flatter,
     makespan,
     optimal_makespan,
-    universal_upper_area,
     validate_schedule,
     waterfill_online,
     waterfill_step,
@@ -317,9 +316,13 @@ class TestUniversalSchedule:
             assert got == pytest.approx(volume, rel=1e-8)
 
     def test_upper_area_closed_form(self):
-        assert universal_upper_area(5.0, 0.0) == pytest.approx(5.0)
-        assert universal_upper_area(5.0, 1.0) == 0.0
-        assert universal_upper_area(E - 1.0, 0.5) == pytest.approx(math.sqrt(E) - 1.0)
+        assert UniversalSchedule(5.0).upper_area(0.0) == pytest.approx(5.0)
+        assert UniversalSchedule(5.0).upper_area(1.0) == 0.0
+        assert UniversalSchedule(E - 1.0).upper_area(0.5) == pytest.approx(math.sqrt(E) - 1.0)
+        ys = np.linspace(0.0, 1.0, 11)
+        closed = (np.exp(1.0 - ys) - 1.0) / (E - 1.0) * 5.0
+        assert UniversalSchedule(5.0).upper_area(ys) == pytest.approx(closed, rel=1e-14, abs=1e-15)
+        assert UniversalSchedule(0.0).upper_area(ys, 2.0).tolist() == [0.0] * 11
 
     def test_upper_area_matches_numeric_integration(self):
         volume = 1.7
@@ -328,7 +331,6 @@ class TestUniversalSchedule:
         vals = np.array([u(t) for t in ts])
         for y in (0.0, 0.2, 0.55, 0.9):
             got = float(np.trapezoid(np.maximum(vals - y, 0.0), ts))
-            assert universal_upper_area(volume, y) == pytest.approx(got, rel=1e-8, abs=1e-10)
             assert u.upper_area(y) == pytest.approx(got, rel=1e-8, abs=1e-10)
 
     def test_staircases_bracket_the_shape(self):
@@ -351,13 +353,23 @@ class TestExtendability:
         ratio = COMPETITIVE_RATIO
         for y in np.linspace((ratio - 1) / ratio + 1e-6, 1.0, 200):
             bound = (ratio - 1.0) * (1.0 - y) / y * max(volume, volume * y)
-            assert universal_upper_area(volume, y) <= bound + 1e-9
+            assert UniversalSchedule(volume).upper_area(y) <= bound + 1e-9
 
     def test_flat_packing_is_not_extendable(self):
         volume = 2.0
         jobs = JobSet.of([(volume, 1.0)])
         sched = Schedule([StepFunction.constant(1.0, volume)])
         assert not extendability_check(sched, jobs, COMPETITIVE_RATIO)
+
+    def test_excess_between_usage_levels_is_found(self):
+        # one flat job at rate u on [0, 1): A(y) - bound peaks at the
+        # stationary height sqrt((c - 1) u), not at a usage level, and is
+        # positive exactly when u > 4 (c - 1) / c^2
+        c = COMPETITIVE_RATIO
+        for excess, extendable in ((1e-5, False), (-1e-5, True)):
+            u = 4.0 * (c - 1.0) / c**2 + excess
+            sched = Schedule([StepFunction.constant(u, 1.0)])
+            assert extendability_check(sched, JobSet.of([(u, u)]), c) is extendable
 
     def test_empty_schedule_extendable(self):
         assert extendability_check(Schedule.empty(0), JobSet(), COMPETITIVE_RATIO)
