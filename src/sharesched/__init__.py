@@ -60,6 +60,7 @@ from .lp import (
     LpInstance,
     LpSolution,
     SimplexError,
+    SlotWidthError,
     build_discretized_lp,
     dense_simplex,
     dump_lp,

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import core, linesched, tct, waterfill as mk
+from . import core, linesched, lp, tct, waterfill as mk
 from .core import JobSet, Schedule
 
 EXIT_OK = 0
@@ -271,7 +271,9 @@ def _cmd_compare(args) -> int:
                     slot_width=args.delta, vol_tol=args.vol_tol,
                     use_exact_ls=not args.lp_ls,
                 )
-            except ALGORITHM_ERRORS:
+            # one --delta may divide some instances' horizons n * p_max and
+            # not others, so a slot width that does not is an error row
+            except ALGORITHM_ERRORS + (lp.SlotWidthError,):
                 rows.append(f"{path},{algo},{len(jobs)},,,,,,,error,,")
                 continue
             wall = (time.perf_counter() - t0) * 1e3 if args.timing else 0.0

@@ -35,6 +35,10 @@ class InfeasibleInstanceError(RuntimeError):
     """The demanded volumes do not fit the horizon."""
 
 
+class SlotWidthError(ContractError):
+    """The slot width does not divide the horizon, which depends on the instance."""
+
+
 # ---------------------------------------------------------------------------
 # dense bounded-variable two-phase simplex
 
@@ -272,7 +276,7 @@ def build_discretized_lp(jobs: JobSet, targets=None, horizon: float | None = Non
     ratio = horizon / slot_width
     n_slots = int(round(ratio))
     if n_slots < 1 or abs(ratio - n_slots) > 1e-9 * max(1.0, n_slots):
-        raise ContractError(f"slot width must divide the horizon ({ratio=})")
+        raise SlotWidthError(f"slot width must divide the horizon ({ratio=})")
     return LpInstance(jobs, targets, float(horizon), float(slot_width), n_slots)
 
 

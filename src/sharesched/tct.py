@@ -190,8 +190,9 @@ class LsApproxInfo:
 def lsapprox_report(jobs: JobSet, params: LsApproxParams) -> tuple[Schedule, LsApproxInfo]:
     """Run the approximation pipeline, returning the schedule and its report.
 
-    Raises ContractError when ``params.slot_width`` does not divide the LP
-    horizon, and PipelineError when a stage cannot proceed.
+    Raises lp.SlotWidthError, a ContractError, when ``params.slot_width``
+    does not divide the LP horizon, and PipelineError when a stage cannot
+    proceed.
     """
     mu = params.mu
     n = len(jobs)

@@ -245,6 +245,18 @@ class TestCompare:
         assert "epsilon must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_slot_width_that_misses_one_horizon_marks_its_rows(self, workdir, tmp_path):
+        # --delta 0.4 divides two.json's horizon 2 * 2 but not three.json's 3 * 9
+        (workdir / "two.json").write_text('{"jobs": [{"v": 2, "r": 1}, {"v": 1, "r": 0.5}]}\n')
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--inputs", str(workdir / "*.json"), "--algos",
+                     "lsapprox,best", "--lp-ls", "--delta", "0.4", "--out", str(out)]) == 0
+        rows = {tuple(ln.split(",")[:2]): ln.split(",")
+                for ln in out.read_text().strip().split("\n")[1:]}
+        for algo in ("lsapprox", "best"):
+            assert rows[str(workdir / "three.json"), algo][9] == "error"
+            assert float(rows[str(workdir / "two.json"), algo][9]) >= 1.0
+
     def test_failed_run_marks_row(self, tmp_path):
         inst = tmp_path / "deg.json"
         inst.write_text('{"jobs": [{"v": 1, "r": 0.5}, {"v": 1, "r": 0.8}]}\n')

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from sharesched import (
     COMPETITIVE_RATIO,
+    DEFAULT_TOL,
     DegenerateVolumesError,
     JobSet,
     build_discretized_lp,
@@ -45,8 +46,10 @@ ls_instances = st.lists(
 
 
 def volumes_apart(jobs: JobSet) -> bool:
+    # the guard that solve_alpha and ls_exact apply at their default vol_tol;
+    # it is wider than the guard at any larger vol_tol
     try:
-        _check_volume_gaps(jobs.volumes(), 1e-8)
+        _check_volume_gaps(jobs.volumes(), DEFAULT_TOL)
     except DegenerateVolumesError:
         return False
     return True
@@ -113,12 +116,11 @@ def test_greedy_and_waterfill_are_valid_on_wide_volume_spreads(jobs):
 @PROPERTY_SETTINGS
 @given(ls_instances)
 def test_solve_alpha_meets_vol_tol_unless_volumes_near_tie(jobs):
-    # ``volumes_apart`` applies the near-tie guard at vol_tol = 1e-8
     if not volumes_apart(jobs):
         with pytest.raises(DegenerateVolumesError):
-            solve_alpha(jobs, vol_tol=1e-8)
+            solve_alpha(jobs)
         return
-    alpha = solve_alpha(jobs, vol_tol=1e-8)
+    alpha = solve_alpha(jobs)
     vols = build_line_schedule(jobs, alpha).scheduled_volumes
     assert np.max(np.abs(vols - jobs.volumes())) <= 1e-8
 
@@ -140,11 +142,10 @@ def test_ls_exact_is_valid_and_meets_strong_duality(jobs):
 @PROPERTY_SETTINGS
 @given(solvable)
 def test_doubling_volumes_keeps_alpha_and_doubles_the_optimum(jobs):
-    # ``solvable`` keeps volumes apart at vol_tol = 1e-8; the doubled volumes
-    # meet a doubled tolerance, so the near-tie guard sees the same relative
-    # threshold
-    _, alpha, q = ls_exact(jobs, vol_tol=1e-8)
-    _, alpha2, q2 = ls_exact(doubled(jobs), vol_tol=2e-8)
+    _, alpha, q = ls_exact(jobs)
+    # the doubled volumes meet a doubled tolerance, so the near-tie guard
+    # sees the same relative threshold
+    _, alpha2, q2 = ls_exact(doubled(jobs), vol_tol=2.0 * DEFAULT_TOL)
     assert alpha2 == pytest.approx(alpha, rel=1e-6)
     assert q2.primal_cost == pytest.approx(2.0 * q.primal_cost, rel=1e-6)
 
@@ -152,10 +153,9 @@ def test_doubling_volumes_keeps_alpha_and_doubles_the_optimum(jobs):
 @PROPERTY_SETTINGS
 @given(solvable, st.data())
 def test_permuting_jobs_permutes_alpha(jobs, data):
-    # at the vol_tol that ``solvable`` keeps the volumes apart for
     perm = data.draw(st.permutations(range(len(jobs))))
-    alpha = solve_alpha(jobs, vol_tol=1e-8)
-    permuted = solve_alpha(JobSet([jobs[i] for i in perm]), vol_tol=1e-8)
+    alpha = solve_alpha(jobs)
+    permuted = solve_alpha(JobSet([jobs[i] for i in perm]))
     assert permuted == pytest.approx(alpha[perm], rel=1e-6)
 
 
