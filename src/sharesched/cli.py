@@ -5,12 +5,18 @@ Commands: ``gen | run | verify | compare | plot``.  Exit codes: 0 success,
 2 usage error, 3 algorithm failure, 4 validation failure.  All numeric flag
 values are echoed (after rounding) in the emitted records so runs are
 reproducible from their outputs alone.
+
+The argument parser is built once per process, so ``main(argv)`` may be
+called repeatedly in-process; each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import glob as globmod
+import os
+import stat
 import sys
 import time
 
@@ -36,8 +42,15 @@ def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        # overwrite in place, then cut what is left of a longer old file:
+        # ext4 starts writeback on closing a file that was truncated to zero,
+        # which made each rewrite of a record or schedule cost several times
+        # the write itself
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
 
 
 def _read(path: str) -> str:
@@ -418,6 +431,7 @@ def _cmd_plot(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="sharesched",
                                 description="shared-resource scheduling toolkit")
@@ -483,9 +497,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code.
+
+    The parser is built on the first call and kept; argparse gives every
+    parse a fresh namespace, so repeated in-process calls share no options.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:

@@ -39,13 +39,19 @@ class DegenerateVolumesError(ContractError):
 
 
 class ConvergenceError(RuntimeError):
-    """solve_alpha ran out of iterations; carries the last volume residual."""
+    """solve_alpha ran out of iterations.
 
-    def __init__(self, residual: float, iterations: int):
+    Carries the last volume residual, the Newton iterations taken and
+    ``packings``, the kernel evaluations spent.
+    """
+
+    def __init__(self, residual: float, iterations: int, packings: int):
         self.residual = residual
         self.iterations = iterations
+        self.packings = packings
         super().__init__(
-            f"volume residual {residual:.3e} after {iterations} iterations"
+            f"volume residual {residual:.3e} after {iterations} iterations "
+            f"and {packings} packings"
         )
 
 
@@ -179,14 +185,17 @@ def solve_alpha(jobs: JobSet, targets=None, vol_tol: float = DEFAULT_TOL,
       gradient there has a nonnegative inner product with the move, which
       by concavity means ``g`` did not fall; ``s`` halves from 1 until then.
 
+    Each trial point is packed once, by ``_kernel.line_structure``: the
+    accepted point's volumes and Jacobian drive the next Newton step.
+
     Stops once max_j |vol_j - targets_j| <= vol_tol, after one last full
     step that is kept only when it lowers that residual; near the solution
     the step is exact, so the residual usually ends near rounding level.
-    Raises ConvergenceError carrying the residual and the Newton iterations
-    taken when ``max_iters`` iterations do not reach ``vol_tol``, or earlier
-    when the line search can no longer move alpha.  Raises
-    DegenerateVolumesError up front when two volumes are too close for any
-    alpha to meet ``vol_tol``, and ContractError when ``vol_tol`` is not
+    Raises ConvergenceError carrying the residual, the Newton iterations
+    taken and the packings spent when ``max_iters`` iterations do not reach
+    ``vol_tol``, or earlier when the line search can no longer move alpha.
+    Raises DegenerateVolumesError up front when two volumes are too close for
+    any alpha to meet ``vol_tol``, and ContractError when ``vol_tol`` is not
     positive.
     """
     v = jobs.volumes()
@@ -208,8 +217,9 @@ def solve_alpha(jobs: JobSet, targets=None, vol_tol: float = DEFAULT_TOL,
     order = np.argsort(v, kind="stable")
     alpha = np.empty(n)
     alpha[order] = np.cumsum(tau[order] / r[order]) / v[order]
+    _, _, vols, jac = _kernel.line_structure(v, r, alpha)
+    packings = 1
     for iteration in range(max_iters + 1):
-        _, _, vols, jac = _kernel.line_structure(v, r, alpha)
         grad = tau - vols
         residual = float(np.max(np.abs(grad)))
         if residual > vol_tol and iteration == max_iters:
@@ -227,12 +237,14 @@ def solve_alpha(jobs: JobSet, targets=None, vol_tol: float = DEFAULT_TOL,
         while True:
             trial = np.maximum(alpha + step * delta, 0.0)
             if np.array_equal(trial, alpha):
-                raise ConvergenceError(residual, iteration)
-            if (tau - _kernel.line_volumes(v, r, trial)) @ (trial - alpha) >= 0.0:
+                raise ConvergenceError(residual, iteration, packings)
+            _, _, vols, jac = _kernel.line_structure(v, r, trial)
+            packings += 1
+            if (tau - vols) @ (trial - alpha) >= 0.0:
                 break
             step *= 0.5
         alpha = trial
-    raise ConvergenceError(residual, max_iters)
+    raise ConvergenceError(residual, max_iters, packings)
 
 
 def _check_volume_gaps(v, vol_tol) -> None:

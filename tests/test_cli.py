@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import numpy as np
@@ -79,6 +80,16 @@ class TestRun:
         assert code == 3
         err = json.loads(capsys.readouterr().out)
         assert "failure_index" in err and err["error"]
+
+    def test_outputs_replace_longer_files(self, workdir, tmp_path):
+        # outputs are rewritten in place; the tail of a longer old file must go
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text("x" * 100_000)
+        for path in (old, new):
+            assert main(["run", "greedy", "--input", str(workdir / "three.json"),
+                         "--record", os.devnull, "--schedule-out", str(path)]) == 0
+        assert old.read_bytes() == new.read_bytes()
+        core.schedule_from_json(old.read_text())
 
     def test_best_on_single_job(self, tmp_path, capsys):
         inst = tmp_path / "one.json"
@@ -333,6 +344,21 @@ class TestPlot:
 
 
 class TestUsage:
+    def test_main_is_reentrant(self, workdir, capsys):
+        # the parser is built once; no option value may leak into a later call
+        assert cli.build_parser() is cli.build_parser()
+        inst = str(workdir / "three.json")
+        assert main(["run", "ls", "--input", inst, "--vol-tol", "1e-7"]) == 0
+        assert json.loads(capsys.readouterr().out)["parameters"]["vol_tol"] == 1e-7
+        assert main(["run", "ls", "--input", inst]) == 0
+        assert json.loads(capsys.readouterr().out)["parameters"]["vol_tol"] == 1e-9
+        assert main(["run", "waterfill", "--input", inst, "--c", "0.5"]) == 2
+        assert "competitive ratio" in capsys.readouterr().err
+        assert main(["run", "greedy", "--input", inst]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["algorithm"] == "greedy" and rec["validation"]["feasible"] is True
+        assert rec["parameters"] == {}
+
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
 

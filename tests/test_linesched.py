@@ -20,6 +20,7 @@ from sharesched import (
     solve_alpha,
     solve_lp,
 )
+from sharesched import _kernel
 from sharesched.cli import generate_random
 
 from conftest import random_instance
@@ -136,6 +137,34 @@ class TestSolveAlpha:
         with pytest.raises(ConvergenceError) as err:
             solve_alpha(jobs, max_iters=0)
         assert err.value.residual > 0 or err.value.residual == float("inf")
+
+    @staticmethod
+    def _record_packings(monkeypatch):
+        """Record every alpha that ``_kernel._packed`` packs."""
+        packed, pack = [], _kernel._packed
+
+        def record(v, r, alpha):
+            packed.append(alpha.tobytes())
+            return pack(v, r, alpha)
+
+        monkeypatch.setattr(_kernel, "_packed", record)
+        return packed
+
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    def test_packs_no_point_twice(self, n, monkeypatch):
+        packed = self._record_packings(monkeypatch)
+        for seed in range(1, 6):
+            packed.clear()
+            solve_alpha(generate_random(n, seed))
+            assert len(packed) == len(set(packed)) > 1
+
+    def test_convergence_error_counts_packings(self, monkeypatch):
+        packed = self._record_packings(monkeypatch)
+        with pytest.raises(ConvergenceError, match="volume residual") as err:
+            solve_alpha(generate_random(8, 1), max_iters=1)
+        assert err.value.iterations == 1 and err.value.residual > 1e-9
+        assert err.value.packings == len(packed) > 1
+        assert f"{len(packed)} packings" in str(err.value)
 
     def test_rejects_degenerate(self):
         with pytest.raises(DegenerateVolumesError):
