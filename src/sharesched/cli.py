@@ -15,8 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import glob as globmod
-import os
-import stat
 import sys
 import time
 
@@ -42,15 +40,8 @@ def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        # overwrite in place, then cut what is left of a longer old file:
-        # ext4 starts writeback on closing a file that was truncated to zero,
-        # which made each rewrite of a record or schedule cost several times
-        # the write itself
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "w") as fh:
+        with open(path, "w") as fh:
             fh.write(text)
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                fh.truncate()
 
 
 def _read(path: str) -> str:

@@ -1,5 +1,4 @@
 import json
-import os
 import re
 
 import numpy as np
@@ -80,16 +79,6 @@ class TestRun:
         assert code == 3
         err = json.loads(capsys.readouterr().out)
         assert "failure_index" in err and err["error"]
-
-    def test_outputs_replace_longer_files(self, workdir, tmp_path):
-        # outputs are rewritten in place; the tail of a longer old file must go
-        old, new = tmp_path / "old.json", tmp_path / "new.json"
-        old.write_text("x" * 100_000)
-        for path in (old, new):
-            assert main(["run", "greedy", "--input", str(workdir / "three.json"),
-                         "--record", os.devnull, "--schedule-out", str(path)]) == 0
-        assert old.read_bytes() == new.read_bytes()
-        core.schedule_from_json(old.read_text())
 
     def test_best_on_single_job(self, tmp_path, capsys):
         inst = tmp_path / "one.json"
