@@ -16,6 +16,7 @@ import pathlib
 import numpy as np
 
 import sharesched as ss
+from sharesched.cli import render_svg
 
 OUT = pathlib.Path(__file__).resolve().parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -37,7 +38,7 @@ print(f"  final makespan {ss.makespan(final):.3f} vs offline optimum "
       f"{run.prefix_optima[-1]:.3f} "
       f"(ratio {ss.makespan(final) / run.prefix_optima[-1]:.4f}, "
       f"guarantee {ss.COMPETITIVE_RATIO:.4f})")
-svg = ss.cli.render_svg(jobs, final)
+svg = render_svg(jobs, final)
 (OUT / "waterfill_pour.svg").write_text(svg)
 print(f"  stacked-area picture -> {OUT / 'waterfill_pour.svg'}")
 

@@ -13,6 +13,7 @@ import pathlib
 import numpy as np
 
 import sharesched as ss
+from sharesched.cli import render_svg
 
 OUT = pathlib.Path(__file__).resolve().parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -54,7 +55,7 @@ print("the cost rate sum_j R_j(t)/v_j only ever decreases:")
 rates = ss.cost_rates_on_grid(ls)
 print("  per-interval cost rates:", np.round(rates, 5).tolist())
 
-svg = ss.cli.render_svg(jobs, ls.schedule, alpha=alpha, show_duals=True)
+svg = render_svg(jobs, ls.schedule, alpha=alpha, show_duals=True)
 (OUT / "line_schedule.svg").write_text(svg)
 print(f"\nschedule with the priority lines overlaid -> {OUT / 'line_schedule.svg'}")
 

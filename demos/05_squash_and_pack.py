@@ -13,6 +13,7 @@ import pathlib
 import numpy as np
 
 import sharesched as ss
+from sharesched.cli import render_svg
 
 OUT = pathlib.Path(__file__).resolve().parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -69,6 +70,6 @@ best, rep = ss.best_schedule(jobs, params, use_exact_ls=False)
 print(f"  best-of-both picks {rep.chosen!r} -> "
       f"{ss.total_completion_time(jobs, best):.3f}")
 
-svg = ss.cli.render_svg(jobs, sched)
+svg = render_svg(jobs, sched)
 (OUT / "squash_and_pack.svg").write_text(svg)
 print(f"\nstacked picture -> {OUT / 'squash_and_pack.svg'}")

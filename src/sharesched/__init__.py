@@ -6,7 +6,8 @@ Submodules:
     linesched - priority-line schedules, duals, the alpha fixed point
     lp        - slot-discretized LP with a self-contained simplex
     tct       - greedy, lower bounds, exact/approximate line scheduling
-    cli       - gen | run | verify | compare | plot
+    cli       - gen | run | verify | compare | plot; not imported with the
+                package, so ``python -m sharesched.cli`` runs it only once
 """
 
 from .core import (
@@ -81,6 +82,5 @@ from .tct import (
     lsapprox_report,
     subdivide,
 )
-from . import cli  # noqa: E402  (after the symbols it re-uses)
 
 __version__ = "0.1.0"

@@ -20,9 +20,6 @@ import numpy as np
 #: comparisons scale it by the magnitude of the quantity involved.
 DEFAULT_TOL = 1e-9
 
-#: breakpoints closer than this fraction of the support end are merged.
-SLIVER_REL = 1e-12
-
 
 class ContractError(ValueError):
     """An operation was called outside its contract (bad shapes, bad args)."""
@@ -118,8 +115,8 @@ class StepFunction:
     The value is ``values[i]`` on the right-open interval
     ``[edges[i], edges[i+1])`` and 0 for ``t >= edges[-1]`` as well as for
     ``t < 0``.  ``edges[0]`` is always 0.  Instances are canonical: adjacent
-    equal values are merged, the zero tail is trimmed, and sliver intervals
-    narrower than ``SLIVER_REL`` times the support end are absorbed.
+    equal values are merged and the zero tail is trimmed.  Nothing else
+    changes, so an interval of any width keeps its value and its integral.
     """
 
     __slots__ = ("edges", "values")
@@ -133,10 +130,9 @@ class StepFunction:
             raise ContractError("edges must start at 0")
         if not np.isfinite(e).all() or not np.isfinite(v).all():
             raise ContractError("edges and values must be finite")
-        w = e[1:] - e[:-1]
-        if (w <= 0.0).any():
+        if (np.diff(e) <= 0.0).any():
             raise ContractError("edges must be strictly increasing")
-        e, v = _canonical(e, v, w)
+        e, v = _canonical(e, v)
         object.__setattr__(self, "edges", e)
         object.__setattr__(self, "values", v)
 
@@ -218,23 +214,7 @@ class StepFunction:
         return f"StepFunction(edges={self.edges.tolist()}, values={self.values.tolist()})"
 
 
-def _canonical(e: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # ``w`` holds the interval widths ``e[1:] - e[:-1]``.
-    # absorb sliver intervals, narrower than SLIVER_REL times the support end,
-    # into the next wide interval (trailing slivers into the previous one);
-    # the zero tail counts as an interval, so a sliver at the support end
-    # goes into it.  The perturbation is at most the sliver width.
-    k = v.size
-    while k and v[k - 1] == 0.0:
-        k -= 1
-    if k:
-        wide = w >= SLIVER_REL * e[k]
-        if not wide.all() and wide.any():
-            idx = np.flatnonzero(wide)
-            ends = e[idx + 1]
-            ends[-1] = e[-1]
-            e = np.concatenate((e[:1], ends))
-            v = v[idx]
+def _canonical(e: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # merge equal adjacent values
     if v.size:
         keep = np.empty(v.size, dtype=bool)
@@ -262,27 +242,21 @@ def _pieces_before(f: StepFunction, C: float) -> tuple[np.ndarray, np.ndarray, n
 
 
 def sum_steps(fns: Sequence[StepFunction]) -> StepFunction:
-    """Pointwise sum of step functions."""
-    fns = [f for f in fns if f.values.size]
-    if not fns:
-        return StepFunction.zero()
-    return StepFunction(*_grid_sum(fns))
-
-
-def _grid_sum(fns: Sequence[StepFunction]) -> tuple[np.ndarray, np.ndarray]:
-    """Union grid of the edges of ``fns`` and their summed value on each interval.
+    """Pointwise sum of step functions, exact on the union grid of their edges.
 
     The grid refines every operand, so each operand's value on a grid
     interval is the value of its piece that starts at or before the
-    interval's left end, gathered in one ``searchsorted``.  Nothing is
-    canonicalized: intervals of any width keep their own sum.
+    interval's left end, gathered in one ``searchsorted``.
     """
+    fns = [f for f in fns if f.values.size]
+    if not fns:
+        return StepFunction.zero()
     grid = np.unique(np.concatenate([f.edges for f in fns]))
     left = grid[:-1]
     total = np.zeros(left.size)
     for f in fns:
         total += np.append(f.values, 0.0)[np.searchsorted(f.edges, left, side="right") - 1]
-    return grid, total
+    return StepFunction(grid, total)
 
 
 class PiecewiseLinear:
@@ -407,17 +381,14 @@ def validate_schedule(jobs: JobSet, sched: Schedule, tol: float = DEFAULT_TOL) -
         deficit = job.volume - a.integral()
         if deficit > tol * max(1.0, job.volume):
             violations.append(Violation("volume-deficit", float(deficit), job=idx))
-    # the raw union grid, not the canonical usage: an overlap on an interval
-    # narrower than SLIVER_REL times the support end is still an overlap
-    if sched.n_jobs:
-        grid, total = _grid_sum(sched.assignments)
-        over = total - 1.0
-        if over.size and float(over.max()) > tol:
-            k = int(np.argmax(over))
-            violations.append(
-                Violation("overuse", float(over[k]),
-                          interval=(float(grid[k]), float(grid[k + 1])))
-            )
+    usage = sched.total_usage()
+    over = usage.values - 1.0
+    if over.size and float(over.max()) > tol:
+        k = int(np.argmax(over))
+        violations.append(
+            Violation("overuse", float(over[k]),
+                      interval=(float(usage.edges[k]), float(usage.edges[k + 1])))
+        )
     return ValidationReport(feasible=not violations, violations=tuple(violations))
 
 
@@ -529,8 +500,9 @@ def jobs_from_json(text: str) -> JobSet:
 
 def schedule_to_json(sched: Schedule) -> str:
     grid = np.unique(np.concatenate([a.edges for a in sched.assignments])) if sched.n_jobs else np.array([0.0])
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    rows = [[float(x) for x in a(mids)] if mids.size else [] for a in sched.assignments]
+    # each row is read at the left ends: the midpoint of a one-ulp interval
+    # rounds onto an edge
+    rows = [[float(x) for x in a(grid[:-1])] for a in sched.assignments]
     payload = {
         "breakpoints": [float(t) for t in grid],
         "assignments": rows,

@@ -23,7 +23,6 @@ from .core import (
     DEFAULT_TOL,
     JobSet,
     PiecewiseLinear,
-    SLIVER_REL,
     Schedule,
     StepFunction,
 )
@@ -133,13 +132,8 @@ def build_line_schedule(jobs: JobSet, alpha) -> LineSchedule:
         return LineSchedule(Schedule.empty(0), a, (), PiecewiseLinear.zero(),
                             np.zeros(0), np.array([0.0]), np.zeros(0))
     grid, rates, vols, _ = _kernel.line_structure(v, r, a)
-    # drop duplicated grid points and slivers for the stored interval
-    # structure, each sliver into the next interval, once for all jobs:
-    # StepFunction measures slivers against each job's own support end, and
-    # jobs that absorbed one shared sliver differently would overlap on it
-    busy = np.flatnonzero(rates.any(axis=0))
-    end = grid[busy[-1] + 1] if busy.size else 0.0
-    keep = np.concatenate([[True], np.diff(grid) > SLIVER_REL * end])
+    # coinciding breakpoints leave zero-width intervals, which carry nothing
+    keep = np.concatenate([[True], np.diff(grid) > 0.0])
     grid = grid[keep]
     rates = rates[:, keep[1:]]
     m = grid.size - 1
@@ -304,7 +298,7 @@ def check_slackness(ls: LineSchedule, jobs: JobSet) -> SlacknessReport:
     if grid.size < 2:
         return SlacknessReport(vol_viol, 0.0, 0.0, 0.0, 0.0)
     w = np.diff(grid)
-    rates = np.vstack([a(0.5 * (grid[:-1] + grid[1:])) for a in ls.schedule.assignments])
+    rates = np.vstack([a(grid[:-1]) for a in ls.schedule.assignments])
     ends = np.stack([grid[:-1], grid[1:]])[:, None, :]                 # (2, 1, m)
 
     def at_ends(starts, slopes):                                      # (2, rows, m)
@@ -324,9 +318,8 @@ def check_slackness(ls: LineSchedule, jobs: JobSet) -> SlacknessReport:
 
 
 def cost_rates_on_grid(ls: LineSchedule) -> np.ndarray:
-    """Cost rate at every grid-interval midpoint, in time order."""
+    """Cost rate on every grid interval, in time order."""
     if ls.grid.size < 2:
         return np.zeros(0)
-    mids = 0.5 * (ls.grid[:-1] + ls.grid[1:])
-    rates = np.vstack([a(mids) for a in ls.schedule.assignments])
+    rates = np.vstack([a(ls.grid[:-1]) for a in ls.schedule.assignments])
     return (rates / ls.job_volumes[:, None]).sum(axis=0)

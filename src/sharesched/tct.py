@@ -57,7 +57,10 @@ def greedy(jobs: JobSet) -> Schedule:
             rates, t_done = caps[: k + 1], usage.edges[k] + (v - before) / caps[k]
         else:   # the rest runs at full requirement after the usage ends
             rates, t_done = np.append(caps, r), usage.support_end + (v - before) / r
-        assignments[j] = StepFunction(np.append(usage.edges[: rates.size], t_done), rates)
+        edges = np.append(usage.edges[: rates.size], t_done)
+        if t_done <= edges[-2]:   # what is left is below rounding: end at the last edge
+            edges, rates = edges[:-1], rates[:-1]
+        assignments[j] = StepFunction(edges, rates)
         usage = usage + assignments[j]
     return Schedule(assignments)
 

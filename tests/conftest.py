@@ -14,18 +14,21 @@ def random_instance(seed: int, n_max: int, n_min: int = 1,
     return JobSet.of(zip(v, r))
 
 
-def midpoint_sum(fns) -> StepFunction:
-    """Reference pointwise sum: every operand evaluated at the midpoints of
-    the union grid.  ``sum_steps`` must agree with it bit for bit."""
-    fns = [f for f in fns if f.values.size]
-    if not fns:
-        return StepFunction.zero()
-    grid = np.unique(np.concatenate([f.edges for f in fns]))
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    total = np.zeros(mids.size)
+def left_end_sum(fns) -> StepFunction:
+    """Reference pointwise sum: every operand read at the left end of each
+    union-grid interval by a plain scan over its pieces.  The left end, not
+    the midpoint: the midpoint of a one-ulp interval rounds onto an edge.
+    ``sum_steps`` must agree with it bit for bit."""
+    grid = sorted({float(t) for f in fns for t in f.edges})
+    total = [0.0] * (len(grid) - 1)
     for f in fns:
-        total += f(mids)
-    return StepFunction(grid, total)
+        k = 0   # the piece of f that holds t
+        for i, t in enumerate(grid[:-1]):
+            while k < f.values.size and f.edges[k + 1] <= t:
+                k += 1
+            if k < f.values.size:
+                total[i] += float(f.values[k])
+    return StepFunction(grid, total) if total else StepFunction.zero()
 
 
 def prefix_schedules(run) -> list[Schedule]:

@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sharesched
 from sharesched import core, cli
 from sharesched.cli import main
 
@@ -160,6 +165,17 @@ class TestRun:
         rec = json.loads(capsys.readouterr().out)
         assert rec["validation"]["feasible"] is True
         assert rec["parameters"]["chosen"] == "greedy"
+
+    @pytest.mark.parametrize("algo", ["greedy", "best"])
+    def test_greedy_one_ulp_overlap_instance_is_feasible(self, tmp_path, capsys, algo):
+        # greedy once ran job 1 at 0.99 beside jobs 2 and 3 on
+        # [8.659643233600653, 8.659643233600654)
+        inst = tmp_path / "ulp.json"
+        inst.write_text('{"jobs": [{"v": 1, "r": 0.11547819846894582}, {"v": 10, "r": 1}, '
+                        '{"v": 1, "r": 0.11547819846894582}, {"v": 0.1, "r": 0.01}, '
+                        '{"v": 0.1, "r": 0.74989420933245587}]}\n')
+        assert main(["run", algo, "--input", str(inst)]) == 0
+        assert json.loads(capsys.readouterr().out)["validation"]["feasible"] is True
 
 
 class TestVerify:
@@ -347,6 +363,19 @@ class TestUsage:
         rec = json.loads(capsys.readouterr().out)
         assert rec["algorithm"] == "greedy" and rec["validation"]["feasible"] is True
         assert rec["parameters"] == {}
+
+    def test_module_entry_point_runs_once(self):
+        # ``python -m sharesched.cli`` warns, here fatally, if importing the
+        # package has already run the module
+        src = str(Path(sharesched.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "sharesched.cli",
+             "gen", "random", "--n", "2", "--seed", "1"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert len(json.loads(proc.stdout)["jobs"]) == 2
 
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2

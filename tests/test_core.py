@@ -25,7 +25,7 @@ from sharesched import (
 )
 from sharesched.tct import greedy
 
-from conftest import midpoint_sum, random_instance
+from conftest import left_end_sum, random_instance
 
 
 def brute_eval(edges, values, t):
@@ -90,24 +90,31 @@ class TestStepFunction:
         want = float(np.dot(values[:3], w[:3]) + values[3] * 0.3 * w[3])
         assert f.integral_to(C) == pytest.approx(want, rel=1e-12)
 
-    def test_sliver_absorbed_into_wide_interval(self):
-        f = StepFunction([0.0, 1.0, 1.0 + 1e-15, 2.0], [0.5, 0.9, 0.25])
-        assert np.array_equal(f.edges, [0.0, 1.0, 2.0])
-        assert np.array_equal(f.values, [0.5, 0.25])
-        # a trailing sliver with nothing after it goes into the previous one
+    def test_narrow_intervals_kept_with_their_integral(self):
+        edges, values = [0.0, 1.0, 1.0 + 1e-15, 2.0], [0.5, 0.9, 0.25]
+        f = StepFunction(edges, values)
+        assert np.array_equal(f.edges, edges)
+        assert np.array_equal(f.values, values)
+        assert f.integral() == float(np.dot(values, np.diff(edges)))
+        # a trailing narrow interval is kept too
         g = StepFunction([0.0, 1.0, 1.0 + 1e-15], [0.5, 0.9])
-        assert np.array_equal(g.edges, [0.0, 1.0 + 1e-15])
-        assert np.array_equal(g.values, [0.5])
+        assert np.array_equal(g.edges, [0.0, 1.0, 1.0 + 1e-15])
+        assert np.array_equal(g.values, [0.5, 0.9])
+        # equal neighbours still merge, however narrow
+        h = StepFunction([0.0, 1.0, 1.0 + 1e-15, 2.0], [0.5, 0.5, 0.25])
+        assert np.array_equal(h.edges, [0.0, 1.0 + 1e-15, 2.0])
+        assert np.array_equal(h.values, [0.5, 0.25])
 
-    def test_slivers_measured_against_the_support_end(self):
-        # a far zero tail does not widen the sliver threshold
+    def test_zero_tail_trimmed_and_support_end_interval_kept(self):
+        # a far zero tail is trimmed and leaves the intervals before it alone
         f = StepFunction([0.0, 1.0, 2.0, 1e13], [1.0, 0.5, 0.0])
         assert np.array_equal(f.edges, [0.0, 1.0, 2.0])
         assert f.integral() == 1.5
-        # a sliver at the support end goes into the zero tail after it, as it
-        # would into the next interval of a job that runs on past it
+        # a narrow interval at the support end is kept, and the zero tail
+        # after it is trimmed
         g = StepFunction([0.0, 1.0, 1.0 + 1e-15, 5.0], [0.5, 0.25, 0.0])
-        assert np.array_equal(g.edges, [0.0, 1.0])
+        assert np.array_equal(g.edges, [0.0, 1.0, 1.0 + 1e-15])
+        assert np.array_equal(g.values, [0.5, 0.25])
 
     def test_transforms(self):
         f = StepFunction([0.0, 1.0, 3.0], [1.0, 0.5])
@@ -124,7 +131,7 @@ class TestStepFunction:
         for t, want in [(0.5, 0.75), (1.5, 1.0), (2.5, 0.5), (3.5, 0.0)]:
             assert s(t) == pytest.approx(want)
 
-    def test_sum_steps_matches_midpoint_evaluation(self):
+    def test_sum_steps_matches_left_end_evaluation(self):
         # operands share edges, or miss each other by 1e-15 or by one ulp,
         # and carry zero values and equal neighbours
         rng = np.random.default_rng(11)
@@ -142,7 +149,7 @@ class TestStepFunction:
                     if same[k]:
                         vals[k] = vals[k - 1]
                 fns.append(StepFunction(np.append(0.0, ends), vals))
-            got, want = sum_steps(fns), midpoint_sum(fns)
+            got, want = sum_steps(fns), left_end_sum(fns)
             assert np.array_equal(got.edges, want.edges)
             assert np.array_equal(got.values, want.values)
 
@@ -172,13 +179,13 @@ class TestValidation:
         assert over.magnitude == pytest.approx(0.2)
 
     def test_overuse_on_a_sliver_interval_detected(self):
-        # job 0 ends 4.7e-15 after job 1 starts; the summed usage absorbs
-        # that sliver, the check on the raw grid of the assignments does not
+        # job 0 ends 4.7e-15 after job 1 starts; the summed usage keeps that
+        # sliver, so the overlap on it shows
         end = 1.0 + 4.7e-15
         jobs = JobSet.of([(0.66 * end, 0.7), (0.65, 0.7)])
         sched = Schedule([StepFunction.constant(0.66, end),
                           StepFunction([0.0, 1.0, 2.0], [0.0, 0.65])])
-        assert sched.total_usage().values.max() < 1.0
+        assert sched.total_usage().values.max() == pytest.approx(1.31)
         over = [v for v in validate_schedule(jobs, sched).violations if v.kind == "overuse"]
         assert len(over) == 1 and over[0].magnitude == pytest.approx(0.31)
         assert over[0].interval == (1.0, end)
@@ -304,6 +311,17 @@ class TestJson:
         assert len(data["assignments"]) == 3
         assert len(data["assignments"][0]) == len(data["breakpoints"]) - 1
         assert data["completion_times"] == pytest.approx([4 / 3, 26 / 3, 73 / 6])
+
+    def test_schedule_roundtrip_keeps_one_ulp_intervals(self):
+        # the union grid ends with [1 + u, 1 + 2u), one ulp wide, whose
+        # midpoint rounds onto its right end, past the second job's support
+        u = np.finfo(float).eps
+        sched = Schedule([StepFunction.constant(0.5, 1.0 + u),
+                          StepFunction.constant(0.25, 1.0 + 2.0 * u)])
+        back = schedule_from_json(schedule_to_json(sched))
+        assert back == sched
+        empty = Schedule.empty(2)
+        assert schedule_from_json(schedule_to_json(empty)) == empty
 
     def test_17_digit_floats(self):
         jobs = JobSet.of([(1 / 3, 2 / 3)])

@@ -15,8 +15,10 @@ from sharesched import (
     DEFAULT_TOL,
     DegenerateVolumesError,
     JobSet,
+    best_schedule,
     build_discretized_lp,
     build_line_schedule,
+    check_slackness,
     greedy,
     ls_exact,
     makespan,
@@ -111,6 +113,19 @@ def test_greedy_and_waterfill_are_valid_on_wide_volume_spreads(jobs):
     for k, sched in enumerate(prefix_schedules(run)):
         assert validate_schedule(jobs.prefix(k + 1), sched).feasible
         assert makespan(sched) <= run.targets[k]
+
+
+@PROPERTY_SETTINGS
+@given(spread_instances)
+def test_ls_exact_and_best_are_valid_on_wide_volume_spreads(jobs):
+    try:
+        sched, alpha, _ = ls_exact(jobs)
+    except DegenerateVolumesError:
+        return
+    assert validate_schedule(jobs, sched).feasible
+    slack = check_slackness(build_line_schedule(jobs, alpha), jobs)
+    assert slack.max_violation() <= 1e-8 * max(1.0, alpha.max())
+    assert validate_schedule(jobs, best_schedule(jobs)[0]).feasible
 
 
 @PROPERTY_SETTINGS

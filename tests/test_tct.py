@@ -79,6 +79,29 @@ class TestGreedy:
             want = reference_greedy_completions(jobs)
             assert sched.completion_times() == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("pairs", [
+        # job 2 ends one ulp after job 0
+        [(1.0, 0.11547819846894582), (10.0, 1.0), (1.0, 0.11547819846894582),
+         (0.1, 0.01), (0.1, 0.74989420933245587)],
+        # job 2 ends 2.3e-10 after job 1, about 2e-13 of the usage's end
+        [(1000.0, 1.0), (1.0, 0.1), (1.0000000000230258, 0.1)],
+    ])
+    def test_no_overlap_on_a_narrow_interval(self, pairs):
+        # a usage that absorbed the narrow interval hid it from the job
+        # packed last, which ran on it too
+        jobs = JobSet.of(pairs)
+        report = validate_schedule(jobs, greedy(jobs))
+        assert report.feasible, report.violations
+
+    def test_volume_left_below_rounding_ends_at_the_last_edge(self):
+        # job 2's first interval fills 1 - 1.1e-16 of its unit volume; the
+        # rest adds less than half an ulp to the end, which once gave a
+        # zero-width last interval and a ContractError
+        jobs = JobSet.of([(1.0, 1.0), (1.0, 0.28902639100224503), (1.0, 0.28902639100224503)])
+        sched = greedy(jobs)
+        assert validate_schedule(jobs, sched).feasible
+        assert sched.completion_times()[2] == sched.completion_times()[1]
+
     def test_at_most_one_partial_job_per_interval(self):
         for seed in range(30):
             jobs = random_instance(seed, 8)
@@ -235,10 +258,11 @@ class TestLsApprox:
 
     def test_near_twin_long_heavy_jobs_stay_feasible(self):
         # twins 1e-12 apart cross near t = 1e12, so the line schedule's grid
-        # reaches that far; StepFunction once took everything before it for
-        # slivers, and seeds 1, 4, 6 and 14 came back with volume deficits.
-        # Usage is also read pointwise on the merged grid, where jobs that
-        # absorbed one sliver differently overlap (seed 13 did).
+        # reaches that far and its intervals before it are narrow by
+        # comparison; when step functions absorbed narrow intervals, seeds
+        # 1, 4, 6 and 14 came back with volume deficits.  Usage is also read
+        # pointwise on the merged grid, where jobs that absorbed one narrow
+        # interval differently overlapped (seed 13 did).
         for seed in (1, 4, 6, 13, 14):
             base = list(generate_random(6, seed))
             twin = Job(base[0].volume * (1 + 1e-12), base[1].requirement)

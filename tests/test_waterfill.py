@@ -25,8 +25,9 @@ from sharesched import (
     waterfill_online,
     waterfill_step,
 )
+from sharesched.cli import generate_random
 
-from conftest import midpoint_sum, prefix_schedules, random_instance
+from conftest import left_end_sum, prefix_schedules, random_instance
 
 E = math.e
 
@@ -65,7 +66,7 @@ def scan_level(usage, job, deadline, tol=1e-9):
 
 def scan_waterfill(jobs, ratio=COMPETITIVE_RATIO):
     """Reference water-filling through ``scan_level``, folding the usage by
-    ``midpoint_sum``.  Returns the levels, the assignments and the usage
+    ``left_end_sum``.  Returns the levels, the assignments and the usage
     after each placed job, stopping at the first job that does not fit."""
     usage = StepFunction.zero()
     levels, assignments, usages = [], [], []
@@ -78,7 +79,7 @@ def scan_waterfill(jobs, ratio=COMPETITIVE_RATIO):
             break
         edges, lv, level = found
         assignment = StepFunction(edges, np.minimum(job.requirement, np.maximum(level - lv, 0.0)))
-        usage = midpoint_sum([usage, assignment])
+        usage = left_end_sum([usage, assignment])
         levels.append(level)
         assignments.append(assignment)
         usages.append(usage)
@@ -273,6 +274,15 @@ class TestWaterfillOnline:
         start = time.perf_counter()
         run = waterfill_online(jobs)
         assert time.perf_counter() - start < 5.0
+        assert run.ok and validate_schedule(jobs, run.final_schedule()).feasible
+
+    @pytest.mark.parametrize("n, seed", [(50, 7), (50, 13), (100, 1)])
+    def test_volumes_met_on_wide_volume_spreads(self, n, seed):
+        # these runs end past t = 3e6, with intervals a few 1e-6 wide; when
+        # step functions absorbed intervals narrower than 1e-12 times their
+        # end, they lost up to 2.2e-6 of a job's volume
+        jobs = generate_random(n, seed, vmin=1e-6, vmax=1e6)
+        run = waterfill_online(jobs)
         assert run.ok and validate_schedule(jobs, run.final_schedule()).feasible
 
     def test_memory_is_linear_in_n(self):
