@@ -330,20 +330,21 @@ def render_svg(jobs: JobSet, sched: Schedule, width: int = 720, height: int = 40
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    # stacked areas on the refined grid
+    # stacked areas on the refined grid, each rate read at its interval's
+    # left end: the midpoint of a one-ulp interval rounds onto an edge
     if sched.n_jobs and grid.size > 1:
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        rates = np.vstack([a(mids) for a in sched.assignments])
-        cum = np.vstack([np.zeros(mids.size), np.cumsum(rates, axis=0)])
+        left = grid[:-1]
+        rates = np.vstack([a(left) for a in sched.assignments])
+        cum = np.vstack([np.zeros(left.size), np.cumsum(rates, axis=0)])
         for j in range(sched.n_jobs):
             lo, hi = cum[j], cum[j + 1]
             if not np.any(hi - lo > 0):
                 continue
             pts = []
-            for k in range(mids.size):
+            for k in range(left.size):
                 pts.append((grid[k], lo[k]))
                 pts.append((grid[k + 1], lo[k]))
-            for k in reversed(range(mids.size)):
+            for k in reversed(range(left.size)):
                 pts.append((grid[k + 1], hi[k]))
                 pts.append((grid[k], hi[k]))
             path = " ".join(f"{X(t):.2f},{Y(v):.2f}" for t, v in pts)
@@ -377,12 +378,10 @@ def render_svg(jobs: JobSet, sched: Schedule, width: int = 720, height: int = 40
                 f'stroke="{color}" stroke-width="1.5" stroke-dasharray="6 3"/>'
             )
         ls = linesched.build_line_schedule(jobs, np.asarray(alpha, dtype=float))
+        g = ls.gamma
         gpts = []
-        for k in range(ls.grid.size - 1):
-            t0, t1 = ls.grid[k], ls.grid[k + 1]
-            gpts.append((t0, ls.gamma(t0)))
-            gpts.append((t1, ls.gamma(0.5 * (t0 + t1)) + ls.gamma.slopes[k] * 0.5 * (t1 - t0)
-                         if ls.gamma.starts.size else 0.0))
+        for t0, t1, start, slope in zip(g.edges[:-1], g.edges[1:], g.starts, g.slopes):
+            gpts += [(t0, start), (t1, start + slope * (t1 - t0))]
         if gpts:
             path = " ".join(f"{X(t):.2f},{Yp(v):.2f}" for t, v in gpts)
             out.append(f'<polyline points="{path}" fill="none" stroke="black" stroke-width="2"/>')

@@ -446,7 +446,7 @@ def _area_matrix(usage: StepFunction, horizons: np.ndarray, ys: np.ndarray) -> n
     return np.where(inside[None, :], partial, np.where(pos[None, :] >= u.size, full, 0.0))
 
 
-def is_flatter(first: Schedule, second: Schedule, tol: float = DEFAULT_TOL) -> bool:
+def is_flatter(first: Schedule, second: Schedule) -> bool:
     """Whether ``first`` has pointwise no larger upper resource distribution.
 
     Checked on the finite grid of both schedules' breakpoints crossed with
@@ -461,7 +461,7 @@ def is_flatter(first: Schedule, second: Schedule, tol: float = DEFAULT_TOL) -> b
     levels = levels[(levels >= 0.0) & (levels <= 1.0)]
     a1 = _area_matrix(u1, horizons, levels)
     a2 = _area_matrix(u2, horizons, levels)
-    return bool(np.all(a1 <= a2 + tol * np.maximum(1.0, a2)))
+    return bool(np.all(a1 <= a2 + DEFAULT_TOL * np.maximum(1.0, a2)))
 
 
 # -- JSON interchange -------------------------------------------------------

@@ -9,6 +9,7 @@ always suffice.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -65,8 +66,7 @@ class WaterfillOutcome:
     deficit: float = 0.0
 
 
-def waterfill_step(usage: StepFunction, job: Job, deadline: float,
-                   tol: float = DEFAULT_TOL) -> WaterfillOutcome:
+def waterfill_step(usage: StepFunction, job: Job, deadline: float) -> WaterfillOutcome:
     """Pour ``job`` into the total ``usage`` to finish by ``deadline`` if possible.
 
     The level map h -> available volume below h is piecewise linear with
@@ -74,14 +74,13 @@ def waterfill_step(usage: StepFunction, job: Job, deadline: float,
     smallest sufficient level is found exactly by interpolating between
     those candidates.
 
-    The bracket is found in one vectorized pass.  With the usage levels
-    sorted, prefix sums of the widths and of width x level give
-    ``F(x) = sum w * max(x - level, 0)`` at every candidate, and the volume
-    below h is ``F(h) - F(h - r)``; one ``searchsorted`` over those volumes
-    gives the first candidate that reaches the job's volume.  The prefix
-    sums round differently from the direct sum, so the bracket is then
-    confirmed with the direct sum at its two ends, stepping to a neighbour
-    while it fails, and the level is interpolated from the direct sums.
+    One bisection over the candidates finds the first one whose volume
+    reaches the job's volume.  The search is exact because the direct sum
+    ``volume_below`` is nondecreasing in h as computed, not only in exact
+    arithmetic: each term ``w * min(r, max(h - level, 0))`` is, rounding
+    is monotone, and the terms are added in the same order at every h.  So
+    the bisection lands on the candidate that a scan in order finds, and
+    the level is interpolated from the direct sums at it and the one before.
     """
     if deadline < 0.0:
         raise ContractError("deadline must be nonnegative")
@@ -94,35 +93,19 @@ def waterfill_step(usage: StepFunction, job: Job, deadline: float,
         return float(np.dot(widths, np.minimum(r, np.maximum(h - levels, 0.0))))
 
     capacity = volume_below(1.0)
-    if capacity < v - tol * max(1.0, v):
+    if capacity < v - DEFAULT_TOL * max(1.0, v):
         return WaterfillOutcome(ok=False, deficit=v - capacity)
-    level = 1.0     # kept when the capacity falls short of v by less than tol
+    level = 1.0     # kept when the capacity falls short of v within the tolerance
     if capacity >= v:
-        order = np.argsort(levels)
-        low, w = levels[order], widths[order]
-        cum_w = np.zeros(w.size + 1)
-        cum_wl = np.zeros(w.size + 1)
-        np.cumsum(w, out=cum_w[1:])
-        np.cumsum(w * low, out=cum_wl[1:])
-
-        def uncapped(x: np.ndarray) -> np.ndarray:   # F: the volume below x without r
-            k = np.searchsorted(low, x)
-            return x * cum_w[k] - cum_wl[k]
-
-        cands = np.unique(np.concatenate((low, low + r, (0.0, 1.0))))
+        cands = np.unique(np.concatenate((levels, levels + r, (0.0, 1.0))))
         cands = cands[np.searchsorted(cands, 0.0):np.searchsorted(cands, 1.0, side="right")]
-        # volume_below(1.0) >= v ends the upward walk at the last candidate
-        i = min(int(np.searchsorted(uncapped(cands) - uncapped(cands - r), v)), cands.size - 1)
-        val = volume_below(cands[i])
-        while val < v:
-            i += 1
-            val = volume_below(cands[i])
-        while i and (prev_vol := volume_below(cands[i - 1])) >= v:
-            i, val = i - 1, prev_vol
-        if i == 0:
+        # the last candidate is 1.0, whose volume reaches v, so i < cands.size
+        i = bisect.bisect_left(cands, v, key=volume_below)
+        if i == 0:      # reachable when a caller's usage has negative levels
             level = float(cands[0])
         else:
             prev_h, h = cands[i - 1], cands[i]
+            prev_vol, val = volume_below(prev_h), volume_below(h)
             level = float(prev_h + (v - prev_vol) * (h - prev_h) / (val - prev_vol))
     rates = np.minimum(r, np.maximum(level - levels, 0.0))
     return WaterfillOutcome(ok=True, assignment=StepFunction(edges, rates), level=level)
@@ -155,8 +138,7 @@ class OnlineRun:
         return self.schedule
 
 
-def waterfill_online(jobs: JobSet, ratio: float = COMPETITIVE_RATIO,
-                     tol: float = DEFAULT_TOL) -> OnlineRun:
+def waterfill_online(jobs: JobSet, ratio: float = COMPETITIVE_RATIO) -> OnlineRun:
     """Run water-filling in list order with targets ratio * prefix optimum.
 
     The usage is folded once per job, as in ``greedy``.  Failure is data,
@@ -179,7 +161,7 @@ def waterfill_online(jobs: JobSet, ratio: float = COMPETITIVE_RATIO,
         target = ratio * opt
         optima.append(opt)
         targets.append(target)
-        outcome = waterfill_step(usage, job, target, tol=tol)
+        outcome = waterfill_step(usage, job, target)
         if not outcome.ok:
             return OnlineRun(Schedule(assignments), tuple(targets), tuple(optima),
                              tuple(levels), failure_index=idx,
@@ -270,8 +252,7 @@ class UniversalSchedule:
         return StepFunction(edges, vals)
 
 
-def flatter_than_universal(sched: Schedule, volume: float,
-                           tol: float = DEFAULT_TOL) -> bool:
+def flatter_than_universal(sched: Schedule, volume: float) -> bool:
     """Exact check that ``sched`` is flatter than the universal shape.
 
     For a fixed height the upper-area difference is convex in the horizon on
@@ -301,7 +282,7 @@ def flatter_than_universal(sched: Schedule, volume: float,
         ys = np.unique(np.concatenate([ys, ystar[(ystar >= 0.0) & (ystar <= 1.0)]]))
     a_sched = _area_matrix(usage, horizons, ys)
     a_ref = u.upper_area(ys[:, None], horizons[None, :])
-    return bool(np.all(a_sched <= a_ref + tol * np.maximum(1.0, a_ref)))
+    return bool(np.all(a_sched <= a_ref + DEFAULT_TOL * np.maximum(1.0, a_ref)))
 
 
 def extendability_check(sched: Schedule, jobs: JobSet, ratio: float,

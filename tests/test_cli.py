@@ -347,6 +347,21 @@ class TestPlot:
         assert len(areas) == 2
         assert areas[1] / areas[0] == pytest.approx(2.0, rel=0.02)
 
+    def test_one_ulp_interval_drawn_at_its_own_rate(self):
+        # the midpoint of [x, nextafter(x)) rounds onto its right edge; the
+        # stacked area must still show the interval's own rate
+        x = 1.0 + 2.0 ** -52
+        narrow = core.StepFunction([0.0, x, np.nextafter(x, 2.0), 2.0], [0.2, 0.7, 0.3])
+        wide = core.StepFunction([0.0, 0.5, 1.0, 2.0], [0.2, 0.7, 0.3])
+        sched = core.Schedule([narrow])
+        assert json.loads(core.schedule_to_json(sched))["assignments"] == [[0.2, 0.7, 0.3]]
+
+        def heights(s):
+            (poly,) = re.findall(r'<polygon points="([^"]+)"', cli.render_svg(core.JobSet(), s))
+            return {pair.split(",")[1] for pair in poly.split()}
+
+        assert heights(sched) == heights(core.Schedule([wide]))
+
 
 class TestUsage:
     def test_main_is_reentrant(self, workdir, capsys):

@@ -154,26 +154,29 @@ class TestWaterfillStep:
                 usage = usage + out.assignment
 
     def test_level_matches_the_candidate_scan_at_candidate_volumes(self):
-        # a volume equal to the direct sum at a candidate level is where the
-        # prefix sums can round to the other side of the bracket
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            k = int(rng.integers(1, 12))
-            edges = np.append(0.0, np.cumsum(rng.uniform(0.05, 2.0, k)))
-            usage = StepFunction(edges, np.sort(rng.uniform(0.0, 1.0, k))[::-1])
-            r = float(rng.uniform(0.05, 1.0))
-            deadline = float(edges[-1] * rng.uniform(0.5, 2.0))
-            _, widths, lv = core._pieces_before(usage, deadline)
-            cands = np.unique(np.concatenate([lv, lv + r, [1.0]]))
-            cands = cands[cands <= 1.0]
-            h = cands[int(rng.integers(0, cands.size))]
-            v = float(np.dot(widths, np.minimum(r, np.maximum(h - lv, 0.0))))
-            if v <= 0.0:
-                continue
-            job = Job(v, r)
-            out = waterfill_step(usage, job, deadline)
-            _, _, level = scan_level(usage, job, deadline)
-            assert out.ok and out.level == level
+        # a volume equal to the direct sum at a candidate level is the boundary
+        # the search must hit: that candidate is sufficient, the one below is
+        # not.  Staircase usages, and the same levels unsorted.
+        for staircase in (True, False):
+            rng = np.random.default_rng(5)
+            for _ in range(300):
+                k = int(rng.integers(1, 12))
+                edges = np.append(0.0, np.cumsum(rng.uniform(0.05, 2.0, k)))
+                heights = rng.uniform(0.0, 1.0, k)
+                usage = StepFunction(edges, np.sort(heights)[::-1] if staircase else heights)
+                r = float(rng.uniform(0.05, 1.0))
+                deadline = float(edges[-1] * rng.uniform(0.5, 2.0))
+                _, widths, lv = core._pieces_before(usage, deadline)
+                cands = np.unique(np.concatenate([lv, lv + r, [1.0]]))
+                cands = cands[cands <= 1.0]
+                h = cands[int(rng.integers(0, cands.size))]
+                v = float(np.dot(widths, np.minimum(r, np.maximum(h - lv, 0.0))))
+                if v <= 0.0:
+                    continue
+                job = Job(v, r)
+                out = waterfill_step(usage, job, deadline)
+                _, _, level = scan_level(usage, job, deadline)
+                assert out.ok and out.level == level
 
     def test_staircase_preserved(self):
         # nonincreasing total usage stays nonincreasing after each pour
