@@ -3,14 +3,11 @@
 Job j has the priority line ``d_j(t) = alpha_j - t / v_j``.  At each instant
 the jobs with positive priority are packed in descending priority under the
 unit resource, each taking min(r_j, capacity left), ties going to the larger
-volume.  The packing can change only at a breakpoint: a line zero
-``alpha_j * v_j`` or a pairwise line crossing at positive time.  The capacity
-price gamma and the cap prices beta are read off the same packing.
-
-``breakpoints``, ``pack`` and ``prices`` are the only copies of these rules;
-``line_volumes``, ``line_structure``, ``linesched`` and ``lp`` all use them.
-Equal volumes need no special case: parallel lines never cross, and the
-packing breaks equal priorities by volume and then by job order.
+volume.  So until its zero ``alpha_j v_j`` job j runs at ``clip(1 - U_j, 0,
+r_j)``, ``U_j`` the requirements of the lines above j's, which changes only
+where a line crosses j's: one sorted row of events per job (``_rows``) is the
+whole rule.  ``breakpoints`` uses the rows' crossing expression, so its grid
+refines every row exactly; ``prices`` reads gamma and beta off the rates.
 """
 
 from __future__ import annotations
@@ -39,24 +36,6 @@ def breakpoints(v, alpha):
     return times[order], a[order], b[order]
 
 
-def pack(d, v, r):
-    """Rates of the priority packing, one column per instant.
-
-    ``d[j, i]`` is job j's priority in column i.  In each column, jobs take
-    min(r_j, capacity left) in descending priority, ties going to the larger
-    volume; jobs with priority <= 0 take nothing.
-    """
-    by_volume = np.argsort(-v, kind="stable")
-    order = by_volume[np.argsort(-d[by_volume], axis=0, kind="stable")]
-    cols = np.arange(d.shape[1])
-    r_sorted = r[order]
-    used = np.zeros_like(r_sorted)
-    np.cumsum(r_sorted[:-1], axis=0, out=used[1:])
-    rates = np.empty_like(r_sorted)
-    rates[order, cols] = np.where(d[order, cols] > 0.0, np.clip(1.0 - used, 0.0, r_sorted), 0.0)
-    return rates
-
-
 def prices(d, rates):
     """Dual prices of a packing: ``(gamma, beta, k)``, one column per instant.
 
@@ -70,40 +49,61 @@ def prices(d, rates):
     return gamma, np.maximum(d - gamma, 0.0), k
 
 
-def _packed(v, r, alpha):
-    """Breakpoints, per-interval rates and volumes of the line schedule."""
-    times, a, b = breakpoints(v, alpha)
-    mid = 0.5 * (times[:-1] + times[1:])
-    rates = pack(alpha[:, None] - mid[None, :] / v[:, None], v, r)
-    return times, a, b, rates, rates @ np.diff(times)
+def _rows(v, r, alpha):
+    """Event rows ``(times, order, ds, rates, vols)``.
+
+    Row j: the crossings of line j in ``(0, alpha_j v_j)``, its zero, then
+    ``inf``; ``order[j, i]`` is the line behind event i, ``ds[j, k] =
+    1 / v_j - 1 / v_k``, and ``rates[j, i]`` j's rate up to event i.
+    """
+    n = v.size
+    idx = np.arange(n)
+    zero = alpha * v
+    ds = 1.0 / v[:, None] - 1.0 / v
+    t = (alpha[:, None] - alpha) / np.where(ds != 0.0, ds, np.inf)  # parallel: t = 0
+    dead = (t <= 0.0) | (t >= zero[:, None])           # the diagonal too
+    # the order just after t = 0: larger intercept, then flatter line, then index
+    first = np.lexsort((idx, -v, -alpha))
+    rank = np.argsort(first)
+    step = np.where(rank < rank[:, None], -r, r)       # line k passes line j
+    step[dead] = 0.0
+    t[dead] = np.inf
+    t[idx, idx] = zero
+    order = np.argsort(t, axis=1)
+    times = t[idx[:, None], order]
+    start = np.zeros(n)                                # U_j just after t = 0
+    start[first[1:]] = np.cumsum(r[first[:-1]])
+    used = np.cumsum(np.column_stack([start, step[idx[:, None], order]]), axis=1)
+    rates = np.clip(1.0 - used, 0.0, np.where(zero > 0.0, r, 0.0)[:, None])
+    rates[:, 1:][times >= zero[:, None]] = 0.0         # ... and 0 from the zero on
+    widths = np.diff(np.minimum(times, zero[:, None]), axis=1, prepend=0.0)
+    return times, order, ds, rates, (rates[:, :-1] * widths).sum(axis=1)
 
 
 def line_volumes(v, r, alpha):
     """Scheduled volume per job for the line schedule of ``alpha``."""
-    return _packed(v, r, alpha)[4]
+    return _rows(v, r, alpha)[4]
 
 
 def line_structure(v, r, alpha):
-    """Full interval structure of the line schedule of ``alpha``.
+    """Volumes of the line schedule of ``alpha`` and their exact Jacobian.
 
-    Returns ``(grid, rates, vols, jac)`` where ``grid`` is the sorted
-    breakpoint vector, ``rates[j, i]`` the constant rate of job j on interval
-    i, ``vols`` the scheduled volumes, and ``jac`` the exact Jacobian
-    d vols / d alpha.  The Jacobian is exact because, for a fixed priority
-    structure, rates are constant and every breakpoint is affine in alpha:
-    a zero of line a moves with velocity v_a, a crossing of lines a and b
-    with velocity +/- v_a v_b / (v_b - v_a).  A breakpoint moving by dt
-    changes each job's volume by dt times its rate drop there.
+    For a fixed priority structure each event is affine in alpha: j's zero
+    moves by ``v_j`` per unit of ``alpha_j``, its crossing with line k by
+    ``1 / ds_jk`` per unit of ``alpha_j`` and ``-1 / ds_jk`` of ``alpha_k``.
+    Moving by dt, an event changes j's volume by dt times j's rate drop there.
     """
-    grid, a, b, rates, vols = _packed(v, r, alpha)
-    # rate just before each breakpoint minus the rate just after it
-    drop = -np.diff(rates, axis=1, prepend=0.0, append=0.0)
-    velocity = np.zeros((grid.size, v.size))
-    zero = np.flatnonzero((a >= 0) & (b < 0))
-    velocity[zero, a[zero]] = v[a[zero]]
-    cross = np.flatnonzero(b >= 0)
-    va, vb = v[a[cross]], v[b[cross]]
-    s = va * vb / (vb - va)
-    velocity[cross, a[cross]] = s
-    velocity[cross, b[cross]] = -s
-    return grid, rates, vols, drop @ velocity
+    idx = np.arange(v.size)
+    _, order, ds, rates, vols = _rows(v, r, alpha)
+    drop = np.empty_like(ds)                           # rate before minus after
+    drop[idx[:, None], order] = rates[:, :-1] - rates[:, 1:]
+    per_ds = np.divide(drop, ds, out=np.zeros_like(ds), where=ds != 0.0)
+    return vols, np.diag(per_ds.sum(axis=1) + drop[idx, idx] * v) - per_ds
+
+
+def rates_at(v, r, alpha, times):
+    """Each job's rate on ``[t, next event)`` for each t in ``times``: at a
+    crossing, the order just after it (the flatter line first)."""
+    events, _, _, rates, _ = _rows(v, r, alpha)
+    return np.stack([rates[j, np.searchsorted(events[j], times, side="right")]
+                     for j in range(v.size)])

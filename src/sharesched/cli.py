@@ -93,8 +93,7 @@ def _ratio(objective: float, bound: float | None):
 
 
 def run_algorithm(algo: str, jobs: JobSet, *, ratio: float, eps: float,
-                  kappa: float, slot_width: float | None, vol_tol: float,
-                  use_exact_ls: bool):
+                  slot_width: float | None, vol_tol: float, use_exact_ls: bool):
     """Execute one algorithm; returns (schedule, extras dict).
 
     Raises RuntimeError subclasses on algorithm failure (water-fill failure
@@ -120,7 +119,7 @@ def run_algorithm(algo: str, jobs: JobSet, *, ratio: float, eps: float,
         extras["fractional_optimum"] = quantities.primal_cost
         extras["vol_tol"] = vol_tol
     elif algo == "lsapprox":
-        params = tct.LsApproxParams(eps, kappa, slot_width=slot_width)
+        params = tct.LsApproxParams(eps, slot_width=slot_width)
         sched, info = tct.lsapprox_report(jobs, params)
         extras["epsilon"] = eps
         extras["mu"] = info.mu
@@ -132,7 +131,7 @@ def run_algorithm(algo: str, jobs: JobSet, *, ratio: float, eps: float,
         extras["lp_pivots"] = info.lp_pivots
         extras["lp_blocks"] = info.lp_blocks
     elif algo == "best":
-        params = tct.LsApproxParams(eps, kappa, slot_width=slot_width)
+        params = tct.LsApproxParams(eps, slot_width=slot_width)
         sched, report = tct.best_schedule(jobs, params, use_exact_ls=use_exact_ls)
         extras["chosen"] = report.chosen
         extras["greedy_cost"] = report.greedy_cost
@@ -200,7 +199,7 @@ def _cmd_run(args) -> int:
     t0 = time.perf_counter()
     try:
         sched, extras = run_algorithm(
-            args.algo, jobs, ratio=args.c, eps=args.eps, kappa=args.kappa,
+            args.algo, jobs, ratio=args.c, eps=args.eps,
             slot_width=args.delta, vol_tol=args.vol_tol,
             use_exact_ls=not args.lp_ls,
         )
@@ -271,7 +270,7 @@ def _cmd_compare(args) -> int:
             t0 = time.perf_counter()
             try:
                 sched, extras = run_algorithm(
-                    algo, jobs, ratio=args.c, eps=args.eps, kappa=args.kappa,
+                    algo, jobs, ratio=args.c, eps=args.eps,
                     slot_width=args.delta, vol_tol=args.vol_tol,
                     use_exact_ls=not args.lp_ls,
                 )
@@ -431,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     algo_opts.add_argument("--c", type=float, default=mk.COMPETITIVE_RATIO,
                            help="water-fill competitive target ratio")
     algo_opts.add_argument("--eps", type=float, default=0.5)
-    algo_opts.add_argument("--kappa", type=float, default=0.05)
     algo_opts.add_argument("--delta", type=float, default=None, help="LP slot width")
     algo_opts.add_argument("--vol-tol", type=float, default=core.DEFAULT_TOL)
     algo_opts.add_argument("--lp-ls", action="store_true",

@@ -131,11 +131,8 @@ def build_line_schedule(jobs: JobSet, alpha) -> LineSchedule:
     if n == 0:
         return LineSchedule(Schedule.empty(0), a, (), PiecewiseLinear.zero(),
                             np.zeros(0), np.array([0.0]), np.zeros(0))
-    grid, rates, vols, _ = _kernel.line_structure(v, r, a)
-    # coinciding breakpoints leave zero-width intervals, which carry nothing
-    keep = np.concatenate([[True], np.diff(grid) > 0.0])
-    grid = grid[keep]
-    rates = rates[:, keep[1:]]
+    grid = np.unique(_kernel.breakpoints(v, a)[0])
+    rates = _kernel.rates_at(v, r, a, grid[:-1])
     m = grid.size - 1
     assignments = [StepFunction(grid, rates[j]) if m else StepFunction.zero() for j in range(n)]
 
@@ -153,7 +150,7 @@ def build_line_schedule(jobs: JobSet, alpha) -> LineSchedule:
         PiecewiseLinear(grid, beta_start[j], beta_slope[j]) if m else PiecewiseLinear.zero()
         for j in range(n)
     )
-    return LineSchedule(Schedule(assignments), a, beta, gamma, vols, grid, v)
+    return LineSchedule(Schedule(assignments), a, beta, gamma, rates @ np.diff(grid), grid, v)
 
 
 def solve_alpha(jobs: JobSet, targets=None, vol_tol: float = DEFAULT_TOL,
@@ -211,7 +208,7 @@ def solve_alpha(jobs: JobSet, targets=None, vol_tol: float = DEFAULT_TOL,
     order = np.argsort(v, kind="stable")
     alpha = np.empty(n)
     alpha[order] = np.cumsum(tau[order] / r[order]) / v[order]
-    _, _, vols, jac = _kernel.line_structure(v, r, alpha)
+    vols, jac = _kernel.line_structure(v, r, alpha)
     packings = 1
     for iteration in range(max_iters + 1):
         grad = tau - vols
@@ -232,7 +229,7 @@ def solve_alpha(jobs: JobSet, targets=None, vol_tol: float = DEFAULT_TOL,
             trial = np.maximum(alpha + step * delta, 0.0)
             if np.array_equal(trial, alpha):
                 raise ConvergenceError(residual, iteration, packings)
-            _, _, vols, jac = _kernel.line_structure(v, r, trial)
+            vols, jac = _kernel.line_structure(v, r, trial)
             packings += 1
             if (tau - vols) @ (trial - alpha) >= 0.0:
                 break

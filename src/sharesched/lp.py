@@ -343,8 +343,9 @@ def _slot_duals(inst: LpInstance, alpha: np.ndarray):
     packing's prices.  Returns (gamma, beta, per-slot best gain * width).
     """
     v = inst.jobs.volumes()
-    gains = alpha[:, None] - inst.slot_midpoints()[None, :] / v[:, None]   # (n, I)
-    rates = _kernel.pack(gains, v, inst.jobs.requirements())
+    mid = inst.slot_midpoints()
+    gains = alpha[:, None] - mid[None, :] / v[:, None]   # (n, I)
+    rates = _kernel.rates_at(v, inst.jobs.requirements(), alpha, mid)
     gamma, beta, _ = _kernel.prices(gains, rates)
     return gamma, beta, (rates * gains).sum(axis=0) * inst.slot_width
 

@@ -141,30 +141,31 @@ def subdivide(jobs: JobSet, mu: float) -> Subdivision:
                        frozenset(long_heavy), mu)
 
 
+#: the subdivision threshold ``mu`` as a share of epsilon
+KAPPA = 0.05
+
+
 @dataclass(frozen=True)
 class LsApproxParams:
     """Accuracy knobs for the approximation pipeline.
 
-    ``mu`` is kappa * epsilon rounded down so that 1/mu is an integer (and
-    at least 2, keeping mu < 1).  The LP runs on the horizon n * p_max;
+    ``mu`` is ``KAPPA * epsilon`` rounded down so that 1/mu is an integer
+    (and at least 2, keeping mu < 1).  The LP runs on the horizon n * p_max;
     ``slot_width`` overrides its default slot width, horizon / ``lp.SLOTS``.
     """
 
     epsilon: float
-    kappa: float = 0.05
     slot_width: float | None = None
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
             raise ContractError("epsilon must be positive")
-        if not self.kappa > 0.0:
-            raise ContractError("kappa must be positive")
         if self.slot_width is not None and not self.slot_width > 0.0:
             raise ContractError("slot width must be positive")
 
     @property
     def mu(self) -> float:
-        return 1.0 / max(2, math.ceil(1.0 / (self.kappa * self.epsilon)))
+        return 1.0 / max(2, math.ceil(1.0 / (KAPPA * self.epsilon)))
 
 
 class PipelineError(RuntimeError):

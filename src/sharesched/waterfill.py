@@ -145,8 +145,8 @@ def waterfill_online(jobs: JobSet, ratio: float = COMPETITIVE_RATIO) -> OnlineRu
     not an exception: the run stops at the first job whose volume does not
     fit and records its index and deficit.
     """
-    if ratio < 1.0:
-        raise ContractError("competitive ratio must be at least 1")
+    if not (ratio >= 1.0 and math.isfinite(ratio)):
+        raise ContractError(f"competitive ratio must be at least 1 and finite, got {ratio}")
     usage = StepFunction.zero()
     assignments: list[StepFunction] = []
     targets: list[float] = []
@@ -297,8 +297,8 @@ def extendability_check(sched: Schedule, jobs: JobSet, ratio: float,
     end of the range, at V/p_max, or where the slopes meet below V/p_max:
     at y* = sqrt((ratio-1) V / S).  Exactly those heights are checked.
     """
-    if ratio <= 1.0:
-        raise ContractError("ratio must exceed 1")
+    if not (ratio > 1.0 and math.isfinite(ratio)):
+        raise ContractError(f"ratio must exceed 1 and be finite, got {ratio}")
     total = jobs.total_volume()
     p_max = jobs.max_processing_time()
     usage = sched.total_usage()

@@ -137,7 +137,7 @@ class TestRun:
     @pytest.mark.parametrize("algo, flags, cause", [
         ("waterfill", ["--c", "0.5"], "competitive ratio must be at least 1"),
         ("lsapprox", ["--eps", "0"], "epsilon must be positive"),
-        ("lsapprox", ["--kappa", "nan"], "kappa must be positive"),
+        ("waterfill", ["--c", "inf"], "competitive ratio must be at least 1 and finite, got inf"),
         ("lsapprox", ["--delta", "-1"], "slot width must be positive"),
         ("best", ["--lp-ls", "--delta", "0"], "slot width must be positive"),
         ("ls", ["--vol-tol", "0"], "vol_tol must be positive"),
@@ -146,6 +146,7 @@ class TestRun:
         # 0.4 does not divide the LP horizon 3 * 9 = 27
         ("lsapprox", ["--delta", "0.4"], "slot width must divide the horizon"),
         ("best", ["--lp-ls", "--delta", "0.4"], "slot width must divide the horizon"),
+        ("waterfill", ["--c", "nan"], "competitive ratio must be at least 1 and finite, got nan"),
     ])
     def test_bad_parameter_values_exit_2(self, workdir, capsys, algo, flags, cause):
         # a value out of range is a usage error (2), not an algorithm failure (3)
@@ -206,6 +207,19 @@ class TestVerify:
         assert main(["verify", "--instance", str(inst), "--schedule", str(flat),
                      "--ratio", str(c)]) == 0
         assert json.loads(capsys.readouterr().out)["extendable"] is False
+
+    @pytest.mark.parametrize("ratio", ["nan", "inf"])
+    def test_non_finite_ratio_exits_2(self, workdir, tmp_path, capsys, ratio):
+        # no height lies in [(ratio - 1) / ratio, 1], and nothing checked passed
+        sched_path = tmp_path / "wf.json"
+        assert main(["run", "waterfill", "--input", str(workdir / "three.json"),
+                     "--schedule-out", str(sched_path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--instance", str(workdir / "three.json"),
+                     "--schedule", str(sched_path), "--ratio", ratio]) == 2
+        captured = capsys.readouterr()
+        assert f"ratio must exceed 1 and be finite, got {ratio}" in captured.err
+        assert captured.out == ""
 
     def test_infeasible_schedule_exits_4(self, tmp_path, capsys):
         inst = tmp_path / "i.json"

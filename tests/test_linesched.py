@@ -140,14 +140,14 @@ class TestSolveAlpha:
 
     @staticmethod
     def _record_packings(monkeypatch):
-        """Record every alpha that ``_kernel._packed`` packs."""
-        packed, pack = [], _kernel._packed
+        """Record every alpha that ``_kernel._rows`` packs."""
+        packed, rows = [], _kernel._rows
 
         def record(v, r, alpha):
             packed.append(alpha.tobytes())
-            return pack(v, r, alpha)
+            return rows(v, r, alpha)
 
-        monkeypatch.setattr(_kernel, "_packed", record)
+        monkeypatch.setattr(_kernel, "_rows", record)
         return packed
 
     @pytest.mark.parametrize("n", [3, 6, 8])

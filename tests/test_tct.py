@@ -206,7 +206,7 @@ class TestSubdivide:
 class TestLsApproxParams:
     def test_mu_rounding(self):
         assert LsApproxParams(0.5).mu == pytest.approx(1.0 / 40.0)
-        assert LsApproxParams(1.0, kappa=0.05).mu == pytest.approx(1.0 / 20.0)
+        assert LsApproxParams(1.0).mu == pytest.approx(1.0 / 20.0)
         # 1/mu integral and mu < 1 even for generous epsilon
         p = LsApproxParams(100.0)
         assert p.mu == 0.5
@@ -217,8 +217,6 @@ class TestLsApproxParams:
         for bad in (0.0, -1.0, float("nan")):
             with pytest.raises(ContractError, match="epsilon must be positive"):
                 LsApproxParams(bad)
-            with pytest.raises(ContractError, match="kappa must be positive"):
-                LsApproxParams(0.5, kappa=bad)
             with pytest.raises(ContractError, match="slot width must be positive"):
                 LsApproxParams(0.5, slot_width=bad)
 
