@@ -31,7 +31,8 @@ class Job:
 
     ``volume`` is in resource x time units and must be positive.
     ``requirement`` lies in (0, 1]; a zero requirement is rejected because a
-    positive-volume job could then never finish.
+    positive-volume job could then never finish.  The processing time
+    ``volume / requirement`` must be finite as well.
     """
 
     volume: float
@@ -43,6 +44,8 @@ class Job:
             raise ContractError(f"volume must be positive and finite, got {self.volume!r}")
         if not (math.isfinite(r) and 0.0 < r <= 1.0):
             raise ContractError(f"requirement must lie in (0, 1], got {self.requirement!r}")
+        if not math.isfinite(v / r):
+            raise ContractError(f"processing time volume / requirement must be finite, got {v!r} / {r!r}")
         object.__setattr__(self, "volume", v)
         object.__setattr__(self, "requirement", r)
 
@@ -126,12 +129,11 @@ class StepFunction:
         v = np.asarray(values, dtype=float)
         if e.ndim != 1 or v.ndim != 1 or e.size != v.size + 1:
             raise ContractError("need len(edges) == len(values) + 1")
-        if e.size == 0 or e[0] != 0.0:
-            raise ContractError("edges must start at 0")
-        if not np.isfinite(e).all() or not np.isfinite(v).all():
-            raise ContractError("edges and values must be finite")
-        if (np.diff(e) <= 0.0).any():
-            raise ContractError("edges must be strictly increasing")
+        # edges that start at 0, increase strictly and end below inf are all
+        # finite, and a NaN edge fails the comparison
+        if not (e[0] == 0.0 and e[-1] < math.inf and (e[1:] > e[:-1]).all()
+                and np.isfinite(v).all()):
+            raise ContractError(_fault(e, v))
         e, v = _canonical(e, v)
         object.__setattr__(self, "edges", e)
         object.__setattr__(self, "values", v)
@@ -169,7 +171,7 @@ class StepFunction:
         return float(self.edges[-1]) if self.values.size else 0.0
 
     def widths(self) -> np.ndarray:
-        return np.diff(self.edges)
+        return self.edges[1:] - self.edges[:-1]
 
     def integral(self) -> float:
         return float(np.dot(self.values, self.widths())) if self.values.size else 0.0
@@ -214,12 +216,20 @@ class StepFunction:
         return f"StepFunction(edges={self.edges.tolist()}, values={self.values.tolist()})"
 
 
+def _fault(e: np.ndarray, v: np.ndarray) -> str:
+    """Why edges ``e`` and values ``v`` make no step function."""
+    if e[0] != 0.0:
+        return "edges must start at 0"
+    if not (np.isfinite(e).all() and np.isfinite(v).all()):
+        return "edges and values must be finite"
+    return "edges must be strictly increasing"
+
+
 def _canonical(e: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # merge equal adjacent values
-    if v.size:
-        keep = np.empty(v.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(v[1:], v[:-1], out=keep[1:])
+    differ = v[1:] != v[:-1]
+    if not differ.all():
+        keep = np.concatenate(((True,), differ))
         e = np.concatenate((e[:-1][keep], e[-1:]))
         v = v[keep]
     # trim zero tail
@@ -233,12 +243,12 @@ def _canonical(e: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _pieces_before(f: StepFunction, C: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edges, widths and values of ``f`` on [0, C), zero-padded up to C."""
-    cut = int(np.searchsorted(f.edges, C, side="left"))
-    edges = np.append(f.edges[:cut], C)
-    values = f.values[: edges.size - 1]
-    if values.size < edges.size - 1:
-        values = np.append(values, np.zeros(edges.size - 1 - values.size))
-    return edges, np.diff(edges), values
+    cut = int(f.edges.searchsorted(C, side="left"))
+    edges = np.concatenate((f.edges[:cut], (C,)))
+    values = f.values[:cut]
+    if values.size < cut:   # C lies past the support: one zero piece up to it
+        values = np.concatenate((values, (0.0,)))
+    return edges, edges[1:] - edges[:-1], values
 
 
 def sum_steps(fns: Sequence[StepFunction]) -> StepFunction:
@@ -246,16 +256,21 @@ def sum_steps(fns: Sequence[StepFunction]) -> StepFunction:
 
     The grid refines every operand, so each operand's value on a grid
     interval is the value of its piece that starts at or before the
-    interval's left end, gathered in one ``searchsorted``.
+    interval's left end, gathered in one ``searchsorted``.  A single
+    non-zero operand is its own sum: step functions are immutable.
     """
     fns = [f for f in fns if f.values.size]
     if not fns:
         return StepFunction.zero()
-    grid = np.unique(np.concatenate([f.edges for f in fns]))
+    if len(fns) == 1:
+        return fns[0]
+    grid = np.concatenate([f.edges for f in fns])
+    grid.sort()
+    grid = grid[np.concatenate(((True,), grid[1:] != grid[:-1]))]
     left = grid[:-1]
     total = np.zeros(left.size)
     for f in fns:
-        total += np.append(f.values, 0.0)[np.searchsorted(f.edges, left, side="right") - 1]
+        total += np.concatenate((f.values, (0.0,)))[f.edges.searchsorted(left, side="right") - 1]
     return StepFunction(grid, total)
 
 
@@ -491,10 +506,18 @@ def jobs_to_json(jobs: JobSet) -> str:
     return _dump({"jobs": [{"v": j.volume, "r": j.requirement} for j in jobs]}) + "\n"
 
 
+def _number(x, name: str) -> float:
+    """A JSON number as a float; booleans and strings are refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ContractError(f"{name} must be a JSON number, got {json.dumps(x)}")
+    return float(x)
+
+
 def jobs_from_json(text: str) -> JobSet:
     try:
-        return JobSet(Job(rec["v"], rec["r"]) for rec in json.loads(text)["jobs"])
-    except (KeyError, TypeError, ValueError) as exc:
+        return JobSet(Job(_number(rec["v"], '"v"'), _number(rec["r"], '"r"'))
+                      for rec in json.loads(text)["jobs"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ContractError(f"malformed instance JSON: {exc}") from exc
 
 
@@ -514,14 +537,14 @@ def schedule_to_json(sched: Schedule) -> str:
 def schedule_from_json(text: str) -> Schedule:
     try:
         data = json.loads(text)
-        grid = [float(t) for t in data["breakpoints"]]
+        grid = [_number(t, '"breakpoints"') for t in data["breakpoints"]]
         if not grid or grid[0] != 0.0:
             raise ContractError("breakpoints must start at 0")
         assignments = []
         for row in data["assignments"]:
             if len(row) != len(grid) - 1:
                 raise ContractError("assignment row length must be len(breakpoints) - 1")
-            assignments.append(StepFunction(grid, [float(x) for x in row]))
-    except (KeyError, TypeError, ValueError) as exc:
+            assignments.append(StepFunction(grid, [_number(x, '"assignments"') for x in row]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ContractError(f"malformed schedule JSON: {exc}") from exc
     return Schedule(assignments)

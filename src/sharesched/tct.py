@@ -50,14 +50,14 @@ def greedy(jobs: JobSet) -> Schedule:
     for j in order:
         v, r = jobs[j].volume, jobs[j].requirement
         caps = np.minimum(r, np.maximum(1.0 - usage.values, 0.0))
-        filled = np.cumsum(caps * usage.widths())
-        k = int(np.searchsorted(filled, v, side="left"))   # first interval reaching v
+        filled = (caps * usage.widths()).cumsum()
+        k = int(filled.searchsorted(v, side="left"))   # first interval reaching v
         before = float(filled[k - 1]) if k else 0.0
         if k < filled.size:
             rates, t_done = caps[: k + 1], usage.edges[k] + (v - before) / caps[k]
         else:   # the rest runs at full requirement after the usage ends
-            rates, t_done = np.append(caps, r), usage.support_end + (v - before) / r
-        edges = np.append(usage.edges[: rates.size], t_done)
+            rates, t_done = np.concatenate((caps, (r,))), usage.support_end + (v - before) / r
+        edges = np.concatenate((usage.edges[: rates.size], (t_done,)))
         if t_done <= edges[-2]:   # what is left is below rounding: end at the last edge
             edges, rates = edges[:-1], rates[:-1]
         assignments[j] = StepFunction(edges, rates)

@@ -81,6 +81,8 @@ def waterfill_step(usage: StepFunction, job: Job, deadline: float) -> WaterfillO
     is monotone, and the terms are added in the same order at every h.  So
     the bisection lands on the candidate that a scan in order finds, and
     the level is interpolated from the direct sums at it and the one before.
+    The bisection has taken both sums: it moved its lower bound past the
+    one before and its upper bound onto the one it found.
     """
     if deadline < 0.0:
         raise ContractError("deadline must be nonnegative")
@@ -89,23 +91,26 @@ def waterfill_step(usage: StepFunction, job: Job, deadline: float) -> WaterfillO
     edges, widths, levels = _pieces_before(usage, deadline)
     r, v = job.requirement, job.volume
 
+    taken: dict[float, float] = {}      # each direct sum, by level
+
     def volume_below(h: float) -> float:
-        return float(np.dot(widths, np.minimum(r, np.maximum(h - levels, 0.0))))
+        taken[h] = float(np.dot(widths, np.minimum(r, np.maximum(h - levels, 0.0))))
+        return taken[h]
 
     capacity = volume_below(1.0)
     if capacity < v - DEFAULT_TOL * max(1.0, v):
         return WaterfillOutcome(ok=False, deficit=v - capacity)
     level = 1.0     # kept when the capacity falls short of v within the tolerance
     if capacity >= v:
-        cands = np.unique(np.concatenate((levels, levels + r, (0.0, 1.0))))
-        cands = cands[np.searchsorted(cands, 0.0):np.searchsorted(cands, 1.0, side="right")]
+        cands = np.concatenate((levels, levels + r, (0.0, 1.0)))
+        cands = np.unique(cands[(cands >= 0.0) & (cands <= 1.0)])
         # the last candidate is 1.0, whose volume reaches v, so i < cands.size
         i = bisect.bisect_left(cands, v, key=volume_below)
         if i == 0:      # reachable when a caller's usage has negative levels
             level = float(cands[0])
         else:
             prev_h, h = cands[i - 1], cands[i]
-            prev_vol, val = volume_below(prev_h), volume_below(h)
+            prev_vol, val = taken[prev_h], taken[h]
             level = float(prev_h + (v - prev_vol) * (h - prev_h) / (val - prev_vol))
     rates = np.minimum(r, np.maximum(level - levels, 0.0))
     return WaterfillOutcome(ok=True, assignment=StepFunction(edges, rates), level=level)

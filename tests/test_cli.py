@@ -167,6 +167,23 @@ class TestRun:
         assert rec["validation"]["feasible"] is True
         assert rec["parameters"]["chosen"] == "greedy"
 
+    @pytest.mark.parametrize("algo", ["greedy", "best", "waterfill", "ls"])
+    def test_overflowing_processing_time_exits_2(self, tmp_path, capsys, algo):
+        # greedy and best once named the wrong cause here, and water-filling
+        # and ls overflowed into a RuntimeWarning
+        inst = tmp_path / "overflow.json"
+        inst.write_text('{"jobs": [{"v": 1e300, "r": 1e-10}, {"v": 1, "r": 0.5}]}\n')
+        assert main(["run", algo, "--input", str(inst)]) == 2
+        captured = capsys.readouterr()
+        assert "processing time" in captured.err and captured.out == ""
+
+    def test_json_booleans_and_strings_exit_2(self, tmp_path, capsys):
+        inst = tmp_path / "coerced.json"
+        inst.write_text('{"jobs": [{"v": true, "r": "0.5"}]}\n')
+        assert main(["run", "greedy", "--input", str(inst)]) == 2
+        captured = capsys.readouterr()
+        assert '"v" must be a JSON number' in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("algo", ["greedy", "best"])
     def test_greedy_one_ulp_overlap_instance_is_feasible(self, tmp_path, capsys, algo):
         # greedy once ran job 1 at 0.99 beside jobs 2 and 3 on

@@ -23,7 +23,9 @@ from sharesched import (
     upper_resource_distribution,
     validate_schedule,
 )
-from sharesched.tct import greedy
+from sharesched import core
+from sharesched.tct import greedy, ls_exact
+from sharesched.waterfill import adversarial_instance, waterfill_online
 
 from conftest import left_end_sum, random_instance
 
@@ -54,6 +56,12 @@ class TestJob:
         with pytest.raises(ContractError):
             Job(v, r)
 
+    @pytest.mark.parametrize("algo", [greedy, waterfill_online, ls_exact])
+    def test_rejects_an_overflowing_processing_time(self, algo):
+        # 1e300 / 1e-10 is inf: no algorithm may see such a job
+        with pytest.raises(ContractError, match="processing time"):
+            algo(JobSet.of([(1e300, 1e-10), (1.0, 0.5)]))
+
 
 class TestStepFunction:
     def test_basic_shape_checks(self):
@@ -63,6 +71,25 @@ class TestStepFunction:
             StepFunction([1.0, 2.0], [1.0])
         with pytest.raises(ContractError):
             StepFunction([0.0, 1.0, 1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("edges,values,cause", [
+        ([1.0, 2.0], [1.0], "edges must start at 0"),
+        ([math.nan, 1.0], [1.0], "edges must start at 0"),
+        ([0.0, math.nan, 2.0], [1.0, 0.5], "edges and values must be finite"),
+        ([0.0, 1.0, math.inf], [1.0, 0.5], "edges and values must be finite"),
+        ([0.0, 1.0, 1.0], [1.0, 0.5], "edges must be strictly increasing"),
+        ([0.0, 2.0, 1.0], [1.0, 0.5], "edges must be strictly increasing"),
+        ([0.0, 1.0], [math.nan], "edges and values must be finite"),
+        ([0.0, 1.0], [math.inf], "edges and values must be finite"),
+        ([0.0, 1.0], [1.0, 0.5], "need len(edges) == len(values) + 1"),
+        # with two faults, the first in this order is named
+        ([1.0, 2.0], [math.nan], "edges must start at 0"),
+        ([0.0, 2.0, 1.0], [math.inf, 0.5], "edges and values must be finite"),
+    ])
+    def test_each_invalid_class_names_its_cause(self, edges, values, cause):
+        with pytest.raises(ContractError) as info:
+            StepFunction(edges, values)
+        assert str(info.value) == cause
 
     def test_canonical_roundtrip_random(self):
         # merging equal adjacent values must not change any evaluation
@@ -152,6 +179,19 @@ class TestStepFunction:
             got, want = sum_steps(fns), left_end_sum(fns)
             assert np.array_equal(got.edges, want.edges)
             assert np.array_equal(got.values, want.values)
+
+    def test_sum_steps_matches_left_end_sum_on_greedy_folds(self, monkeypatch):
+        # every (usage, assignment) pair that greedy adds, bit for bit
+        pairs = []
+        real = core.sum_steps
+        monkeypatch.setattr(core, "sum_steps", lambda fns: pairs.append(fns) or real(fns))
+        for jobs in [random_instance(seed, 30) for seed in range(20)] + [adversarial_instance(120)]:
+            greedy(jobs)
+        assert len(pairs) > 120
+        for fns in pairs:
+            got, want = real(fns), left_end_sum(fns)
+            assert got.edges.tobytes() == want.edges.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestPiecewiseLinear:
@@ -341,3 +381,31 @@ class TestJson:
             jobs_from_json('{"jobs": [{"v": "abc", "r": 0.5}]}')
         with pytest.raises(ContractError):
             schedule_from_json('{"breakpoints": [0.0, 1.0], "assignments": [0.5]}')
+
+    @pytest.mark.parametrize("text,field", [
+        ('{"jobs": [{"v": true, "r": 0.5}]}', '"v" must be a JSON number, got true'),
+        ('{"jobs": [{"v": 1, "r": "0.5"}]}', '"r" must be a JSON number, got "0.5"'),
+        ('{"jobs": [{"v": 1, "r": false}]}', '"r" must be a JSON number, got false'),
+        ('{"jobs": [{"v": null, "r": 0.5}]}', '"v" must be a JSON number, got null'),
+    ])
+    def test_instance_fields_must_be_json_numbers(self, text, field):
+        with pytest.raises(ContractError) as info:
+            jobs_from_json(text)
+        assert str(info.value) == f"malformed instance JSON: {field}"
+
+    @pytest.mark.parametrize("text,field", [
+        ('{"breakpoints": [0, true], "assignments": [[0.5]]}', '"breakpoints" must be a JSON number, got true'),
+        ('{"breakpoints": ["0", 1], "assignments": [[0.5]]}', '"breakpoints" must be a JSON number, got "0"'),
+        ('{"breakpoints": [0, 1], "assignments": [[true]]}', '"assignments" must be a JSON number, got true'),
+        ('{"breakpoints": [0, 1], "assignments": [["0.5"]]}', '"assignments" must be a JSON number, got "0.5"'),
+    ])
+    def test_schedule_entries_must_be_json_numbers(self, text, field):
+        with pytest.raises(ContractError) as info:
+            schedule_from_json(text)
+        assert str(info.value) == f"malformed schedule JSON: {field}"
+        # the same numbers as JSON numbers read fine
+        assert schedule_from_json('{"breakpoints": [0, 1], "assignments": [[0.5]]}').n_jobs == 1
+
+    def test_integers_too_large_for_a_float_are_malformed(self):
+        with pytest.raises(ContractError, match="malformed instance JSON"):
+            jobs_from_json('{"jobs": [{"v": 1' + "0" * 400 + ', "r": 0.5}]}')

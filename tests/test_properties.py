@@ -1,5 +1,5 @@
-"""Property tests for greedy, online water-filling, exact line schedules and
-the slot LP.
+"""Property tests for greedy, online water-filling, exact line schedules,
+``best_schedule`` and the slot LP.
 
 The examples are derandomized and kept few, so the suite stays fast and
 writes no example database.
@@ -152,6 +152,16 @@ def test_ls_exact_is_valid_and_meets_strong_duality(jobs):
         q.primal_cost + q.requirement_penalty + q.capacity_penalty, rel=1e-6)
     assert q.primal_cost == pytest.approx(
         q.requirement_penalty + q.capacity_penalty, rel=1e-6)
+
+
+@PROPERTY_SETTINGS
+@given(solvable)
+def test_best_schedule_is_valid_and_within_three_halves_of_its_bound(jobs):
+    sched, report = best_schedule(jobs)
+    assert validate_schedule(jobs, sched).feasible
+    cost = total_completion_time(jobs, sched)
+    assert cost == min(c for c in (report.greedy_cost, report.line_cost) if c is not None)
+    assert cost <= 1.5 * report.bounds.best
 
 
 @PROPERTY_SETTINGS
