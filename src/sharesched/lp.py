@@ -44,7 +44,7 @@ class SlotWidthError(ContractError):
 
 #: consecutive degenerate pivots after which pricing switches to Bland's rule
 STALL_SWITCH = 60
-#: pivots after which ``dense_simplex`` raises SimplexError
+#: most pivots one ``dense_simplex`` call makes; it raises SimplexError past them
 MAX_PIVOTS = 500_000
 #: relative certificate gap at which ``solve_lp`` accepts a block optimum
 CERTIFICATE_TOL = 1e-9
@@ -112,9 +112,17 @@ def dense_simplex(c, A, b, upper):
     bounds (``_crash``).  A pivot updates only the rows where the entering
     column is nonzero.
 
-    Entering variables are priced by the largest reduced cost, switching
-    permanently to Bland's smallest-index rule after ``STALL_SWITCH``
-    consecutive degenerate pivots, which keeps the anti-cycling guarantee.  Returns
+    Each column carries a sign: +1 at its lower bound, -1 at its upper
+    bound, 0 when basic or banned.  A column is a candidate when its signed
+    reduced cost is below -1e-9.  Entering variables are priced by the
+    largest reduced cost (the least signed one, first index on ties),
+    switching permanently to Bland's smallest-index rule after
+    ``STALL_SWITCH`` consecutive degenerate pivots, which keeps the
+    anti-cycling guarantee.  The ratio test is one pass over the rows: each
+    row's room to its lower bound (if the entering step lowers it) or to its
+    upper bound (if it raises it), over the step's magnitude; the leaving
+    row is the eligible row with the smallest basic column.  At most
+    ``MAX_PIVOTS`` pivots are made.  Returns
     ``(x, row_duals, reduced_costs, pivot_count)``.
     """
     c = np.asarray(c, dtype=float)
@@ -134,13 +142,14 @@ def dense_simplex(c, A, b, upper):
     basis = np.arange(nvar, ncols)
     slack_rows, slack_cols = _slack_rows(c, upper, cols, rows, vals)
     basis[slack_rows] = slack_cols
-    in_basis = np.zeros(ncols, dtype=bool)
-    in_basis[basis] = True
     banned = np.zeros(ncols, dtype=bool)
     banned[nvar + slack_rows] = True
     art = basis >= nvar
-    at_upper = np.zeros(ncols, dtype=bool)
-    at_upper[_crash(c, upper, cols, rows, vals, xB, art)] = True
+    # +1 at the lower bound, -1 at the upper bound, 0 basic or banned
+    sgn = np.ones(ncols)
+    sgn[basis] = 0.0
+    sgn[banned] = 0.0
+    sgn[_crash(c, upper, cols, rows, vals, xB, art)] = -1.0
     u = np.concatenate([upper, np.full(m, np.inf)])
     pivots = 0
 
@@ -148,60 +157,48 @@ def dense_simplex(c, A, b, upper):
         nonlocal xB, pivots
         degen = 0
         while True:
-            if pivots > MAX_PIVOTS:
-                raise SimplexError("pivot limit exceeded")
-            zm = np.where(in_basis | banned, 0.0, z)
-            cand_lo = (~at_upper) & (zm < -1e-9)
-            cand_up = at_upper & (zm > 1e-9)
-            cand = cand_lo | cand_up
-            if not cand.any():
+            w = sgn * z
+            j = int(w.argmin())
+            if w[j] >= -1e-9:
                 return z
+            if pivots >= MAX_PIVOTS:
+                raise SimplexError(f"pivot limit exceeded after {pivots} pivots")
             if degen > STALL_SWITCH:
-                j = int(np.flatnonzero(cand)[0])
-            else:
-                j = int(np.argmax(np.where(cand, np.abs(zm), -1.0)))
-            from_upper = bool(at_upper[j])
-            dec = -T[:, j] if from_upper else T[:, j].copy()
-            ub = u[basis]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lim0 = np.where(dec > 1e-11,
-                                np.maximum(xB, 0.0) / np.where(dec > 1e-11, dec, 1.0),
-                                np.inf)
-                gap = np.where(np.isfinite(ub), np.maximum(ub - xB, 0.0), np.inf)
-                limU = np.where((dec < -1e-11) & np.isfinite(ub),
-                                gap / np.where(dec < -1e-11, -dec, 1.0),
-                                np.inf)
-            dmin = min(float(lim0.min()), float(limU.min()))
-            delta = min(dmin, float(u[j]))
+                j = int((w < -1e-9).argmax())
+            from_upper = sgn[j] < 0.0
+            dec = -T[:, j] if from_upper else T[:, j]
+            abs_dec = np.abs(dec)
+            room = np.where(dec > 0.0, np.maximum(xB, 0.0), np.maximum(u[basis] - xB, 0.0))
+            lim = np.divide(room, abs_dec, out=np.full(m, np.inf), where=abs_dec > 1e-11)
+            dmin = float(lim.min())
+            uj = float(u[j])
+            delta = min(dmin, uj)
             if not np.isfinite(delta):
                 raise SimplexError("objective unbounded below")
             degen = degen + 1 if delta <= 1e-13 else 0
-            if np.isfinite(u[j]) and u[j] <= dmin:
-                xB -= dec * u[j]
-                at_upper[j] = not from_upper
+            if uj <= dmin:
+                xB -= dec * uj
+                sgn[j] = -sgn[j]
                 pivots += 1
                 continue
-            eligible = np.flatnonzero((lim0 <= delta + 1e-13) | (limU <= delta + 1e-13))
-            rr = int(eligible[np.argmin(basis[eligible])])
-            to_upper = not (lim0[rr] <= delta + 1e-13)
+            rr = int(np.where(lim <= delta + 1e-13, basis, ncols).argmin())
+            to_upper = dec[rr] < 0.0
             leaving = int(basis[rr])
             xB -= dec * delta
-            enter_val = (u[j] - delta) if from_upper else delta
             piv_row = T[rr] / T[rr, j]
             T[rr] = piv_row
             colv = T[:, j].copy()
             colv[rr] = 0.0
             nz = np.flatnonzero(colv)
             T[nz] -= colv[nz, None] * piv_row
-            xB[rr] = enter_val
+            xB[rr] = (uj - delta) if from_upper else delta
             if z[j] != 0.0:
                 z = z - z[j] * piv_row
             z[j] = 0.0
             basis[rr] = j
-            in_basis[leaving] = False
-            in_basis[j] = True
-            at_upper[j] = False
-            at_upper[leaving] = to_upper
+            sgn[j] = 0.0
+            if not banned[leaving]:
+                sgn[leaving] = -1.0 if to_upper else 1.0
             pivots += 1
 
     c1 = np.zeros(ncols)
@@ -213,13 +210,14 @@ def dense_simplex(c, A, b, upper):
     if residual > 1e-7 * max(1.0, float(np.abs(b).sum())):
         raise InfeasibleInstanceError(f"no feasible point (phase-1 residual {residual:.3e})")
     banned[nvar:] = True
+    sgn[nvar:] = 0.0
     u[nvar:] = 0.0
     xB[art_rows] = np.maximum(xB[art_rows], 0.0)
     c2 = np.zeros(ncols)
     c2[:nvar] = c
     z2 = c2 - c2[basis] @ T
     z2 = run(z2)
-    x = np.where(at_upper[:nvar] & np.isfinite(upper), upper, 0.0)
+    x = np.where(sgn[:nvar] < 0.0, upper, 0.0)
     mask = basis < nvar
     x[basis[mask]] = xB[mask]
     y = -z2[nvar:]

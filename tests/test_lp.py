@@ -8,6 +8,7 @@ from sharesched import (
     InfeasibleInstanceError,
     JobSet,
     LsApproxParams,
+    SimplexError,
     build_discretized_lp,
     dense_simplex,
     dump_lp,
@@ -56,6 +57,147 @@ def argsort_refinement(inst, edges, W, alpha):
     return sorted(new_edges)
 
 
+def reference_simplex(c, A, b, upper, stall_switch):
+    """Reference ``dense_simplex``: the same start basis, crash and pivot
+    rules, priced and ratio-tested with full-length masks.
+
+    Candidates are the nonbasic, unbanned columns whose reduced cost points
+    away from their bound; the entering one has the largest |reduced cost|
+    (Bland's first candidate after ``stall_switch`` degenerate pivots).  The
+    ratio test keeps separate limits to the lower and the upper bounds and
+    leaves on the eligible row with the smallest basic column.
+    """
+    c, A, b, upper = (np.asarray(a, dtype=float) for a in (c, A, b, upper))
+    m, nvar = A.shape
+    ncols = nvar + m
+    T = np.zeros((m, ncols))
+    T[:, :nvar] = A
+    T[np.arange(m), np.arange(nvar, ncols)] = 1.0
+    cols, rows = np.nonzero(A.T)
+    vals = A[rows, cols]
+    xB = b.copy()
+    basis = np.arange(nvar, ncols)
+    slack_rows, slack_cols = lpmod._slack_rows(c, upper, cols, rows, vals)
+    basis[slack_rows] = slack_cols
+    in_basis = np.zeros(ncols, dtype=bool)
+    in_basis[basis] = True
+    banned = np.zeros(ncols, dtype=bool)
+    banned[nvar + slack_rows] = True
+    art = basis >= nvar
+    at_upper = np.zeros(ncols, dtype=bool)
+    at_upper[lpmod._crash(c, upper, cols, rows, vals, xB, art)] = True
+    u = np.concatenate([upper, np.full(m, np.inf)])
+    pivots = 0
+
+    def run(z, xB):
+        nonlocal pivots
+        degen = 0
+        while True:
+            zm = np.where(in_basis | banned, 0.0, z)
+            cand = ((~at_upper) & (zm < -1e-9)) | (at_upper & (zm > 1e-9))
+            if not cand.any():
+                return z, xB
+            if degen > stall_switch:
+                j = int(np.flatnonzero(cand)[0])
+            else:
+                j = int(np.argmax(np.where(cand, np.abs(zm), -1.0)))
+            from_upper = bool(at_upper[j])
+            dec = -T[:, j] if from_upper else T[:, j].copy()
+            ub = u[basis]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lim0 = np.where(dec > 1e-11,
+                                np.maximum(xB, 0.0) / np.where(dec > 1e-11, dec, 1.0),
+                                np.inf)
+                gap = np.where(np.isfinite(ub), np.maximum(ub - xB, 0.0), np.inf)
+                limU = np.where((dec < -1e-11) & np.isfinite(ub),
+                                gap / np.where(dec < -1e-11, -dec, 1.0), np.inf)
+            dmin = min(float(lim0.min()), float(limU.min()))
+            delta = min(dmin, float(u[j]))
+            assert np.isfinite(delta)
+            degen = degen + 1 if delta <= 1e-13 else 0
+            if np.isfinite(u[j]) and u[j] <= dmin:
+                xB = xB - dec * u[j]
+                at_upper[j] = not from_upper
+                pivots += 1
+                continue
+            eligible = np.flatnonzero((lim0 <= delta + 1e-13) | (limU <= delta + 1e-13))
+            rr = int(eligible[np.argmin(basis[eligible])])
+            to_upper = not (lim0[rr] <= delta + 1e-13)
+            leaving = int(basis[rr])
+            xB = xB - dec * delta
+            piv_row = T[rr] / T[rr, j]
+            T[rr] = piv_row
+            colv = T[:, j].copy()
+            colv[rr] = 0.0
+            nz = np.flatnonzero(colv)
+            T[nz] -= colv[nz, None] * piv_row
+            xB[rr] = (u[j] - delta) if from_upper else delta
+            if z[j] != 0.0:
+                z = z - z[j] * piv_row
+            z[j] = 0.0
+            basis[rr] = j
+            in_basis[leaving] = False
+            in_basis[j] = True
+            at_upper[j] = False
+            at_upper[leaving] = to_upper
+            pivots += 1
+
+    c1 = np.zeros(ncols)
+    c1[nvar:][art] = 1.0
+    _, xB = run(c1 - c1[basis] @ T, xB)
+    art_rows = np.flatnonzero(basis >= nvar)
+    banned[nvar:] = True
+    u[nvar:] = 0.0
+    xB[art_rows] = np.maximum(xB[art_rows], 0.0)
+    c2 = np.zeros(ncols)
+    c2[:nvar] = c
+    z2, xB = run(c2 - c2[basis] @ T, xB)
+    x = np.where(at_upper[:nvar] & np.isfinite(upper), upper, 0.0)
+    mask = basis < nvar
+    x[basis[mask]] = xB[mask]
+    return x, -z2[nvar:], z2[:nvar].copy(), pivots
+
+
+def random_boxed_lp(seed):
+    """A feasible random LP with boxed columns; odd seeds give some rows a
+    unit slack column (zero cost, no upper bound), which then starts basic."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 5)), int(rng.integers(2, 8))
+    A = rng.uniform(0.0, 1.0, (m, n))
+    x_feas = rng.uniform(0.0, 1.0, n)
+    c = rng.uniform(-1.0, 1.0, n)
+    upper = rng.uniform(0.5, 2.0, n)
+    if np.any(x_feas > upper):
+        upper = np.maximum(upper, x_feas)
+    if seed % 2:
+        rows = np.flatnonzero(rng.uniform(size=m) < 0.6)
+        S = np.zeros((m, rows.size))
+        S[rows, np.arange(rows.size)] = 1.0
+        A = np.hstack([A, S])
+        x_feas = np.concatenate([x_feas, rng.uniform(0.0, 1.0, rows.size)])
+        c = np.concatenate([c, np.zeros(rows.size)])
+        upper = np.concatenate([upper, np.full(rows.size, np.inf)])
+    return c, A, A @ x_feas, upper
+
+
+def slack_basis_lp():
+    """Every row has a unit slack and no cost is negative: the start basis
+    is already optimal."""
+    rng = np.random.default_rng(7)
+    m, n = 6, 9
+    A = np.hstack([rng.uniform(0.0, 1.0, (m, n)), np.eye(m)])
+    b = rng.uniform(0.5, 2.0, m)
+    c = np.concatenate([rng.uniform(0.0, 1.0, n), np.zeros(m)])
+    upper = np.concatenate([rng.uniform(0.5, 2.0, n), np.full(m, np.inf)])
+    return c, A, b, upper
+
+
+def tiny_lp():
+    """min -x - 2y st x + y <= 4, x <= 3, y <= 2  ==> x=2, y=2, in two pivots."""
+    return (np.array([-1.0, -2.0, 0.0]), np.array([[1.0, 1.0, 1.0]]),
+            np.array([4.0]), np.array([3.0, 2.0, np.inf]))
+
+
 class TestBuild:
     def test_single_job_structure(self):
         inst = build_discretized_lp(JobSet.of([(1, 1)]), horizon=1.0, slot_width=0.25)
@@ -78,13 +220,17 @@ class TestBuild:
             build_discretized_lp(JobSet.of([(1, 1)]), horizon=1.0, slot_width=0.3)
 
 
+def assert_same_as_reference(args, stall_switch):
+    got = dense_simplex(*args)
+    want = reference_simplex(*args, stall_switch)
+    for g, w in zip(got[:3], want[:3]):
+        assert g.tobytes() == w.tobytes()
+    assert got[3] == want[3]
+
+
 class TestDenseSimplexEngine:
     def test_tiny_known_lp(self):
-        # min -x - 2y st x + y <= 4, x <= 3, y <= 2  ==> x=2, y=2
-        c = np.array([-1.0, -2.0, 0.0])
-        A = np.array([[1.0, 1.0, 1.0]])
-        b = np.array([4.0])
-        upper = np.array([3.0, 2.0, np.inf])
+        c, A, b, upper = tiny_lp()
         x, y, _, _ = dense_simplex(c, A, b, upper)
         assert c @ x == pytest.approx(-6.0)
         assert x[0] == pytest.approx(2.0) and x[1] == pytest.approx(2.0)
@@ -97,23 +243,7 @@ class TestDenseSimplexEngine:
         linprog = pytest.importorskip("scipy.optimize").linprog
         switches = (lpmod.STALL_SWITCH, -1)
         for seed in range(50):
-            rng = np.random.default_rng(seed)
-            m, n = int(rng.integers(1, 5)), int(rng.integers(2, 8))
-            A = rng.uniform(0.0, 1.0, (m, n))
-            x_feas = rng.uniform(0.0, 1.0, n)
-            c = rng.uniform(-1.0, 1.0, n)
-            upper = rng.uniform(0.5, 2.0, n)
-            if np.any(x_feas > upper):
-                upper = np.maximum(upper, x_feas)
-            if seed % 2:
-                rows = np.flatnonzero(rng.uniform(size=m) < 0.6)
-                S = np.zeros((m, rows.size))
-                S[rows, np.arange(rows.size)] = 1.0
-                A = np.hstack([A, S])
-                x_feas = np.concatenate([x_feas, rng.uniform(0.0, 1.0, rows.size)])
-                c = np.concatenate([c, np.zeros(rows.size)])
-                upper = np.concatenate([upper, np.full(rows.size, np.inf)])
-            b = A @ x_feas
+            c, A, b, upper = random_boxed_lp(seed)
             ref = linprog(c, A_eq=A, b_eq=b, bounds=[(0.0, u) for u in upper],
                           method="highs")
             assert ref.success
@@ -132,19 +262,62 @@ class TestDenseSimplexEngine:
                 assert np.all(d[~boxed] >= -1e-9)
 
     def test_slack_basis_is_optimal_without_pivots(self):
-        # every row has a unit slack and no cost is negative: the start
-        # basis is already optimal
-        rng = np.random.default_rng(7)
-        m, n = 6, 9
-        A = np.hstack([rng.uniform(0.0, 1.0, (m, n)), np.eye(m)])
-        b = rng.uniform(0.5, 2.0, m)
-        c = np.concatenate([rng.uniform(0.0, 1.0, n), np.zeros(m)])
-        upper = np.concatenate([rng.uniform(0.5, 2.0, n), np.full(m, np.inf)])
+        c, A, b, upper = slack_basis_lp()
+        n = A.shape[1] - A.shape[0]
         x, y, _, pivots = dense_simplex(c, A, b, upper)
         assert pivots == 0
         assert np.all(x[:n] == 0.0)
         assert np.array_equal(x[n:], b)
         assert np.all(y == 0.0)
+
+    def test_pivot_limit_counts_pivots_made(self, monkeypatch):
+        # an optimal start never raises; otherwise at most MAX_PIVOTS pivots
+        # are made, and the tiny LP needs exactly two
+        monkeypatch.setattr(lpmod, "MAX_PIVOTS", 0)
+        assert dense_simplex(*slack_basis_lp())[3] == 0
+        with pytest.raises(SimplexError, match="after 0 pivots"):
+            dense_simplex(*tiny_lp())
+        monkeypatch.setattr(lpmod, "MAX_PIVOTS", 1)
+        with pytest.raises(SimplexError, match="after 1 pivots"):
+            dense_simplex(*tiny_lp())
+        monkeypatch.setattr(lpmod, "MAX_PIVOTS", 2)
+        assert dense_simplex(*tiny_lp())[3] == 2
+
+    def test_unbounded_objective_raises(self):
+        # x0 - x1 = 0 with both unbounded: x0 grows without limit
+        with pytest.raises(SimplexError, match="objective unbounded below"):
+            dense_simplex([-1.0, 0.0], [[1.0, -1.0]], [0.0], [np.inf, np.inf])
+
+    def test_infeasible_box_names_the_residual(self):
+        # x = 2 with x <= 1: phase 1 ends one unit short
+        with pytest.raises(InfeasibleInstanceError, match=r"phase-1 residual 1\.000e\+00"):
+            dense_simplex([1.0], [[1.0]], [2.0], [1.0])
+
+    def test_matches_the_reference_on_random_boxed_lps(self, monkeypatch):
+        # byte-equal x, duals, reduced costs and pivot count under both
+        # pricing rules
+        for switch in (lpmod.STALL_SWITCH, -1):
+            monkeypatch.setattr(lpmod, "STALL_SWITCH", switch)
+            for seed in range(50):
+                assert_same_as_reference(random_boxed_lp(seed), switch)
+
+    def test_matches_the_reference_on_refinement_tableaus(self, monkeypatch):
+        # every block LP that the refinement solves for TestRefinementWork's
+        # 20 instances
+        captured = []
+
+        def record(*args):
+            captured.append(tuple(np.array(a) for a in args))
+            return dense_simplex(*args)
+
+        monkeypatch.setattr(lpmod, "dense_simplex", record)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            solve_lp(TestRefinementWork.lhs_lp(rng))
+        monkeypatch.undo()
+        assert len(captured) >= 20
+        for args in captured:
+            assert_same_as_reference(args, lpmod.STALL_SWITCH)
 
     def test_pivot_temporaries_stay_below_half_a_tableau(self, monkeypatch):
         # the slot LP of 4 jobs on 256 one-slot blocks; a pivot touches only

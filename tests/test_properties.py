@@ -1,5 +1,5 @@
 """Property tests for greedy, online water-filling, exact line schedules,
-``best_schedule`` and the slot LP.
+``best_schedule``, the ``lsapprox`` pipeline and the slot LP.
 
 The examples are derandomized and kept few, so the suite stays fast and
 writes no example database.
@@ -15,12 +15,15 @@ from sharesched import (
     DEFAULT_TOL,
     DegenerateVolumesError,
     JobSet,
+    LsApproxParams,
+    PipelineError,
     best_schedule,
     build_discretized_lp,
     build_line_schedule,
     check_slackness,
     greedy,
     ls_exact,
+    lsapprox_report,
     makespan,
     optimal_makespan,
     solve_alpha,
@@ -162,6 +165,19 @@ def test_best_schedule_is_valid_and_within_three_halves_of_its_bound(jobs):
     cost = total_completion_time(jobs, sched)
     assert cost == min(c for c in (report.greedy_cost, report.line_cost) if c is not None)
     assert cost <= 1.5 * report.bounds.best
+
+
+@PROPERTY_SETTINGS
+@given(ls_instances)
+def test_lsapprox_is_valid_or_fails_at_the_scale_stage(jobs):
+    # a long-heavy job that gets (almost) no volume from the LP intercepts
+    # stops the pipeline at the scale stage; every other run validates
+    try:
+        sched, _ = lsapprox_report(jobs, LsApproxParams(0.5))
+    except PipelineError as exc:
+        assert exc.stage == "scale"
+        return
+    assert validate_schedule(jobs, sched).feasible
 
 
 @PROPERTY_SETTINGS
