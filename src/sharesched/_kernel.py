@@ -8,9 +8,13 @@ r_j)``, ``U_j`` the requirements of the lines above j's, which changes only
 where a line crosses j's: one sorted row of events per job (``_rows``) is the
 whole rule.  ``breakpoints`` uses the rows' crossing expression, so its grid
 refines every row exactly; ``prices`` reads gamma and beta off the rates.
+The rows' terms that do not depend on alpha (``_pairs``) are kept for the
+last few instances, since a Newton ascent packs one instance many times.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -44,9 +48,32 @@ def prices(d, rates):
     gamma is 0 and ``k`` is -1.  ``beta = max(0, d - gamma)``.
     """
     full = rates.sum(axis=0) >= 1.0 - 1e-12
-    k = np.where(full, np.argmin(np.where(rates > 0.0, d, np.inf), axis=0), -1)
+    k = np.where(full, np.where(rates > 0.0, d, np.inf).argmin(axis=0), -1)
     gamma = np.where(full, d[k, np.arange(d.shape[1])], 0.0)
     return gamma, np.maximum(d - gamma, 0.0), k
+
+
+def _pairs(v, r):
+    """The terms of ``_rows`` that do not depend on alpha, computed once per
+    instance: ``(idx, ds, divisor, base, neg_v, neg_r)``, all read-only.
+
+    ``divisor`` is ``ds`` with ``inf`` for parallel lines, whose crossing
+    times are then 0; ``base[j] = j * n`` is the flat offset of row j.
+    """
+    return _pair_terms(np.asarray(v, dtype=float).tobytes(),
+                       np.asarray(r, dtype=float).tobytes())
+
+
+@functools.lru_cache(maxsize=4)
+def _pair_terms(v_bytes: bytes, r_bytes: bytes):
+    v, r = np.frombuffer(v_bytes), np.frombuffer(r_bytes)
+    n = v.size
+    ds = 1.0 / v[:, None] - 1.0 / v
+    terms = (np.arange(n), ds, np.where(ds != 0.0, ds, np.inf),
+             (np.arange(n) * n)[:, None], -v, -r)
+    for term in terms:
+        term.setflags(write=False)
+    return terms
 
 
 def _rows(v, r, alpha):
@@ -57,26 +84,35 @@ def _rows(v, r, alpha):
     1 / v_j - 1 / v_k``, and ``rates[j, i]`` j's rate up to event i.
     """
     n = v.size
-    idx = np.arange(n)
+    idx, ds, divisor, base, neg_v, neg_r = _pairs(v, r)
     zero = alpha * v
-    ds = 1.0 / v[:, None] - 1.0 / v
-    t = (alpha[:, None] - alpha) / np.where(ds != 0.0, ds, np.inf)  # parallel: t = 0
-    dead = (t <= 0.0) | (t >= zero[:, None])           # the diagonal too
+    zero_col = zero[:, None]
+    t = (alpha[:, None] - alpha) / divisor
+    dead = (t <= 0.0) | (t >= zero_col)                # the diagonal too
     # the order just after t = 0: larger intercept, then flatter line, then index
-    first = np.lexsort((idx, -v, -alpha))
-    rank = np.argsort(first)
-    step = np.where(rank < rank[:, None], -r, r)       # line k passes line j
-    step[dead] = 0.0
-    t[dead] = np.inf
-    t[idx, idx] = zero
-    order = np.argsort(t, axis=1)
-    times = t[idx[:, None], order]
-    start = np.zeros(n)                                # U_j just after t = 0
-    start[first[1:]] = np.cumsum(r[first[:-1]])
-    used = np.cumsum(np.column_stack([start, step[idx[:, None], order]]), axis=1)
-    rates = np.clip(1.0 - used, 0.0, np.where(zero > 0.0, r, 0.0)[:, None])
-    rates[:, 1:][times >= zero[:, None]] = 0.0         # ... and 0 from the zero on
-    widths = np.diff(np.minimum(times, zero[:, None]), axis=1, prepend=0.0)
+    first = np.lexsort((idx, neg_v, -alpha))
+    rank = np.empty(n, dtype=np.intp)
+    rank[first] = idx
+    # j's zero adds inf to U_j, so from there on j's rate is 0 and the steps
+    # of the dead crossings, which sort after it, do not matter
+    step = np.where(rank < rank[:, None], neg_r, r)    # line k passes line j
+    step.ravel()[::n + 1] = np.inf
+    np.putmask(t, dead, np.inf)
+    t.ravel()[::n + 1] = zero
+    order = t.argsort(axis=1)
+    flat = order + base
+    times = t.take(flat)
+    used = np.empty((n, n + 1))                        # U_j just after t = 0, then
+    used[first[:1], 0] = 0.0                           # after each event
+    used[first[1:], 0] = r[first[:-1]].cumsum()
+    step.take(flat, out=used[:, 1:])
+    rates = used.cumsum(axis=1, out=used)
+    np.subtract(1.0, rates, out=rates)
+    np.maximum(rates, 0.0, out=rates)
+    np.minimum(rates, np.where(zero > 0.0, r, 0.0)[:, None], out=rates)
+    ends = np.zeros((n, n + 1))
+    np.minimum(times, zero_col, out=ends[:, 1:])
+    widths = ends[:, 1:] - ends[:, :-1]
     return times, order, ds, rates, (rates[:, :-1] * widths).sum(axis=1)
 
 
@@ -93,17 +129,24 @@ def line_structure(v, r, alpha):
     ``1 / ds_jk`` per unit of ``alpha_j`` and ``-1 / ds_jk`` of ``alpha_k``.
     Moving by dt, an event changes j's volume by dt times j's rate drop there.
     """
-    idx = np.arange(v.size)
-    _, order, ds, rates, vols = _rows(v, r, alpha)
-    drop = np.empty_like(ds)                           # rate before minus after
-    drop[idx[:, None], order] = rates[:, :-1] - rates[:, 1:]
-    per_ds = np.divide(drop, ds, out=np.zeros_like(ds), where=ds != 0.0)
-    return vols, np.diag(per_ds.sum(axis=1) + drop[idx, idx] * v) - per_ds
+    n = v.size
+    _, order, _, rates, vols = _rows(v, r, alpha)
+    _, _, divisor, base, _, _ = _pairs(v, r)
+    drop = np.empty((n, n))                            # rate before minus after
+    drop.put(order + base, rates[:, :-1] - rates[:, 1:])
+    per_ds = drop / divisor                            # a zero for parallel lines
+    diagonal = per_ds.sum(axis=1) + drop.ravel()[::n + 1] * v
+    # 0.0 - per_ds rather than -per_ds: every zero of the Jacobian is +0.0
+    jac = np.subtract(0.0, per_ds, out=per_ds)
+    jac.ravel()[::n + 1] = diagonal
+    return vols, jac
 
 
 def rates_at(v, r, alpha, times):
     """Each job's rate on ``[t, next event)`` for each t in ``times``: at a
     crossing, the order just after it (the flatter line first)."""
     events, _, _, rates, _ = _rows(v, r, alpha)
-    return np.stack([rates[j, np.searchsorted(events[j], times, side="right")]
-                     for j in range(v.size)])
+    out = np.empty((v.size, np.size(times)))
+    for j, (row, rate) in enumerate(zip(events, rates)):
+        rate.take(row.searchsorted(times, side="right"), out=out[j])
+    return out

@@ -290,7 +290,7 @@ class PiecewiseLinear:
         s = np.asarray(slopes, dtype=float)
         if e.size != a.size + 1 or a.size != s.size:
             raise ContractError("need len(edges) == len(starts) + 1 == len(slopes) + 1")
-        if e.size == 0 or e[0] != 0.0 or np.any(np.diff(e) <= 0.0):
+        if e.size == 0 or e[0] != 0.0 or (e[1:] <= e[:-1]).any():
             raise ContractError("edges must start at 0 and increase strictly")
         object.__setattr__(self, "edges", e)
         object.__setattr__(self, "starts", a)
@@ -318,7 +318,7 @@ class PiecewiseLinear:
     def integral(self) -> float:
         if not self.starts.size:
             return 0.0
-        w = np.diff(self.edges)
+        w = self.edges[1:] - self.edges[:-1]
         return float(np.dot(w, self.starts + 0.5 * self.slopes * w))
 
 

@@ -40,14 +40,16 @@ class DegenerateVolumesError(ContractError):
 class ConvergenceError(RuntimeError):
     """solve_alpha ran out of iterations.
 
-    Carries the last volume residual, the Newton iterations taken and
-    ``packings``, the kernel evaluations spent.
+    Carries the last volume residual, the Newton iterations taken,
+    ``packings``, the kernel evaluations spent, and ``alpha``, a copy of the
+    last accepted intercepts, the ones whose residual that is.
     """
 
-    def __init__(self, residual: float, iterations: int, packings: int):
+    def __init__(self, residual: float, iterations: int, packings: int, alpha: np.ndarray):
         self.residual = residual
         self.iterations = iterations
         self.packings = packings
+        self.alpha = alpha
         super().__init__(
             f"volume residual {residual:.3e} after {iterations} iterations "
             f"and {packings} packings"
@@ -112,7 +114,7 @@ def _check_inputs(jobs: JobSet, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarr
     a = np.asarray(alpha, dtype=float)
     if a.shape != (len(jobs),):
         raise ContractError(f"alpha must have length {len(jobs)}")
-    if np.any(a < 0.0) or not np.all(np.isfinite(a)):
+    if (a < 0.0).any() or not np.isfinite(a).all():
         raise ContractError("alpha entries must be finite and nonnegative")
     return jobs.volumes(), jobs.requirements(), a
 
@@ -131,13 +133,14 @@ def build_line_schedule(jobs: JobSet, alpha) -> LineSchedule:
     if n == 0:
         return LineSchedule(Schedule.empty(0), a, (), PiecewiseLinear.zero(),
                             np.zeros(0), np.array([0.0]), np.zeros(0))
-    grid = np.unique(_kernel.breakpoints(v, a)[0])
-    rates = _kernel.rates_at(v, r, a, grid[:-1])
-    m = grid.size - 1
+    times = _kernel.breakpoints(v, a)[0]
+    grid = times[np.concatenate(((True,), times[1:] != times[:-1]))]
+    t0 = grid[:-1]
+    rates = _kernel.rates_at(v, r, a, t0)
+    m = t0.size
     assignments = [StepFunction(grid, rates[j]) if m else StepFunction.zero() for j in range(n)]
 
     # gamma follows line k and beta_j = d_j - gamma wherever they are positive
-    t0 = grid[:-1]
     mid = 0.5 * (t0 + grid[1:])
     _, beta_mid, k = _kernel.prices(a[:, None] - mid[None, :] / v[:, None], rates)
     gamma_start = np.where(k >= 0, a[k] - t0 / v[k], 0.0)
@@ -150,7 +153,7 @@ def build_line_schedule(jobs: JobSet, alpha) -> LineSchedule:
         PiecewiseLinear(grid, beta_start[j], beta_slope[j]) if m else PiecewiseLinear.zero()
         for j in range(n)
     )
-    return LineSchedule(Schedule(assignments), a, beta, gamma, rates @ np.diff(grid), grid, v)
+    return LineSchedule(Schedule(assignments), a, beta, gamma, rates @ (grid[1:] - t0), grid, v)
 
 
 def solve_alpha(jobs: JobSet, targets=None, vol_tol: float = DEFAULT_TOL,
@@ -183,8 +186,9 @@ def solve_alpha(jobs: JobSet, targets=None, vol_tol: float = DEFAULT_TOL,
     step that is kept only when it lowers that residual; near the solution
     the step is exact, so the residual usually ends near rounding level.
     Raises ConvergenceError carrying the residual, the Newton iterations
-    taken and the packings spent when ``max_iters`` iterations do not reach
-    ``vol_tol``, or earlier when the line search can no longer move alpha.
+    taken, the packings spent and the last accepted alpha when ``max_iters``
+    iterations do not reach ``vol_tol``, or earlier when the line search can
+    no longer move alpha.
     Raises DegenerateVolumesError up front when two volumes are too close for
     any alpha to meet ``vol_tol``, and ContractError when ``vol_tol`` is not
     positive.
@@ -208,34 +212,37 @@ def solve_alpha(jobs: JobSet, targets=None, vol_tol: float = DEFAULT_TOL,
     order = np.argsort(v, kind="stable")
     alpha = np.empty(n)
     alpha[order] = np.cumsum(tau[order] / r[order]) / v[order]
+    fill = r * v
     vols, jac = _kernel.line_structure(v, r, alpha)
     packings = 1
     for iteration in range(max_iters + 1):
         grad = tau - vols
-        residual = float(np.max(np.abs(grad)))
+        residual = float(np.abs(grad).max())
         if residual > vol_tol and iteration == max_iters:
             break
-        hess = jac + np.diag(np.where(vols > 0.0, 0.0, r * v))
-        hess += 1e-12 * np.abs(hess).max() * np.eye(n)
+        hess = jac                                     # in place: jac is not used again
+        diagonal = hess.ravel()[::n + 1]
+        diagonal += np.where(vols > 0.0, 0.0, fill)
+        diagonal += 1e-12 * np.abs(hess).max()
         delta = np.linalg.solve(hess, grad)
         if residual <= vol_tol:
             last = np.maximum(alpha + delta, 0.0)
-            better = np.max(np.abs(tau - _kernel.line_volumes(v, r, last))) < residual
+            better = np.abs(tau - _kernel.line_volumes(v, r, last)).max() < residual
             return last if better else alpha
         if not grad @ delta > 0.0:
             delta = grad
         step = 1.0
         while True:
             trial = np.maximum(alpha + step * delta, 0.0)
-            if np.array_equal(trial, alpha):
-                raise ConvergenceError(residual, iteration, packings)
+            if (trial == alpha).all():
+                raise ConvergenceError(residual, iteration, packings, alpha.copy())
             vols, jac = _kernel.line_structure(v, r, trial)
             packings += 1
             if (tau - vols) @ (trial - alpha) >= 0.0:
                 break
             step *= 0.5
         alpha = trial
-    raise ConvergenceError(residual, max_iters, packings)
+    raise ConvergenceError(residual, max_iters, packings, alpha.copy())
 
 
 def _check_volume_gaps(v, vol_tol) -> None:

@@ -238,8 +238,14 @@ def lsapprox_report(jobs: JobSet, params: LsApproxParams) -> tuple[Schedule, LsA
         scale = float(np.max(vols / vbar))
         squash = 1.0 - mu
         for pos, idx in enumerate(lh):
-            stretched = ls.schedule.assignments[pos].scale_time(scale)
-            assignments[idx] = stretched.scale_values(squash).scale_time(1.0 / squash)
+            # multiplying edges one ulp apart by the factors can round them
+            # onto one time, which leaves no step function
+            try:
+                stretched = ls.schedule.assignments[pos].scale_time(scale)
+                assignments[idx] = stretched.scale_values(squash).scale_time(1.0 / squash)
+            except ContractError as exc:
+                raise PipelineError("scale", f"stretching job {idx} by {scale!r} and "
+                                    f"{1.0 / squash!r} merges two of its edges") from exc
     for idx in sorted(sub.light | sub.short_heavy):
         job = jobs[idx]
         rate = min(mu / n, job.requirement)

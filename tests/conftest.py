@@ -44,3 +44,14 @@ def three_jobs() -> JobSet:
     # worked instance used across modules: volumes 1, 4, 6 with
     # requirements 3/4, 1/2, 2/3
     return JobSet.of([(1.0, 0.75), (4.0, 0.5), (6.0, 2.0 / 3.0)])
+
+
+@pytest.fixture
+def merging_stretch() -> JobSet:
+    # seven jobs on which the approximation pipeline's stretch of the line
+    # schedule rounds two edges one ulp apart onto one time
+    v = [71.97820198919423, 78.03069845074675, 9.16050658479128, 0.3295721516022837,
+         0.07068703287200674, 96.58405905429532, 76.23216286335943]
+    r = [0.21603586533785277, 0.3979052041851987, 1.0, 0.05056378753223647,
+         0.45434745794293907, 0.04976968115708434, 0.11831148726400169]
+    return JobSet.of(zip(v, r))

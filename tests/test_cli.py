@@ -167,6 +167,18 @@ class TestRun:
         assert rec["validation"]["feasible"] is True
         assert rec["parameters"]["chosen"] == "greedy"
 
+    def test_merged_stretch_fails_lsapprox_and_lp_best_falls_back(self, tmp_path, capsys,
+                                                                  merging_stretch):
+        # lsapprox once exited 2 here, as if a parameter were bad
+        inst = tmp_path / "merging.json"
+        inst.write_text(core.jobs_to_json(merging_stretch))
+        assert main(["run", "lsapprox", "--input", str(inst)]) == 3
+        assert json.loads(capsys.readouterr().out)["error"].startswith("scale: ")
+        assert main(["run", "best", "--lp-ls", "--input", str(inst)]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["validation"]["feasible"] is True
+        assert rec["parameters"]["chosen"] == "greedy"
+
     @pytest.mark.parametrize("algo", ["greedy", "best", "waterfill", "ls"])
     def test_overflowing_processing_time_exits_2(self, tmp_path, capsys, algo):
         # greedy and best once named the wrong cause here, and water-filling

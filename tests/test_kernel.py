@@ -1,8 +1,9 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from sharesched import _kernel
+from sharesched import _kernel, linesched
 from sharesched.cli import generate_random
 
 # exact twins whose requirements never saturate the resource together, so
@@ -55,6 +56,101 @@ def pack(d, v, r):
 
 def _packed_at(v, r, alpha, times):
     return pack(alpha[:, None] - times[None, :] / v[:, None], v, r)
+
+
+def reference_rows(v, r, alpha):
+    """Reference ``_kernel._rows``: every term computed afresh from (v, r,
+    alpha) with plain numpy calls, no term kept between calls."""
+    n = v.size
+    idx = np.arange(n)
+    zero = alpha * v
+    ds = 1.0 / v[:, None] - 1.0 / v
+    t = (alpha[:, None] - alpha) / np.where(ds != 0.0, ds, np.inf)
+    dead = (t <= 0.0) | (t >= zero[:, None])
+    first = np.lexsort((idx, -v, -alpha))
+    rank = np.argsort(first)
+    step = np.where(rank < rank[:, None], -r, r)
+    step[dead] = 0.0
+    t[dead] = np.inf
+    t[idx, idx] = zero
+    order = np.argsort(t, axis=1)
+    times = t[idx[:, None], order]
+    start = np.zeros(n)
+    start[first[1:]] = np.cumsum(r[first[:-1]])
+    used = np.cumsum(np.column_stack([start, step[idx[:, None], order]]), axis=1)
+    rates = np.clip(1.0 - used, 0.0, np.where(zero > 0.0, r, 0.0)[:, None])
+    rates[:, 1:][times >= zero[:, None]] = 0.0
+    widths = np.diff(np.minimum(times, zero[:, None]), axis=1, prepend=0.0)
+    return times, order, ds, rates, (rates[:, :-1] * widths).sum(axis=1)
+
+
+def reference_structure(v, r, alpha):
+    """Reference ``_kernel.line_structure`` on ``reference_rows``."""
+    idx = np.arange(v.size)
+    _, order, ds, rates, vols = reference_rows(v, r, alpha)
+    drop = np.empty_like(ds)
+    drop[idx[:, None], order] = rates[:, :-1] - rates[:, 1:]
+    per_ds = np.divide(drop, ds, out=np.zeros_like(ds), where=ds != 0.0)
+    return vols, np.diag(per_ds.sum(axis=1) + drop[idx, idx] * v) - per_ds
+
+
+def reference_rates_at(v, r, alpha, times):
+    events, _, _, rates, _ = reference_rows(v, r, alpha)
+    return np.stack([rates[j, np.searchsorted(events[j], times, side="right")]
+                     for j in range(v.size)])
+
+
+def test_matches_the_reference_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for v, r, alpha in _oracle_cases():
+        vols, jac = _kernel.line_structure(v, r, alpha)
+        ref_vols, ref_jac = reference_structure(v, r, alpha)
+        assert vols.tobytes() == ref_vols.tobytes()
+        assert _kernel.line_volumes(v, r, alpha).tobytes() == ref_vols.tobytes()
+        assert jac.tobytes() == ref_jac.tobytes()
+        t = _kernel.breakpoints(v, alpha)[0]
+        times = np.concatenate([t, rng.uniform(0.0, 1.2 * t[-1] + 1.0, 16)])
+        assert (_kernel.rates_at(v, r, alpha, times).tobytes()
+                == reference_rates_at(v, r, alpha, times).tobytes())
+
+
+def test_empty_instance_packs_to_empty_arrays():
+    empty = np.zeros(0)
+    vols, jac = _kernel.line_structure(empty, empty, empty)
+    assert vols.shape == (0,) and jac.shape == (0, 0)
+    assert _kernel.rates_at(empty, empty, empty, np.array([0.5])).shape == (0, 1)
+
+
+def _with_reference_kernel(monkeypatch):
+    monkeypatch.setattr(_kernel, "line_structure", reference_structure)
+    monkeypatch.setattr(_kernel, "line_volumes", lambda v, r, a: reference_rows(v, r, a)[4])
+
+
+def test_solve_alpha_matches_the_reference_bit_for_bit(monkeypatch):
+    pools = [generate_random(n, s) for n in range(2, 13) for s in range(1, 11)]
+    alphas = [linesched.solve_alpha(jobs).tobytes() for jobs in pools]
+    _with_reference_kernel(monkeypatch)
+    assert [linesched.solve_alpha(jobs).tobytes() for jobs in pools] == alphas
+
+
+def test_convergence_error_matches_the_reference(monkeypatch):
+    jobs = generate_random(8, 1)
+    with pytest.raises(linesched.ConvergenceError) as got:
+        linesched.solve_alpha(jobs, max_iters=1)
+    _with_reference_kernel(monkeypatch)
+    with pytest.raises(linesched.ConvergenceError) as want:
+        linesched.solve_alpha(jobs, max_iters=1)
+    assert str(got.value) == str(want.value)
+    assert got.value.alpha.tobytes() == want.value.alpha.tobytes()
+
+
+def test_terms_kept_between_calls_are_read_only():
+    v, r, alpha = TWINS[1]
+    ds = _kernel._rows(v, r, alpha)[2]
+    for term in (*_kernel._pairs(v, r), ds):
+        assert not term.flags.writeable
+    with pytest.raises(ValueError):
+        ds[0, 0] = 1.0
 
 
 def test_jacobian_matches_central_differences():

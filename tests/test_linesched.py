@@ -166,6 +166,14 @@ class TestSolveAlpha:
         assert err.value.packings == len(packed) > 1
         assert f"{len(packed)} packings" in str(err.value)
 
+    def test_convergence_error_carries_the_last_accepted_alpha(self):
+        jobs = generate_random(8, 1)
+        v, r = jobs.volumes(), jobs.requirements()
+        with pytest.raises(ConvergenceError) as err:
+            solve_alpha(jobs, max_iters=1)
+        vols = _kernel.line_volumes(v, r, err.value.alpha)
+        assert float(np.abs(v - vols).max()) == err.value.residual
+
     def test_rejects_degenerate(self):
         with pytest.raises(DegenerateVolumesError):
             solve_alpha(JobSet.of([(1, 0.5), (1, 0.6)]))

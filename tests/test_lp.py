@@ -466,7 +466,7 @@ class TestRefinementWork:
         # from the one-block start every LP takes several rounds; each round's
         # breakpoint cuts must equal the per-block argsort rule's edges
         def no_seed(*args, **kwargs):
-            raise ConvergenceError(float("inf"), 0, 0)
+            raise ConvergenceError(float("inf"), 0, 0, np.zeros(0))
 
         rounds = []
 

@@ -299,6 +299,13 @@ class TestLsApprox:
         assert max(sched.assignments[i].support_end for i in lh) <= info.horizon
 
 
+    def test_edges_merged_by_the_stretch_fail_the_scale_stage(self, merging_stretch):
+        # this once escaped as a plain ContractError from StepFunction
+        with pytest.raises(PipelineError, match="merges two of its edges") as err:
+            lsapprox_report(merging_stretch, LsApproxParams(0.5))
+        assert err.value.stage == "scale"
+
+
 class TestBestSchedule:
     def test_worked_example_prefers_greedy(self, three_jobs):
         sched, report = best_schedule(three_jobs)
@@ -325,6 +332,13 @@ class TestBestSchedule:
         assert report.line_cost is None
         assert report.line_error is not None
         assert validate_schedule(jobs, sched).feasible
+
+    def test_lsapprox_failure_falls_back_to_greedy(self, merging_stretch):
+        sched, report = best_schedule(merging_stretch, use_exact_ls=False)
+        assert (report.chosen, report.line_branch) == ("greedy", "lsapprox")
+        assert report.line_cost is None
+        assert report.line_error.startswith("scale: ")
+        assert validate_schedule(merging_stretch, sched).feasible
 
     def test_approximation_chain(self):
         for seed in range(60):
