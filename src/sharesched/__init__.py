@@ -2,7 +2,8 @@
 
 Submodules:
     core      - jobs, step functions, schedules, objectives, validation, JSON
-    waterfill - offline optimal makespan, online water-filling, universal shapes
+    waterfill - offline optimal makespan, online water-filling, universal shapes,
+                flatness and extendability on one upper-area table
     linesched - priority-line schedules, duals, the alpha fixed point
     lp        - slot-discretized LP with a self-contained simplex
     tct       - greedy, lower bounds, exact/approximate line scheduling
@@ -21,7 +22,6 @@ from .core import (
     ValidationReport,
     Violation,
     fractional_completion_time,
-    is_flatter,
     jobs_from_json,
     jobs_to_json,
     makespan,
@@ -29,7 +29,6 @@ from .core import (
     schedule_to_json,
     sum_steps,
     total_completion_time,
-    upper_resource_distribution,
     validate_schedule,
 )
 from .waterfill import (
@@ -40,7 +39,9 @@ from .waterfill import (
     adversarial_instance,
     extendability_check,
     flatter_than_universal,
+    is_flatter,
     optimal_makespan,
+    upper_resource_distribution,
     waterfill_online,
     waterfill_step,
 )

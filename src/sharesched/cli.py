@@ -44,8 +44,9 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _read(path: str) -> str:
-    with open(path) as fh:
+def _read(path: str) -> bytes:
+    # bytes: json.loads decodes them, so undecodable ones are malformed JSON
+    with open(path, "rb") as fh:
         return fh.read()
 
 
@@ -122,14 +123,7 @@ def run_algorithm(algo: str, jobs: JobSet, *, ratio: float, eps: float,
         params = tct.LsApproxParams(eps, slot_width=slot_width)
         sched, info = tct.lsapprox_report(jobs, params)
         extras["epsilon"] = eps
-        extras["mu"] = info.mu
-        extras["horizon"] = info.horizon
-        extras["slot_width"] = info.slot_width
-        extras["guarantee_slot_width"] = info.guarantee_slot_width
-        extras["scale_factor"] = info.scale_factor
-        extras["lp_rounds"] = info.lp_rounds
-        extras["lp_pivots"] = info.lp_pivots
-        extras["lp_blocks"] = info.lp_blocks
+        extras.update((k, x) for k, x in vars(info).items() if k != "subdivision")
     elif algo == "best":
         params = tct.LsApproxParams(eps, slot_width=slot_width)
         sched, report = tct.best_schedule(jobs, params, use_exact_ls=use_exact_ls)
@@ -262,7 +256,7 @@ def _cmd_compare(args) -> int:
     for path in paths:
         try:
             jobs = core.jobs_from_json(_read(path))
-        except core.ContractError:
+        except (OSError, core.ContractError):
             for algo in algos:
                 rows.append(f"{path},{algo},,,,,,,,error,,")
             continue
@@ -310,12 +304,12 @@ def render_svg(jobs: JobSet, sched: Schedule, width: int = 720, height: int = 40
     ml, mr, mt, mb = 50, 50 if show_duals else 20, 16, 34
     pw, ph = width - ml - mr, height - mt - mb
     end = core.makespan(sched)
-    grid = (np.unique(np.concatenate([a.edges for a in sched.assignments]))
+    grid = (core._distinct(np.concatenate([a.edges for a in sched.assignments]))
             if sched.n_jobs else np.array([0.0]))
     if alpha is not None and len(jobs):
         zeros = [a * j.volume for a, j in zip(alpha, jobs)]
         end = max(end, max(zeros, default=0.0))
-        grid = np.unique(np.concatenate([grid, np.asarray(zeros, dtype=float)]))
+        grid = core._distinct(np.concatenate([grid, np.asarray(zeros, dtype=float)]))
     end = max(end, 1e-9)
 
     def X(t):
@@ -339,14 +333,11 @@ def render_svg(jobs: JobSet, sched: Schedule, width: int = 720, height: int = 40
             lo, hi = cum[j], cum[j + 1]
             if not np.any(hi - lo > 0):
                 continue
-            pts = []
-            for k in range(left.size):
-                pts.append((grid[k], lo[k]))
-                pts.append((grid[k + 1], lo[k]))
-            for k in reversed(range(left.size)):
-                pts.append((grid[k + 1], hi[k]))
-                pts.append((grid[k], hi[k]))
-            path = " ".join(f"{X(t):.2f},{Y(v):.2f}" for t, v in pts)
+            # the bottom edge left to right, then the top edge back
+            ts = np.repeat(grid, 2)[1:-1]
+            ts = np.concatenate((ts, ts[::-1]))
+            vs = np.concatenate((np.repeat(lo, 2), np.repeat(hi, 2)[::-1]))
+            path = " ".join(f"{X(t):.2f},{Y(v):.2f}" for t, v in zip(ts, vs))
             color = PALETTE[j % len(PALETTE)]
             out.append(f'<polygon points="{path}" fill="{color}" fill-opacity="0.85" '
                        f'stroke="{color}"/>')
@@ -496,10 +487,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except core.ContractError as exc:
+    except (OSError, core.ContractError) as exc:   # an OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -55,38 +55,25 @@ class Job:
         return self.volume / self.requirement
 
 
-class JobSet:
-    """Ordered, immutable collection of jobs.
+class JobSet(tuple):
+    """Ordered, immutable collection of jobs: a tuple of ``Job``.
 
     Order matters: online algorithms consume jobs in list order, and job ids
-    used throughout the package are 0-based positions in this list.
+    used throughout the package are 0-based positions in this list.  A
+    JobSet hashes and compares equal like the tuple of its jobs.
     """
 
-    __slots__ = ("jobs",)
+    __slots__ = ()
 
-    def __init__(self, jobs: Iterable[Job] = ()):
-        object.__setattr__(self, "jobs", tuple(jobs))
-        for j in self.jobs:
+    def __new__(cls, jobs: Iterable[Job] = ()):
+        self = super().__new__(cls, jobs)
+        for j in self:
             if not isinstance(j, Job):
                 raise ContractError(f"expected Job, got {type(j).__name__}")
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("JobSet is immutable")
-
-    def __len__(self) -> int:
-        return len(self.jobs)
-
-    def __iter__(self) -> Iterator[Job]:
-        return iter(self.jobs)
-
-    def __getitem__(self, i: int) -> Job:
-        return self.jobs[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, JobSet) and self.jobs == other.jobs
+        return self
 
     def __repr__(self) -> str:
-        return f"JobSet({list(self.jobs)!r})"
+        return f"JobSet({list(self)!r})"
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[float, float]]) -> "JobSet":
@@ -94,22 +81,22 @@ class JobSet:
         return cls(Job(v, r) for v, r in pairs)
 
     def volumes(self) -> np.ndarray:
-        return np.array([j.volume for j in self.jobs], dtype=float)
+        return np.array([j.volume for j in self], dtype=float)
 
     def requirements(self) -> np.ndarray:
-        return np.array([j.requirement for j in self.jobs], dtype=float)
+        return np.array([j.requirement for j in self], dtype=float)
 
     def processing_times(self) -> np.ndarray:
-        return np.array([j.processing_time for j in self.jobs], dtype=float)
+        return np.array([j.processing_time for j in self], dtype=float)
 
     def total_volume(self) -> float:
-        return float(sum(j.volume for j in self.jobs))
+        return float(sum(j.volume for j in self))
 
     def max_processing_time(self) -> float:
-        return max((j.processing_time for j in self.jobs), default=0.0)
+        return max((j.processing_time for j in self), default=0.0)
 
     def prefix(self, k: int) -> "JobSet":
-        return JobSet(self.jobs[:k])
+        return JobSet(self[:k])
 
 
 class StepFunction:
@@ -157,12 +144,8 @@ class StepFunction:
     # -- queries -----------------------------------------------------------
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.edges, t, side="right") - 1
-        ok = (idx >= 0) & (idx < self.values.size)
-        safe = np.clip(idx, 0, max(self.values.size - 1, 0))
-        vals = self.values[safe] if self.values.size else np.zeros_like(t)
-        out = np.where(ok, vals, 0.0)
+        # index -1 (t < 0) and values.size (past the support, NaN) read the pad
+        out = np.concatenate((self.values, (0.0,)))[self.edges.searchsorted(t, side="right") - 1]
         return float(out) if out.ndim == 0 else out
 
     @property
@@ -255,23 +238,31 @@ def sum_steps(fns: Sequence[StepFunction]) -> StepFunction:
     """Pointwise sum of step functions, exact on the union grid of their edges.
 
     The grid refines every operand, so each operand's value on a grid
-    interval is the value of its piece that starts at or before the
-    interval's left end, gathered in one ``searchsorted``.  A single
-    non-zero operand is its own sum: step functions are immutable.
+    interval is its value at the interval's left end.  A single non-zero
+    operand is its own sum: step functions are immutable.
     """
     fns = [f for f in fns if f.values.size]
     if not fns:
         return StepFunction.zero()
     if len(fns) == 1:
         return fns[0]
-    grid = np.concatenate([f.edges for f in fns])
-    grid.sort()
-    grid = grid[np.concatenate(((True,), grid[1:] != grid[:-1]))]
+    grid = _distinct(np.concatenate([f.edges for f in fns]))
     left = grid[:-1]
     total = np.zeros(left.size)
     for f in fns:
-        total += np.concatenate((f.values, (0.0,)))[f.edges.searchsorted(left, side="right") - 1]
+        total += f(left)
     return StepFunction(grid, total)
+
+
+def _distinct(x) -> np.ndarray:
+    """``np.unique(x)`` for finite ``x``: the same sort, then the first value
+    of each run, without the import of ``numpy.ma`` that np.unique makes."""
+    s = np.asarray(x).flatten()
+    s.sort()
+    first = np.empty(s.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    return s[first]
 
 
 class PiecewiseLinear:
@@ -305,14 +296,12 @@ class PiecewiseLinear:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.edges, t, side="right") - 1
-        ok = (idx >= 0) & (idx < self.starts.size)
-        safe = np.clip(idx, 0, max(self.starts.size - 1, 0))
-        if self.starts.size:
-            vals = self.starts[safe] + self.slopes[safe] * (t - self.edges[:-1][safe])
-        else:
-            vals = np.zeros_like(t)
-        out = np.where(ok, vals, 0.0)
+        idx = self.edges.searchsorted(t, side="right") - 1
+        pad = (0.0,)
+        vals = (np.concatenate((self.starts, pad))[idx]
+                + np.concatenate((self.slopes, pad))[idx] * (t - self.edges[idx]))
+        # off the support, a pad slope times an infinite t would leak a NaN
+        out = np.where((idx >= 0) & (idx < self.starts.size), vals, 0.0)
         return float(out) if out.ndim == 0 else out
 
     def integral(self) -> float:
@@ -431,54 +420,6 @@ def fractional_completion_time(jobs: JobSet, sched: Schedule) -> tuple[list[floa
     return per_job, float(sum(per_job))
 
 
-def upper_resource_distribution(sched: Schedule, C: float, y: float) -> float:
-    """Total volume above height ``y`` before time ``C`` in the schedule."""
-    if not (0.0 <= y <= 1.0 + DEFAULT_TOL):
-        raise ContractError("y must lie in [0, 1]")
-    if C < 0.0:
-        raise ContractError("C must be nonnegative")
-    return float(_area_matrix(sched.total_usage(), np.array([C]), np.array([y]))[0, 0])
-
-
-def _area_matrix(usage: StepFunction, horizons: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Upper areas of a usage profile at every (y, horizon) pair.
-
-    Returns a (len(ys), len(horizons)) matrix; linear in the number of usage
-    intervals thanks to cumulative sums at the usage edges.
-    """
-    ny, nc = ys.size, horizons.size
-    if not usage.values.size:
-        return np.zeros((ny, nc))
-    e, u = usage.edges, usage.values
-    w = np.diff(e)
-    above = np.maximum(u[None, :] - ys[:, None], 0.0)            # (ny, ni)
-    cum = np.concatenate([np.zeros((ny, 1)), np.cumsum(above * w[None, :], axis=1)], axis=1)
-    pos = np.searchsorted(e, horizons, side="right") - 1          # (nc,)
-    k = np.clip(pos, 0, u.size - 1)
-    inside = (pos >= 0) & (pos < u.size)
-    partial = cum[:, k] + (horizons - e[k])[None, :] * above[:, k]
-    full = np.broadcast_to(cum[:, -1][:, None], (ny, nc))
-    return np.where(inside[None, :], partial, np.where(pos[None, :] >= u.size, full, 0.0))
-
-
-def is_flatter(first: Schedule, second: Schedule) -> bool:
-    """Whether ``first`` has pointwise no larger upper resource distribution.
-
-    Checked on the finite grid of both schedules' breakpoints crossed with
-    both usage levels (plus 0); between those points the difference is linear
-    in the horizon and a difference of convex piecewise-linear functions of
-    the height, so the grid check is exact.
-    """
-    u1 = first.total_usage()
-    u2 = second.total_usage()
-    horizons = np.unique(np.concatenate([u1.edges, u2.edges]))
-    levels = np.unique(np.concatenate([u1.values, u2.values, [0.0]]))
-    levels = levels[(levels >= 0.0) & (levels <= 1.0)]
-    a1 = _area_matrix(u1, horizons, levels)
-    a2 = _area_matrix(u2, horizons, levels)
-    return bool(np.all(a1 <= a2 + DEFAULT_TOL * np.maximum(1.0, a2)))
-
-
 # -- JSON interchange -------------------------------------------------------
 
 
@@ -513,7 +454,7 @@ def _number(x, name: str) -> float:
     return float(x)
 
 
-def jobs_from_json(text: str) -> JobSet:
+def jobs_from_json(text: str | bytes) -> JobSet:
     try:
         return JobSet(Job(_number(rec["v"], '"v"'), _number(rec["r"], '"r"'))
                       for rec in json.loads(text)["jobs"])
@@ -522,7 +463,7 @@ def jobs_from_json(text: str) -> JobSet:
 
 
 def schedule_to_json(sched: Schedule) -> str:
-    grid = np.unique(np.concatenate([a.edges for a in sched.assignments])) if sched.n_jobs else np.array([0.0])
+    grid = _distinct(np.concatenate([a.edges for a in sched.assignments])) if sched.n_jobs else np.array([0.0])
     # each row is read at the left ends: the midpoint of a one-ulp interval
     # rounds onto an edge
     rows = [[float(x) for x in a(grid[:-1])] for a in sched.assignments]
@@ -534,7 +475,7 @@ def schedule_to_json(sched: Schedule) -> str:
     return _dump(payload) + "\n"
 
 
-def schedule_from_json(text: str) -> Schedule:
+def schedule_from_json(text: str | bytes) -> Schedule:
     try:
         data = json.loads(text)
         grid = [_number(t, '"breakpoints"') for t in data["breakpoints"]]

@@ -25,6 +25,7 @@ from .core import (
     PiecewiseLinear,
     Schedule,
     StepFunction,
+    _distinct,
 )
 
 
@@ -133,12 +134,10 @@ def build_line_schedule(jobs: JobSet, alpha) -> LineSchedule:
     if n == 0:
         return LineSchedule(Schedule.empty(0), a, (), PiecewiseLinear.zero(),
                             np.zeros(0), np.array([0.0]), np.zeros(0))
-    times = _kernel.breakpoints(v, a)[0]
-    grid = times[np.concatenate(((True,), times[1:] != times[:-1]))]
+    grid = _distinct(_kernel.breakpoints(v, a)[0])
     t0 = grid[:-1]
     rates = _kernel.rates_at(v, r, a, t0)
-    m = t0.size
-    assignments = [StepFunction(grid, rates[j]) if m else StepFunction.zero() for j in range(n)]
+    assignments = [StepFunction(grid, rates[j]) for j in range(n)]
 
     # gamma follows line k and beta_j = d_j - gamma wherever they are positive
     mid = 0.5 * (t0 + grid[1:])
@@ -148,11 +147,8 @@ def build_line_schedule(jobs: JobSet, alpha) -> LineSchedule:
     positive = beta_mid > 0.0
     beta_start = np.where(positive, a[:, None] - t0[None, :] / v[:, None] - gamma_start, 0.0)
     beta_slope = np.where(positive, -1.0 / v[:, None] - gamma_slope, 0.0)
-    gamma = PiecewiseLinear(grid, gamma_start, gamma_slope) if m else PiecewiseLinear.zero()
-    beta = tuple(
-        PiecewiseLinear(grid, beta_start[j], beta_slope[j]) if m else PiecewiseLinear.zero()
-        for j in range(n)
-    )
+    gamma = PiecewiseLinear(grid, gamma_start, gamma_slope)
+    beta = tuple(PiecewiseLinear(grid, beta_start[j], beta_slope[j]) for j in range(n))
     return LineSchedule(Schedule(assignments), a, beta, gamma, rates @ (grid[1:] - t0), grid, v)
 
 

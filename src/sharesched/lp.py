@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernel
-from .core import ContractError, JobSet, Schedule, StepFunction, _fmt
+from .core import ContractError, JobSet, Schedule, StepFunction, _distinct, _fmt
 from .linesched import ConvergenceError, DegenerateVolumesError, solve_alpha
 
 
@@ -434,7 +434,7 @@ def solve_lp(inst: LpInstance) -> LpSolution:
     except (DegenerateVolumesError, ConvergenceError):
         pass    # no continuous optimum to seed from: start from one block
     else:
-        edges = np.union1d(edges, _cuts(inst, seed))
+        edges = _distinct(np.concatenate((edges, _cuts(inst, seed))))
     total_pivots = 0
     for rounds in range(1, MAX_ROUNDS + 1):
         W, alpha, objective, piv = _aggregated_solve(inst, edges)
@@ -446,7 +446,7 @@ def solve_lp(inst: LpInstance) -> LpSolution:
             volumes = np.repeat(W / np.diff(edges), np.diff(edges), axis=1)
             return LpSolution(volumes, objective, alpha, beta, gamma, dual_obj, gap,
                               edges, rounds, total_pivots)
-        new_edges = np.union1d(edges, _cuts(inst, alpha, edges, W))
+        new_edges = _distinct(np.concatenate((edges, _cuts(inst, alpha, edges, W))))
         if new_edges.size == edges.size:
             widths = np.diff(edges)
             k = int(np.argmax(widths))

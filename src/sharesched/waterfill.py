@@ -22,7 +22,7 @@ from .core import (
     JobSet,
     Schedule,
     StepFunction,
-    _area_matrix,
+    _distinct,
     _pieces_before,
 )
 
@@ -103,7 +103,7 @@ def waterfill_step(usage: StepFunction, job: Job, deadline: float) -> WaterfillO
     level = 1.0     # kept when the capacity falls short of v within the tolerance
     if capacity >= v:
         cands = np.concatenate((levels, levels + r, (0.0, 1.0)))
-        cands = np.unique(cands[(cands >= 0.0) & (cands <= 1.0)])
+        cands = _distinct(cands[(cands >= 0.0) & (cands <= 1.0)])
         # the last candidate is 1.0, whose volume reaches v, so i < cands.size
         i = bisect.bisect_left(cands, v, key=volume_below)
         if i == 0:      # reachable when a caller's usage has negative levels
@@ -257,6 +257,50 @@ class UniversalSchedule:
         return StepFunction(edges, vals)
 
 
+def _cumulative(marks: np.ndarray, usage: StepFunction, horizons: np.ndarray) -> np.ndarray:
+    """Integral over [0, C) of each row of per-usage-interval ``marks``, one
+    column per horizon C >= 0: the cumulative sum at the edge at or before C
+    plus the offset past it times the mark there (0 past the support)."""
+    e = usage.edges
+    pos = e.searchsorted(horizons, side="right") - 1
+    cum = np.zeros((marks.shape[0], e.size))
+    np.cumsum(marks * (e[1:] - e[:-1]), axis=1, out=cum[:, 1:])
+    padded = np.concatenate((marks, np.zeros((marks.shape[0], 1))), axis=1)
+    return cum[:, pos] + (horizons - e[pos]) * padded[:, pos]
+
+
+def _area_matrix(usage: StepFunction, horizons: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Upper areas of a usage profile: one row per height, one column per horizon."""
+    return _cumulative(np.maximum(usage.values - ys[:, None], 0.0), usage, horizons)
+
+
+def upper_resource_distribution(sched: Schedule, C: float, y: float) -> float:
+    """Total volume above height ``y`` before time ``C`` in the schedule."""
+    if not (0.0 <= y <= 1.0 + DEFAULT_TOL):
+        raise ContractError("y must lie in [0, 1]")
+    if not C >= 0.0:
+        raise ContractError("C must be nonnegative")
+    return float(_area_matrix(sched.total_usage(), np.array([C]), np.array([y]))[0, 0])
+
+
+def is_flatter(first: Schedule, second: Schedule) -> bool:
+    """Whether ``first`` has pointwise no larger upper resource distribution.
+
+    Checked on the finite grid of both schedules' breakpoints crossed with
+    both usage levels (plus 0); between those points the difference is linear
+    in the horizon and a difference of convex piecewise-linear functions of
+    the height, so the grid check is exact.
+    """
+    u1 = first.total_usage()
+    u2 = second.total_usage()
+    horizons = _distinct(np.concatenate([u1.edges, u2.edges]))
+    levels = _distinct(np.concatenate([u1.values, u2.values, [0.0]]))
+    levels = levels[(levels >= 0.0) & (levels <= 1.0)]
+    a1 = _area_matrix(u1, horizons, levels)
+    a2 = _area_matrix(u2, horizons, levels)
+    return bool(np.all(a1 <= a2 + DEFAULT_TOL * np.maximum(1.0, a2)))
+
+
 def flatter_than_universal(sched: Schedule, volume: float) -> bool:
     """Exact check that ``sched`` is flatter than the universal shape.
 
@@ -269,22 +313,16 @@ def flatter_than_universal(sched: Schedule, volume: float) -> bool:
     u = UniversalSchedule(volume)
     usage = sched.total_usage()
     far = max(usage.support_end, u.support_end) + 1.0
-    horizons = np.unique(np.append(usage.edges, far))
-    levels = np.unique(np.concatenate([usage.values, [0.0, 1.0]]))
+    horizons = _distinct(np.append(usage.edges, far))
+    levels = _distinct(np.concatenate([usage.values, [0.0, 1.0]]))
     levels = levels[(levels >= 0.0) & (levels <= 1.0)]
     ys = levels
     if volume > 0.0 and usage.values.size:
-        # measures of {usage > level} before each horizon, via cumulative sums
-        w = np.diff(usage.edges)
-        above = (usage.values[None, :] > levels[:, None]).astype(float)
-        cum = np.concatenate([np.zeros((levels.size, 1)),
-                              np.cumsum(above * w[None, :], axis=1)], axis=1)
-        pos = np.clip(np.searchsorted(usage.edges, horizons, side="right") - 1,
-                      0, usage.values.size)
-        measures = np.unique(cum[:, pos])
+        # measures of {usage > level} before each horizon
+        measures = _distinct(_cumulative(usage.values > levels[:, None], usage, horizons))
         measures = measures[measures > 0.0]
         ystar = 1.0 - np.log(measures * (E - 1.0) / volume)
-        ys = np.unique(np.concatenate([ys, ystar[(ystar >= 0.0) & (ystar <= 1.0)]]))
+        ys = _distinct(np.concatenate([ys, ystar[(ystar >= 0.0) & (ystar <= 1.0)]]))
     a_sched = _area_matrix(usage, horizons, ys)
     a_ref = u.upper_area(ys[:, None], horizons[None, :])
     return bool(np.all(a_sched <= a_ref + DEFAULT_TOL * np.maximum(1.0, a_ref)))
@@ -309,7 +347,7 @@ def extendability_check(sched: Schedule, jobs: JobSet, ratio: float,
     usage = sched.total_usage()
     lo = (ratio - 1.0) / ratio
     ys = np.concatenate([usage.values, [lo, 1.0, total / p_max if p_max else 1.0]])
-    ys = np.unique(ys[(ys >= lo) & (ys <= 1.0)])
+    ys = _distinct(ys[(ys >= lo) & (ys <= 1.0)])
     measure = (usage.values[None, :] > ys[:-1, None]) @ usage.widths()
     with np.errstate(divide="ignore", invalid="ignore"):   # no usage above: no y*
         ystar = np.sqrt((ratio - 1.0) * total / measure)

@@ -459,3 +459,84 @@ class TestUsage:
                      "--out", str(out)]) == 0
         assert f"{bad_inst},greedy,,,,,,,,error,," in out.read_text().split("\n")
         assert "Traceback" not in capsys.readouterr().err
+
+
+class TestUnreadablePaths:
+    """A path that is a directory or holds bytes that are not UTF-8 exits 2
+    with an ``error:`` line, and ``compare`` gives its instance error rows."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        (tmp_path / "d.json").mkdir()
+        (tmp_path / "bom.json").write_bytes(b'\xff\xfe{"jobs": []}')
+        (tmp_path / "bad.json").write_bytes(b'\xff{"jobs": []}')
+        (tmp_path / "inst.json").write_text(FIG_JOBS)
+        return tmp_path
+
+    @staticmethod
+    def assert_usage_error(argv, capsys, cause):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and cause in err and "Traceback" not in err
+
+    def test_gen_file(self, paths, capsys):
+        self.assert_usage_error(["gen", "file", "--path", str(paths / "d.json")], capsys,
+                                "Is a directory")
+
+    def test_run(self, paths, capsys):
+        for name in ("bom.json", "bad.json"):
+            self.assert_usage_error(["run", "greedy", "--input", str(paths / name)], capsys,
+                                    "malformed instance JSON")
+        self.assert_usage_error(["run", "greedy", "--input", str(paths / "d.json")], capsys,
+                                str(paths / "d.json"))
+        self.assert_usage_error(["run", "greedy", "--input", str(paths / "inst.json"),
+                                 "--record", str(paths / "d.json")], capsys, "Is a directory")
+
+    def test_verify(self, paths, capsys):
+        main(["run", "greedy", "--input", str(paths / "inst.json"), "--record", os.devnull,
+              "--schedule-out", str(paths / "s.json")])
+        self.assert_usage_error(["verify", "--instance", str(paths / "inst.json"),
+                                 "--schedule", str(paths / "d.json")], capsys, "Is a directory")
+        self.assert_usage_error(["verify", "--instance", str(paths / "bad.json"),
+                                 "--schedule", str(paths / "s.json")], capsys,
+                                "malformed instance JSON")
+
+    def test_compare(self, paths, capsys):
+        out = paths / "cmp.csv"
+        assert main(["compare", "--inputs", str(paths / "*.json"), "--algos", "greedy,ls",
+                     "--out", str(out)]) == 0
+        rows = out.read_text().split("\n")
+        for name in ("d.json", "bom.json", "bad.json"):
+            for algo in ("greedy", "ls"):
+                assert f"{paths / name},{algo},,,,,,,,error,," in rows
+        assert any(row.startswith(f"{paths / 'inst.json'},ls,3,") for row in rows)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_plot(self, paths, capsys):
+        self.assert_usage_error(["plot", "--schedule", str(paths / "d.json")], capsys,
+                                "Is a directory")
+
+
+def test_numpy_ma_stays_unloaded(tmp_path):
+    # np.unique imports numpy.ma on its first call, about 30 ms; no path
+    # through these commands may call it
+    src = str(Path(sharesched.__file__).parent.parent)
+    script = (
+        "import sys\n"
+        "from sharesched.cli import main\n"
+        "for argv in (['gen', 'random', '--n', '6', '--seed', '3', '--out', 'inst.json'],\n"
+        "             ['run', 'waterfill', '--input', 'inst.json', '--schedule-out', 'wf.json',\n"
+        "              '--record', 'wf-run.json'],\n"
+        "             ['run', 'best', '--input', 'inst.json', '--record', 'best.json'],\n"
+        "             ['run', 'lsapprox', '--input', 'inst.json', '--record', 'lsa.json'],\n"
+        "             ['verify', '--instance', 'inst.json', '--schedule', 'wf.json',\n"
+        "              '--ratio', '1.582', '--out', 'verify.json']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "verify.json").read_text())["extendable"] is True

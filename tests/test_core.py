@@ -409,3 +409,73 @@ class TestJson:
     def test_integers_too_large_for_a_float_are_malformed(self):
         with pytest.raises(ContractError, match="malformed instance JSON"):
             jobs_from_json('{"jobs": [{"v": 1' + "0" * 400 + ', "r": 0.5}]}')
+
+
+# -- byte-identity references ------------------------------------------------
+
+
+def reference_step_call(f, t):
+    """``StepFunction.__call__`` before it became the padded gather."""
+    t = np.asarray(t, dtype=float)
+    idx = np.searchsorted(f.edges, t, side="right") - 1
+    ok = (idx >= 0) & (idx < f.values.size)
+    safe = np.clip(idx, 0, max(f.values.size - 1, 0))
+    vals = f.values[safe] if f.values.size else np.zeros_like(t)
+    out = np.where(ok, vals, 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def reference_linear_call(f, t):
+    """``PiecewiseLinear.__call__`` before it shared the padded gather."""
+    t = np.asarray(t, dtype=float)
+    idx = np.searchsorted(f.edges, t, side="right") - 1
+    ok = (idx >= 0) & (idx < f.starts.size)
+    safe = np.clip(idx, 0, max(f.starts.size - 1, 0))
+    if f.starts.size:
+        vals = f.starts[safe] + f.slopes[safe] * (t - f.edges[:-1][safe])
+    else:
+        vals = np.zeros_like(t)
+    out = np.where(ok, vals, 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def _lookup_cases():
+    """Random step and piecewise-linear functions (empty ones and one-ulp
+    intervals among them), each with the points to read them at."""
+    rng = np.random.default_rng(11)
+    for k in range(60):
+        m = k % 7
+        edges = np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 2.0, m))))
+        if m >= 2 and k % 3 == 0:       # a one-ulp interval
+            edges[2] = np.nextafter(edges[1], np.inf)
+        values = rng.choice([0.0, 0.25, 0.5, 1.0, rng.uniform()], m)
+        end = edges[-1]
+        ts = np.concatenate([[-1.0, -0.0, np.nan, end, end + 1.0, 1e300],
+                             edges, edges[:-1] + 0.5 * np.diff(edges),
+                             np.nextafter(edges, -np.inf), rng.uniform(-0.5, end + 1.0, 8)])
+        yield (StepFunction(edges, values),
+               PiecewiseLinear(edges, rng.normal(size=m), rng.normal(size=m)), ts)
+
+
+def test_lookups_match_the_references_byte_for_byte():
+    empties = (StepFunction.zero(), PiecewiseLinear.zero(), np.array([-1.0, 0.0, 2.0, np.nan]))
+    for step, linear, ts in [*_lookup_cases(), empties]:
+        for f, ref in ((step, reference_step_call), (linear, reference_linear_call)):
+            assert f(ts).tobytes() == ref(f, ts).tobytes()
+            grid = ts[: ts.size // 2 * 2].reshape(2, -1)
+            assert f(grid).tobytes() == ref(f, grid).tobytes()
+            for t in ts:
+                got, want = f(t), ref(f, t)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_distinct_is_np_unique_for_finite_input():
+    rng = np.random.default_rng(3)
+    for k in range(30):
+        x = rng.choice([-0.0, 0.0, 1.5, -2.0, rng.normal()], size=rng.integers(0, 40))
+        x = np.concatenate((x, rng.normal(size=k)))
+        for a in (x, x[: x.size - x.size % 2].reshape(-1, 2) if x.size > 1 else x,
+                  np.round(x * 3).astype(np.int64)):
+            assert core._distinct(a).tobytes() == np.unique(a).tobytes()
+            assert core._distinct(a).dtype == np.unique(a).dtype

@@ -143,6 +143,33 @@ def test_solve_alpha_meets_vol_tol_unless_volumes_near_tie(jobs):
     assert np.max(np.abs(vols - jobs.volumes())) <= 1e-8
 
 
+def _near_tie(n: int, seed: int, exponent: float) -> JobSet:
+    jobs = generate_random(n, seed)
+    v = jobs.volumes()
+    v[1] = v[0] * (1.0 + 10.0 ** exponent)
+    return JobSet.of(zip(v, jobs.requirements()))
+
+
+# job 1's volume a relative 10^[-15, -5] above job 0's
+near_tied_instances = st.builds(_near_tie, st.integers(2, 8), st.integers(0, 2**32 - 1),
+                                st.floats(-15.0, -5.0))
+
+
+@PROPERTY_SETTINGS
+@given(near_tied_instances)
+def test_near_tied_volumes_raise_or_solve_and_best_stays_valid(jobs):
+    try:
+        alpha = solve_alpha(jobs)
+    except DegenerateVolumesError:
+        alpha = None
+    else:
+        vols = build_line_schedule(jobs, alpha).scheduled_volumes
+        assert np.max(np.abs(vols - jobs.volumes())) <= DEFAULT_TOL
+    sched, report = best_schedule(jobs)
+    assert validate_schedule(jobs, sched, tol=1e-8).feasible
+    assert (report.line_error is not None) == (alpha is None)
+
+
 @PROPERTY_SETTINGS
 @given(solvable)
 def test_ls_exact_is_valid_and_meets_strong_duality(jobs):

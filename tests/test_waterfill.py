@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sharesched import core
+from sharesched import waterfill
 from sharesched import (
     COMPETITIVE_RATIO,
     ContractError,
@@ -404,3 +405,94 @@ class TestAdversarialInstance:
     def test_rejects_nonpositive(self):
         with pytest.raises(ContractError):
             adversarial_instance(0)
+
+
+# -- byte-identity references for the upper-area table -----------------------
+
+
+def reference_area_matrix(usage, horizons, ys):
+    """The upper-area matrix before it moved onto ``waterfill._cumulative``."""
+    ny, nc = ys.size, horizons.size
+    if not usage.values.size:
+        return np.zeros((ny, nc))
+    e, u = usage.edges, usage.values
+    w = np.diff(e)
+    above = np.maximum(u[None, :] - ys[:, None], 0.0)
+    cum = np.concatenate([np.zeros((ny, 1)), np.cumsum(above * w[None, :], axis=1)], axis=1)
+    pos = np.searchsorted(e, horizons, side="right") - 1
+    k = np.clip(pos, 0, u.size - 1)
+    inside = (pos >= 0) & (pos < u.size)
+    partial = cum[:, k] + (horizons - e[k])[None, :] * above[:, k]
+    full = np.broadcast_to(cum[:, -1][:, None], (ny, nc))
+    return np.where(inside[None, :], partial, np.where(pos[None, :] >= u.size, full, 0.0))
+
+
+def reference_flatter_than_universal(sched, volume):
+    """``flatter_than_universal`` with its own cumulative sum of the measures
+    above each level, as before the shared table."""
+    u = UniversalSchedule(volume)
+    usage = sched.total_usage()
+    far = max(usage.support_end, u.support_end) + 1.0
+    horizons = np.unique(np.append(usage.edges, far))
+    levels = np.unique(np.concatenate([usage.values, [0.0, 1.0]]))
+    levels = levels[(levels >= 0.0) & (levels <= 1.0)]
+    ys = levels
+    if volume > 0.0 and usage.values.size:
+        w = np.diff(usage.edges)
+        above = (usage.values[None, :] > levels[:, None]).astype(float)
+        cum = np.concatenate([np.zeros((levels.size, 1)),
+                              np.cumsum(above * w[None, :], axis=1)], axis=1)
+        pos = np.clip(np.searchsorted(usage.edges, horizons, side="right") - 1,
+                      0, usage.values.size)
+        measures = np.unique(cum[:, pos])
+        measures = measures[measures > 0.0]
+        ystar = 1.0 - np.log(measures * (E - 1.0) / volume)
+        ys = np.unique(np.concatenate([ys, ystar[(ystar >= 0.0) & (ystar <= 1.0)]]))
+    a_sched = reference_area_matrix(usage, horizons, ys)
+    a_ref = u.upper_area(ys[:, None], horizons[None, :])
+    return bool(np.all(a_sched <= a_ref + core.DEFAULT_TOL * np.maximum(1.0, a_ref)))
+
+
+def _flatness_pool():
+    """(jobs, schedule) pairs: greedy and water-fill on random and
+    adversarial instances, every water-fill prefix included."""
+    pool = [generate_random(n, s) for n in (1, 3, 6, 12) for s in range(1, 5)]
+    pool += [adversarial_instance(n) for n in (1, 2, 5, 20)]
+    for jobs in pool:
+        yield jobs, greedy(jobs)
+        run = waterfill_online(jobs)
+        for k, sched in enumerate(prefix_schedules(run)):
+            yield jobs.prefix(k + 1), sched
+
+
+def test_area_matrix_matches_the_reference_byte_for_byte():
+    rng = np.random.default_rng(4)
+    for _, sched in [*_flatness_pool(), (JobSet(), Schedule.empty(0))]:
+        usage = sched.total_usage()
+        end = usage.support_end
+        horizons = np.concatenate([usage.edges, rng.uniform(0.0, end + 1.0, 6),
+                                   [0.0, end, end + 1.0, 2.0 * end + 5.0]])
+        ys = np.concatenate([usage.values, rng.uniform(0.0, 1.0, 4), [0.0, 1.0]])
+        got = waterfill._area_matrix(usage, horizons, ys)
+        assert got.tobytes() == reference_area_matrix(usage, horizons, ys).tobytes()
+
+
+def test_flatness_verdicts_match_the_references(monkeypatch):
+    pool = list(_flatness_pool())
+    verdicts = {"flatter": [], "universal": [], "extendable": []}
+    for jobs, sched in pool:
+        total = jobs.total_volume()
+        verdicts["universal"] += [flatter_than_universal(sched, f * total)
+                                  for f in (0.0, 0.6, 0.9, 1.0, 1.2)]
+        verdicts["extendable"] += [extendability_check(sched, jobs, c)
+                                   for c in (1.2, 1.45, COMPETITIVE_RATIO, 2.0)]
+    verdicts["flatter"] = [is_flatter(a, b) for (_, a), (_, b) in zip(pool, pool[1:])]
+    # both verdicts occur in every family, so the comparison below can tell
+    assert all(0 < sum(v) < len(v) for v in verdicts.values())
+    assert verdicts["universal"] == [
+        reference_flatter_than_universal(sched, f * jobs.total_volume())
+        for jobs, sched in pool for f in (0.0, 0.6, 0.9, 1.0, 1.2)]
+    monkeypatch.setattr(waterfill, "_area_matrix", reference_area_matrix)
+    assert verdicts["extendable"] == [extendability_check(sched, jobs, c) for jobs, sched in pool
+                                      for c in (1.2, 1.45, COMPETITIVE_RATIO, 2.0)]
+    assert verdicts["flatter"] == [is_flatter(a, b) for (_, a), (_, b) in zip(pool, pool[1:])]
