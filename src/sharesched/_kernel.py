@@ -6,8 +6,8 @@ unit resource, each taking min(r_j, capacity left), ties going to the larger
 volume.  So until its zero ``alpha_j v_j`` job j runs at ``clip(1 - U_j, 0,
 r_j)``, ``U_j`` the requirements of the lines above j's, which changes only
 where a line crosses j's: one sorted row of events per job (``_rows``) is the
-whole rule.  ``breakpoints`` uses the rows' crossing expression, so its grid
-refines every row exactly; ``prices`` reads gamma and beta off the rates.
+whole rule, and the only place that computes a crossing time.  ``prices``
+reads gamma and beta off the rates.
 The rows' terms that do not depend on alpha (``_pairs``) are kept for the
 last few instances, since a Newton ascent packs one instance many times.
 """
@@ -17,27 +17,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-
-
-def breakpoints(v, alpha):
-    """Sorted times at which the packing of the lines of ``alpha`` can change.
-
-    Returns ``(times, a, b)``: ``times[0] == 0`` with ``a = b = -1``; a zero
-    of line j has ``a = j, b = -1``; a crossing of lines j < k at positive
-    time has ``a = j, b = k``.
-    """
-    idx = np.arange(v.size)
-    zeros = idx[alpha > 0.0]
-    j, k = np.nonzero(idx[:, None] < idx)
-    ds = 1.0 / v[j] - 1.0 / v[k]
-    t = (alpha[j] - alpha[k]) / np.where(ds != 0.0, ds, np.inf)  # parallel: t = 0
-    crossing = t > 0.0
-    j, k, t = j[crossing], k[crossing], t[crossing]
-    times = np.concatenate([[0.0], alpha[zeros] * v[zeros], t])
-    a = np.concatenate([[-1], zeros, j])
-    b = np.concatenate([[-1], np.full(zeros.size, -1), k])
-    order = np.argsort(times, kind="stable")
-    return times[order], a[order], b[order]
 
 
 def prices(d, rates):

@@ -27,6 +27,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_ALGO = 3
 EXIT_INVALID = 4
+#: the algorithms that ``run`` and ``compare`` accept
+ALGORITHMS = ("waterfill", "greedy", "ls", "lsapprox", "best")
 
 CSV_HEADER = "instance,algo,n,makespan,tct,ftct,c_a,c_l,lb3,ratio_best,wall_ms,seed"
 
@@ -251,6 +253,11 @@ def _cmd_compare(args) -> int:
     if not algos:
         print("no algorithms given", file=sys.stderr)
         return EXIT_USAGE
+    unknown = [a for a in algos if a not in ALGORITHMS]
+    if unknown:
+        print(f"unknown algorithm {unknown[0]!r} (choose from "
+              f"{', '.join(map(repr, ALGORITHMS))})", file=sys.stderr)
+        return EXIT_USAGE
     rows = []
     max_ratio: dict[str, float] = {}
     for path in paths:
@@ -439,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=_cmd_gen)
 
     r = sub.add_parser("run", parents=[algo_opts], help="run one algorithm on an instance")
-    r.add_argument("algo", choices=["waterfill", "greedy", "ls", "lsapprox", "best"])
+    r.add_argument("algo", choices=ALGORITHMS)
     r.add_argument("--input", required=True)
     r.add_argument("--record", default="-", help="run-record JSON output path")
     r.add_argument("--schedule-out", help="schedule JSON output path")

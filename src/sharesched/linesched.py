@@ -61,10 +61,11 @@ class ConvergenceError(RuntimeError):
 class LineSchedule:
     """Primal rates plus the dual prices built from one alpha vector.
 
-    ``grid`` holds every pairwise line crossing at positive time and every
-    line zero; rates, ``gamma`` and ``beta`` are affine within each grid
-    interval.  ``scheduled_volumes`` are the exact per-job integrals of the
-    rates (these equal the demand vector only when alpha solves for it).
+    ``grid`` holds 0 and each event of a job's packing row where that job
+    runs on one side, so it ends where the last job ends; rates are constant
+    and ``gamma`` and ``beta`` affine on each grid interval.
+    ``scheduled_volumes`` are the exact per-job integrals of the rates
+    (these equal the demand vector only when alpha solves for it).
     """
 
     schedule: Schedule
@@ -123,21 +124,29 @@ def _check_inputs(jobs: JobSet, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def build_line_schedule(jobs: JobSet, alpha) -> LineSchedule:
     """Construct the line schedule of ``alpha`` with its dual prices.
 
-    The capacity price gamma follows the lowest scheduled priority line on
-    intervals where the resource is exhausted and is zero elsewhere (the
-    only choice under which gamma-slackness and the duality identities hold
-    when requirement caps leave the resource unsaturated);
-    ``beta_j = max(0, d_j - gamma)``.
+    Job j's rates are row j of ``_kernel._rows``.  The capacity price gamma
+    follows the lowest scheduled priority line on intervals where the
+    resource is exhausted and is zero elsewhere (the only choice under which
+    gamma-slackness and the duality identities hold when requirement caps
+    leave the resource unsaturated); ``beta_j = max(0, d_j - gamma)``.  No
+    rate changes inside a grid interval, and the lowest running line changes
+    only where it crosses another running line, an event of both rows, so
+    gamma and every beta_j are affine there.
     """
     v, r, a = _check_inputs(jobs, alpha)
     n = v.size
     if n == 0:
         return LineSchedule(Schedule.empty(0), a, (), PiecewiseLinear.zero(),
                             np.zeros(0), np.array([0.0]), np.zeros(0))
-    grid = _distinct(_kernel.breakpoints(v, a)[0])
+    times, _, _, row_rates, vols = _kernel._rows(v, r, a)
+    prev = np.concatenate((np.zeros((n, 1)), times[:, :-1]), axis=1)
+    wide = (times > prev) & (times < np.inf)    # rate i holds on [event i - 1, event i)
+    assignments = [StepFunction(np.concatenate(([0.0], times[j][wide[j]])),
+                                row_rates[j, :-1][wide[j]]) for j in range(n)]
+    runs = (row_rates[:, :-1] > 0.0) | (row_rates[:, 1:] > 0.0)    # on a side of event i
+    grid = _distinct(np.concatenate(([0.0], times[runs])))
     t0 = grid[:-1]
-    rates = _kernel.rates_at(v, r, a, t0)
-    assignments = [StepFunction(grid, rates[j]) for j in range(n)]
+    rates = np.vstack([f(t0) for f in assignments])
 
     # gamma follows line k and beta_j = d_j - gamma wherever they are positive
     mid = 0.5 * (t0 + grid[1:])
@@ -149,7 +158,7 @@ def build_line_schedule(jobs: JobSet, alpha) -> LineSchedule:
     beta_slope = np.where(positive, -1.0 / v[:, None] - gamma_slope, 0.0)
     gamma = PiecewiseLinear(grid, gamma_start, gamma_slope)
     beta = tuple(PiecewiseLinear(grid, beta_start[j], beta_slope[j]) for j in range(n))
-    return LineSchedule(Schedule(assignments), a, beta, gamma, rates @ (grid[1:] - t0), grid, v)
+    return LineSchedule(Schedule(assignments), a, beta, gamma, vols, grid, v)
 
 
 def solve_alpha(jobs: JobSet, targets=None, vol_tol: float = DEFAULT_TOL,
@@ -284,9 +293,10 @@ def check_slackness(ls: LineSchedule, jobs: JobSet) -> SlacknessReport:
     """Evaluate all four slackness families plus dual feasibility, exactly.
 
     On each ``ls.grid`` interval the rates are constant and ``d_j``,
-    ``beta_j`` and ``gamma`` are affine, so every family is affine there and
-    its largest magnitude sits at an end of the interval.  Each family is
-    read at both ends of every interval (the right end as the limit from
+    ``beta_j`` and ``gamma`` are affine (gamma's line changes only at an
+    event of a running line, a grid point), so every family is affine there
+    and its largest magnitude sits at an end of the interval.  Each family
+    is read at both ends of every interval (the right end as the limit from
     inside), and dual feasibility also just past the grid, where only the
     lines are left.  Exact grid integrals feed the volume condition.
     """

@@ -349,20 +349,21 @@ def _slot_duals(inst: LpInstance, alpha: np.ndarray):
 
 
 def _cuts(inst: LpInstance, alpha: np.ndarray, edges=None, W=None) -> np.ndarray:
-    """Inner slot edges cut by the breakpoints of ``alpha`` (rules in
+    """Inner slot edges cut by the packing events of ``alpha`` (rules in
     ``solve_lp``); the block splits need the block ``edges`` and volumes ``W``."""
     d = inst.slot_width
-    t, a, b = _kernel.breakpoints(inst.jobs.volumes(), alpha)
-    keep = (t > 0.0) & (t < inst.horizon)
-    t, a, b = t[keep], a[keep], b[keep]
+    r = inst.jobs.requirements()
+    times, order = _kernel._rows(inst.jobs.volumes(), r, alpha)[:2]
+    a, i = np.nonzero((times > 0.0) & (times < inst.horizon))
+    t, b = times[a, i], order[a, i]
     slots = (t / d).astype(int)
     cuts = [slots, slots + 1]
     if edges is not None:
-        k = np.searchsorted(edges[1:-1], slots, side="right")   # block of each breakpoint
+        k = np.searchsorted(edges[1:-1], slots, side="right")   # block of each event
         lo, hi = edges[k], edges[k + 1]
         inner = (t > (lo + 0.5) * d) & (t < (hi - 0.5) * d)
-        zero = inner & (b < 0)
-        fill = np.ceil(W[a[zero], k[zero]] / (inst.jobs.requirements()[a[zero]] * d))
+        zero = inner & (b == a)                                 # row a's own line
+        fill = np.ceil(W[a[zero], k[zero]] / (r[a[zero]] * d))
         cuts += [(lo + hi)[inner] // 2,
                  lo[zero] + np.clip(fill, 1, (hi - lo)[zero] - 1).astype(int)]
     cuts = np.concatenate(cuts)
@@ -384,24 +385,25 @@ def solve_lp(inst: LpInstance) -> LpSolution:
     Why the breakpoints of the dual optimum lose nothing: under the optimal
     ``alpha`` the full LP's slot problems decouple into priority packings of
     the gains ``alpha_j - midpoint / v_j``.  Between two breakpoints (a line
-    crossing or a line zero) no gain changes sign or order, so every slot
-    packs the same rates, and there is an optimal solution that is constant
-    on each block between them.  The slot LP's duals tend to the continuous
-    optimum as the slots shrink, so the first blocks are cut around the
-    breakpoints of ``solve_alpha`` on the jobs with a positive target (the
-    others get alpha 0).  When ``solve_alpha`` raises (near-tied volumes, or
-    no convergence) the same loop starts from the single block ``{0, I}``.
+    zero, or a crossing above zero) no positive gain changes sign or order,
+    so every slot packs the same rates, and there is an optimal solution
+    that is constant on each block between them.  The slot LP's duals tend
+    to the continuous optimum as the slots shrink, so the first blocks are
+    cut around the breakpoints of ``solve_alpha`` on the jobs with a
+    positive target (the others get alpha 0).  When ``solve_alpha`` raises
+    (near-tied volumes, or no convergence) the same loop starts from the
+    single block ``{0, I}``.
 
-    Every cut comes from one ``_kernel.breakpoints`` call (``_cuts``).  The
-    seed, and each round that does not certify, cut both edges of the slot
-    that holds each breakpoint of their ``alpha``.  A round also splits every
-    block that holds a breakpoint strictly between the midpoints of its first
-    and last slot: at its midpoint, and, for each line zero there, where that
-    job's block volume would end at its cap from the block start.  The last
-    split settles a job that ends just before a wide empty block: the simplex
-    may price it at that block's mean cost, and the other two rules then only
-    halve the block once a round.  A round that adds no edge halves the
-    widest block.
+    Every cut comes from the finite events of the ``_kernel._rows`` packing
+    rows (``_cuts``).  The seed, and each round that does not certify, cut
+    both edges of the slot that holds each breakpoint of their ``alpha``.  A
+    round also splits every block that holds a breakpoint strictly between
+    the midpoints of its first and last slot: at its midpoint, and, for each
+    line zero there, where that job's block volume would end at its cap from
+    the block start.  The last split settles a job that ends just before a
+    wide empty block: the simplex may price it at that block's mean cost,
+    and the other two rules then only halve the block once a round.  A round
+    that adds no edge halves the widest block.
 
     Raises InfeasibleInstanceError when the demands exceed the horizon
     capacity and SimplexError when refinement or pivot limits are hit.

@@ -304,6 +304,21 @@ class TestCompare:
         assert "epsilon must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_algorithm_exits_2_before_any_run(self, workdir, capsys, monkeypatch):
+        ran, run_algorithm = [], cli.run_algorithm
+
+        def spy(algo, *args, **kwargs):
+            ran.append(algo)
+            return run_algorithm(algo, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_algorithm", spy)
+        assert main(["compare", "--inputs", str(workdir / "*.json"),
+                     "--algos", "greedy,bogus"]) == 2
+        captured = capsys.readouterr()
+        assert ran == [] and captured.out == ""
+        assert "unknown algorithm 'bogus'" in captured.err and "'greedy'" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_slot_width_that_misses_one_horizon_marks_its_rows(self, workdir, tmp_path):
         # --delta 0.4 divides two.json's horizon 2 * 2 but not three.json's 3 * 9
         (workdir / "two.json").write_text('{"jobs": [{"v": 2, "r": 1}, {"v": 1, "r": 0.5}]}\n')

@@ -58,6 +58,17 @@ def _packed_at(v, r, alpha, times):
     return pack(alpha[:, None] - times[None, :] / v[:, None], v, r)
 
 
+def crossing_times(v, alpha):
+    """Sorted sample times: 0, every line zero at positive time and every
+    crossing of two lines at positive time, with the crossing expression of
+    ``_kernel._rows``."""
+    idx = np.arange(v.size)
+    j, k = np.nonzero(idx[:, None] < idx)
+    ds = 1.0 / v[j] - 1.0 / v[k]
+    t = (alpha[j] - alpha[k]) / np.where(ds != 0.0, ds, np.inf)  # parallel: t = 0
+    return np.sort(np.concatenate([[0.0], (alpha * v)[alpha > 0.0], t[t > 0.0]]), kind="stable")
+
+
 def reference_rows(v, r, alpha):
     """Reference ``_kernel._rows``: every term computed afresh from (v, r,
     alpha) with plain numpy calls, no term kept between calls."""
@@ -108,7 +119,7 @@ def test_matches_the_reference_bit_for_bit():
         assert vols.tobytes() == ref_vols.tobytes()
         assert _kernel.line_volumes(v, r, alpha).tobytes() == ref_vols.tobytes()
         assert jac.tobytes() == ref_jac.tobytes()
-        t = _kernel.breakpoints(v, alpha)[0]
+        t = crossing_times(v, alpha)
         times = np.concatenate([t, rng.uniform(0.0, 1.2 * t[-1] + 1.0, 16)])
         assert (_kernel.rates_at(v, r, alpha, times).tobytes()
                 == reference_rates_at(v, r, alpha, times).tobytes())
@@ -167,7 +178,7 @@ def test_jacobian_matches_central_differences():
 
 def test_volumes_match_the_column_packing():
     for v, r, alpha in _oracle_cases():
-        t = _kernel.breakpoints(v, alpha)[0]
+        t = crossing_times(v, alpha)
         ref = _packed_at(v, r, alpha, 0.5 * (t[:-1] + t[1:])) @ np.diff(t)
         vols = _kernel.line_volumes(v, r, alpha)
         assert np.allclose(vols, ref, rtol=1e-12, atol=1e-12 * max(1.0, float(ref.max())))
@@ -177,7 +188,7 @@ def test_volumes_match_the_column_packing():
 def test_rates_match_the_column_packing_off_the_breakpoints():
     rng = np.random.default_rng(3)
     for v, r, alpha in _oracle_cases():
-        t = _kernel.breakpoints(v, alpha)[0]
+        t = crossing_times(v, alpha)
         times = rng.uniform(0.0, 1.2 * t[-1] + 1.0, 64)
         gap = np.min(np.abs(times[:, None] - t[None, :]), axis=1)
         times = times[gap >= 1e-9]

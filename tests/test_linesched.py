@@ -11,12 +11,15 @@ from sharesched import (
     JobSet,
     LineSchedule,
     PiecewiseLinear,
+    Schedule,
+    StepFunction,
     best_schedule,
     build_discretized_lp,
     build_line_schedule,
     check_slackness,
     cost_rates_on_grid,
     duality_quantities,
+    makespan,
     solve_alpha,
     solve_lp,
 )
@@ -24,6 +27,7 @@ from sharesched import _kernel
 from sharesched.cli import generate_random
 
 from conftest import random_instance
+from test_kernel import _oracle_cases
 
 ALPHA_EXPECTED = np.array([51.0 / 16.0, 39.0 / 16.0, 31.0 / 16.0])
 
@@ -82,6 +86,90 @@ class TestBuildLineSchedule:
             assert q.volume_payoff == pytest.approx(rhs, rel=1e-12, abs=1e-12)
             assert q.primal_cost == pytest.approx(
                 q.requirement_penalty + q.capacity_penalty, rel=1e-12, abs=1e-12)
+
+
+def reference_build(jobs, alpha):
+    """Reference ``build_line_schedule``: every job on the grid of 0, every
+    line zero and every crossing of two lines at positive time, with the
+    rates of ``_kernel.rates_at`` and the same price rule."""
+    v, r, a = jobs.volumes(), jobs.requirements(), np.asarray(alpha, dtype=float)
+    n = v.size
+    idx = np.arange(n)
+    j, k = np.nonzero(idx[:, None] < idx)
+    ds = 1.0 / v[j] - 1.0 / v[k]
+    t = (a[j] - a[k]) / np.where(ds != 0.0, ds, np.inf)  # parallel: t = 0
+    grid = np.unique(np.concatenate([[0.0], (a * v)[a > 0.0], t[t > 0.0]]))
+    t0 = grid[:-1]
+    rates = _kernel.rates_at(v, r, a, t0)
+    mid = 0.5 * (t0 + grid[1:])
+    _, beta_mid, k = _kernel.prices(a[:, None] - mid[None, :] / v[:, None], rates)
+    gamma_start = np.where(k >= 0, a[k] - t0 / v[k], 0.0)
+    gamma_slope = np.where(k >= 0, -1.0 / v[k], 0.0)
+    positive = beta_mid > 0.0
+    beta_start = np.where(positive, a[:, None] - t0[None, :] / v[:, None] - gamma_start, 0.0)
+    beta_slope = np.where(positive, -1.0 / v[:, None] - gamma_slope, 0.0)
+    return LineSchedule(
+        Schedule(StepFunction(grid, rates[j]) for j in range(n)), a,
+        tuple(PiecewiseLinear(grid, beta_start[j], beta_slope[j]) for j in range(n)),
+        PiecewiseLinear(grid, gamma_start, gamma_slope), rates @ np.diff(grid), grid, v)
+
+
+def _oracle_pool():
+    """(jobs, alpha): the kernel's oracle cases, the acceptance pool, solved
+    and random intercepts on ``generate_random`` up to 48 jobs, and
+    requirements drawn from {0.25, 0.5, 0.75, 1}, which tie the capacity."""
+    for v, r, alpha in _oracle_cases():
+        yield JobSet.of(zip(v, r)), alpha
+    draws = [random_instance(seed, 8) for seed in range(200)]
+    draws += [generate_random(n, seed) for n in (2, 3, 5, 8, 12, 16, 24, 32, 48)
+              for seed in range(1, 6)]
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        draws.append(JobSet.of(zip(np.exp(rng.uniform(np.log(0.1), np.log(10.0), n)),
+                                   rng.choice([0.25, 0.5, 0.75, 1.0], n))))
+    for jobs in draws:
+        try:
+            yield jobs, solve_alpha(jobs, vol_tol=1e-8)
+        except DegenerateVolumesError:
+            pass
+        yield jobs, rng.uniform(0.0, 1.5 / jobs.requirements().min(), len(jobs))
+
+
+def _close(got, want):
+    return np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_matches_the_crossing_grid_reference():
+    cases = 0
+    for jobs, alpha in _oracle_pool():
+        ls, ref = build_line_schedule(jobs, alpha), reference_build(jobs, alpha)
+        for got, want in zip(ls.schedule.assignments, ref.schedule.assignments):
+            assert got.edges.tobytes() == want.edges.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()
+        v, r = jobs.volumes(), jobs.requirements()
+        assert ls.scheduled_volumes.tobytes() == _kernel.line_volumes(v, r, ls.alpha).tobytes()
+        at = np.concatenate([ref.grid[:-1], 0.5 * (ref.grid[:-1] + ref.grid[1:])])
+        assert _close(ls.gamma(at), ref.gamma(at))
+        for got, want in zip(ls.beta, ref.beta):
+            assert _close(got(at), want(at))
+        q, q_ref = duality_quantities(ls, jobs), duality_quantities(ref, jobs)
+        assert vars(q) == pytest.approx(vars(q_ref), rel=1e-12, abs=1e-12)
+        assert (check_slackness(ls, jobs).max_violation()
+                <= check_slackness(ref, jobs).max_violation() + 1e-12)
+        assert ls.grid[-1] == makespan(ls.schedule)
+        cases += 1
+    assert cases > 900
+
+
+def test_crossing_of_two_running_lines_is_a_grid_point():
+    # both jobs run at 0.5 throughout and their lines cross at t = 2, where
+    # no rate changes but gamma passes from line 1 to line 0
+    jobs = JobSet.of([(1.0, 0.5), (2.0, 0.5)])
+    ls = build_line_schedule(jobs, [3.0, 2.0])
+    assert ls.grid.tolist() == [0.0, 2.0, 3.0, 4.0]
+    assert ls.gamma(1.0) == 1.5 and ls.gamma(2.5) == 0.5
+    assert check_slackness(ls, jobs).max_violation() == 0.0
 
 
 class TestScheduledVolumes:

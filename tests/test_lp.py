@@ -18,7 +18,7 @@ from sharesched import (
     subdivide,
     validate_schedule,
 )
-from sharesched import _kernel, lp as lpmod
+from sharesched import lp as lpmod
 from sharesched.cli import generate_random
 from sharesched.linesched import ConvergenceError
 from sharesched.lp import _aggregated_solve
@@ -28,17 +28,23 @@ from conftest import random_instance
 
 def argsort_refinement(inst, edges, W, alpha):
     """Reference refinement step, the per-block rule that the breakpoint cuts
-    replaced: add both edges of the slot that holds each breakpoint, and split
-    every block whose two end slots pack in another order or sign, at its
-    midpoint and at the cap-fill edge of each job whose gain changes sign.
-    A step that adds no edge halves the widest block."""
+    replaced: add both edges of the slot that holds each breakpoint (a line
+    zero, or a crossing before the later of the two zeros), and split every
+    block whose two end slots pack in another order or sign of the gains
+    clipped at 0, at its midpoint and at the cap-fill edge of each job whose
+    gain changes sign.  A step that adds no edge halves the widest block."""
     v, r, d = inst.jobs.volumes(), inst.jobs.requirements(), inst.slot_width
-    t = _kernel.breakpoints(v, alpha)[0]
-    slots = (t[(t > 0.0) & (t < inst.horizon)] / d).astype(int)
+    zero = alpha * v
+    idx = np.arange(v.size)
+    p, q = np.nonzero(idx[:, None] < idx)
+    ds = 1.0 / v[p] - 1.0 / v[q]
+    t = (alpha[p] - alpha[q]) / np.where(ds != 0.0, ds, np.inf)   # parallel: t = 0
+    t = np.concatenate([zero[alpha > 0.0], t[(t > 0.0) & (t < np.maximum(zero[p], zero[q]))]])
+    slots = (t[t < inst.horizon] / d).astype(int)
     new_edges = set(edges.tolist())
     new_edges.update(e for e in np.concatenate([slots, slots + 1]).tolist()
                      if 0 < e < inst.n_slots)
-    gains = alpha[:, None] - inst.slot_midpoints()[None, :] / v[:, None]
+    gains = np.maximum(alpha[:, None] - inst.slot_midpoints()[None, :] / v[:, None], 0.0)
     for k in range(edges.size - 1):
         a, b = int(edges[k]), int(edges[k + 1])
         if b - a <= 1:
@@ -491,6 +497,18 @@ class TestRefinementWork:
                     assert after.tolist() == argsort_refinement(inst, edges, W, alpha)
                     compared += 1
         assert compared >= 20
+
+    def test_cuts_skip_crossings_below_zero(self):
+        # lines 0 and 1 reach zero at 1 and 0.5 and cross at 1.5, below zero,
+        # where no packing changes; line 2 crosses line 0 at 0.4, above zero,
+        # and reaches zero at 2.8
+        jobs = JobSet.of([(1.0, 1.0), (2.0, 0.5), (4.0, 0.5)])
+        inst = build_discretized_lp(jobs, horizon=8.0, slot_width=1.0 / 16.0)
+        cuts = set(lpmod._cuts(inst, np.array([1.0, 0.25, 0.7])).tolist())
+        assert not {24, 25} & cuts
+        for t in (1.0, 0.5, 2.8, 0.4):
+            slot = int(t * 16.0)
+            assert {slot, slot + 1} <= cuts
 
     def test_tied_volumes_start_from_one_block(self, monkeypatch):
         # solve_alpha refuses tied volumes; the refinement starts from {0, I}
