@@ -118,8 +118,8 @@ class StepFunction:
             raise ContractError("need len(edges) == len(values) + 1")
         # edges that start at 0, increase strictly and end below inf are all
         # finite, and a NaN edge fails the comparison
-        if not (e[0] == 0.0 and e[-1] < math.inf and (e[1:] > e[:-1]).all()
-                and np.isfinite(v).all()):
+        if not (e[0] == 0.0 and e[-1] < math.inf and _all(e[1:] > e[:-1])
+                and _all(np.isfinite(v))):
             raise ContractError(_fault(e, v))
         e, v = _canonical(e, v)
         object.__setattr__(self, "edges", e)
@@ -211,7 +211,7 @@ def _fault(e: np.ndarray, v: np.ndarray) -> str:
 def _canonical(e: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # merge equal adjacent values
     differ = v[1:] != v[:-1]
-    if not differ.all():
+    if not _all(differ):
         keep = np.concatenate(((True,), differ))
         e = np.concatenate((e[:-1][keep], e[-1:]))
         v = v[keep]
@@ -238,8 +238,10 @@ def sum_steps(fns: Sequence[StepFunction]) -> StepFunction:
     """Pointwise sum of step functions, exact on the union grid of their edges.
 
     The grid refines every operand, so each operand's value on a grid
-    interval is its value at the interval's left end.  A single non-zero
-    operand is its own sum: step functions are immutable.
+    interval is its value at the interval's left end, read by one
+    ``searchsorted`` as ``StepFunction.__call__`` reads it (a left end past
+    the operand's support reads the zero pad).  A single non-zero operand
+    is its own sum: step functions are immutable.
     """
     fns = [f for f in fns if f.values.size]
     if not fns:
@@ -250,8 +252,18 @@ def sum_steps(fns: Sequence[StepFunction]) -> StepFunction:
     left = grid[:-1]
     total = np.zeros(left.size)
     for f in fns:
-        total += f(left)
+        total += np.concatenate((f.values, (0.0,)))[f.edges.searchsorted(left, side="right") - 1]
     return StepFunction(grid, total)
+
+
+# ``x.all()`` and ``x.any()`` for a boolean array x, without the Python-level
+# wrappers of ndarray.all and ndarray.any (about 0.6 us a call here, not 2)
+def _all(x: np.ndarray) -> bool:
+    return np.count_nonzero(x) == x.size
+
+
+def _any(x: np.ndarray) -> bool:
+    return np.count_nonzero(x) != 0
 
 
 def _distinct(x) -> np.ndarray:
@@ -281,7 +293,7 @@ class PiecewiseLinear:
         s = np.asarray(slopes, dtype=float)
         if e.size != a.size + 1 or a.size != s.size:
             raise ContractError("need len(edges) == len(starts) + 1 == len(slopes) + 1")
-        if e.size == 0 or e[0] != 0.0 or (e[1:] <= e[:-1]).any():
+        if e.size == 0 or e[0] != 0.0 or _any(e[1:] <= e[:-1]):
             raise ContractError("edges must start at 0 and increase strictly")
         object.__setattr__(self, "edges", e)
         object.__setattr__(self, "starts", a)

@@ -25,6 +25,8 @@ from .core import (
     PiecewiseLinear,
     Schedule,
     StepFunction,
+    _all,
+    _any,
     _distinct,
 )
 
@@ -116,7 +118,7 @@ def _check_inputs(jobs: JobSet, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarr
     a = np.asarray(alpha, dtype=float)
     if a.shape != (len(jobs),):
         raise ContractError(f"alpha must have length {len(jobs)}")
-    if (a < 0.0).any() or not np.isfinite(a).all():
+    if _any(a < 0.0) or not _all(np.isfinite(a)):
         raise ContractError("alpha entries must be finite and nonnegative")
     return jobs.volumes(), jobs.requirements(), a
 
@@ -205,7 +207,7 @@ def solve_alpha(jobs: JobSet, targets=None, vol_tol: float = DEFAULT_TOL,
     tau = np.asarray(targets, dtype=float)
     if tau.shape != v.shape:
         raise ContractError("targets must have one entry per job")
-    if np.any(tau <= 0.0):
+    if _any(tau <= 0.0):
         raise ContractError("targets must be positive")
     if not vol_tol > 0.0:
         raise ContractError(f"vol_tol must be positive, got {vol_tol}")
@@ -239,7 +241,7 @@ def solve_alpha(jobs: JobSet, targets=None, vol_tol: float = DEFAULT_TOL,
         step = 1.0
         while True:
             trial = np.maximum(alpha + step * delta, 0.0)
-            if (trial == alpha).all():
+            if _all(trial == alpha):
                 raise ConvergenceError(residual, iteration, packings, alpha.copy())
             vols, jac = _kernel.line_structure(v, r, trial)
             packings += 1

@@ -9,7 +9,6 @@ always suffice.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -29,6 +28,9 @@ from .core import (
 E = math.e
 #: the optimal competitive ratio e / (e - 1)
 COMPETITIVE_RATIO = E / (E - 1.0)
+#: entries (candidate levels x usage pieces) that ``waterfill_step`` sums in
+#: one block; past it the level search bisects on single candidates first
+BLOCK_ENTRIES = 2048
 
 
 def optimal_makespan(jobs: JobSet) -> tuple[float, Schedule]:
@@ -74,15 +76,25 @@ def waterfill_step(usage: StepFunction, job: Job, deadline: float) -> WaterfillO
     smallest sufficient level is found exactly by interpolating between
     those candidates.
 
-    One bisection over the candidates finds the first one whose volume
-    reaches the job's volume.  The search is exact because the direct sum
-    ``volume_below`` is nondecreasing in h as computed, not only in exact
-    arithmetic: each term ``w * min(r, max(h - level, 0))`` is, rounding
-    is monotone, and the terms are added in the same order at every h.  So
-    the bisection lands on the candidate that a scan in order finds, and
-    the level is interpolated from the direct sums at it and the one before.
-    The bisection has taken both sums: it moved its lower bound past the
-    one before and its upper bound onto the one it found.
+    The search finds the first candidate whose volume reaches the job's
+    volume, as a scan in order would.  The direct sum ``volume_below`` is
+    nondecreasing in h as computed, not only in exact arithmetic: each term
+    ``w * min(r, max(h - level, 0))`` is, rounding is monotone, and the
+    terms are added in the same order at every h.  ``np.vecdot`` sums each
+    row of a block of candidates in that same order, so every row equals
+    ``volume_below`` at its candidate bit for bit, and the sums of a block
+    are nondecreasing too.  A bisection on single candidates narrows the
+    range while the rows left, times the K usage pieces, exceed
+    ``BLOCK_ENTRIES``; one block then gives the sums of every candidate
+    left, and ``searchsorted`` takes the first that reaches the volume.  The
+    level is interpolated from the direct sums at that candidate and the
+    one before, each held either by the block or by the bisection.
+
+    The budget bounds the block: a step costs O(K log K) for the bisection
+    plus at most ``BLOCK_ENTRIES`` entries for the block (all candidates at
+    once when they fit, about 2K of them), so at few pieces one numpy call
+    replaces the whole bisection, and at many pieces the step stays as it
+    was.
     """
     if deadline < 0.0:
         raise ContractError("deadline must be nonnegative")
@@ -90,27 +102,46 @@ def waterfill_step(usage: StepFunction, job: Job, deadline: float) -> WaterfillO
         return WaterfillOutcome(ok=False, deficit=job.volume)
     edges, widths, levels = _pieces_before(usage, deadline)
     r, v = job.requirement, job.volume
-
-    taken: dict[float, float] = {}      # each direct sum, by level
+    cands = np.concatenate((levels, levels + r, (0.0, 1.0)))
+    cands = _distinct(cands[(cands >= 0.0) & (cands <= 1.0)])     # the last one is 1.0
 
     def volume_below(h: float) -> float:
-        taken[h] = float(np.dot(widths, np.minimum(r, np.maximum(h - levels, 0.0))))
-        return taken[h]
+        return float(np.dot(widths, np.minimum(r, np.maximum(h - levels, 0.0))))
 
-    capacity = volume_below(1.0)
+    def block(lo: int, hi: int) -> np.ndarray:
+        """``volume_below`` at each of ``cands[lo:hi]``."""
+        return np.vecdot(np.minimum(r, np.maximum(cands[lo:hi, None] - levels, 0.0)), widths)
+
+    # the first candidate reaching v lies in [lo, hi]; ``sums`` will hold the
+    # direct sums at cands[lo:hi + 1], and ``below_lo`` the one at lo - 1
+    lo, hi = 0, cands.size - 1
+    fits = cands.size * levels.size <= BLOCK_ENTRIES
+    if fits:
+        sums = block(lo, hi + 1)
+        capacity = float(sums[-1])
+    else:
+        capacity = volume_below(1.0)
     if capacity < v - DEFAULT_TOL * max(1.0, v):
         return WaterfillOutcome(ok=False, deficit=v - capacity)
     level = 1.0     # kept when the capacity falls short of v within the tolerance
     if capacity >= v:
-        cands = np.concatenate((levels, levels + r, (0.0, 1.0)))
-        cands = _distinct(cands[(cands >= 0.0) & (cands <= 1.0)])
-        # the last candidate is 1.0, whose volume reaches v, so i < cands.size
-        i = bisect.bisect_left(cands, v, key=volume_below)
+        if not fits:
+            at_hi, below_lo = capacity, 0.0     # below_lo is read only once lo > 0
+            while hi > lo and (hi - lo) * levels.size > BLOCK_ENTRIES:
+                mid = (lo + hi) // 2
+                val = volume_below(cands[mid])
+                if val >= v:
+                    hi, at_hi = mid, val
+                else:
+                    lo, below_lo = mid + 1, val
+            sums = np.concatenate((block(lo, hi), (at_hi,))) if hi > lo else np.array((at_hi,))
+        j = int(sums.searchsorted(v))
+        i = lo + j
         if i == 0:      # reachable when a caller's usage has negative levels
             level = float(cands[0])
         else:
             prev_h, h = cands[i - 1], cands[i]
-            prev_vol, val = taken[prev_h], taken[h]
+            prev_vol, val = (sums[j - 1] if j else below_lo), sums[j]
             level = float(prev_h + (v - prev_vol) * (h - prev_h) / (val - prev_vol))
     rates = np.minimum(r, np.maximum(level - levels, 0.0))
     return WaterfillOutcome(ok=True, assignment=StepFunction(edges, rates), level=level)

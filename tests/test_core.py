@@ -91,6 +91,46 @@ class TestStepFunction:
             StepFunction(edges, values)
         assert str(info.value) == cause
 
+    def test_every_fault_is_found_past_the_first_entry(self):
+        # the checks count over the whole arrays: one fault at the far end of
+        # a long function is refused with its cause, as at the front
+        edges = np.arange(1001, dtype=float)
+        values = np.full(1000, 0.5)
+
+        def changed(a, i, x):
+            a = a.copy()
+            a[i] = x
+            return a
+
+        for e, v, cause in [
+            (changed(edges, 999, math.nan), values, "edges and values must be finite"),
+            (changed(edges, 1000, math.inf), values, "edges and values must be finite"),
+            (changed(edges, 1000, 999.0), values, "edges must be strictly increasing"),
+            (changed(edges, 600, 599.0), values, "edges must be strictly increasing"),
+            (edges, changed(values, 999, math.nan), "edges and values must be finite"),
+            (edges, changed(values, 999, -math.inf), "edges and values must be finite"),
+            ([0.0, math.inf], [1.0], "edges and values must be finite"),
+        ]:
+            with pytest.raises(ContractError) as info:
+                StepFunction(e, v)
+            assert str(info.value) == cause
+
+    def test_zero_and_one_piece_functions_construct(self):
+        for f in (StepFunction([0.0], []), StepFunction.zero(),
+                  StepFunction([0.0, 2.0], [0.0]), StepFunction([0.0, 1.0, 3.0], [0.0, 0.0])):
+            assert f.edges.tolist() == [0.0] and f.values.size == 0
+        one = StepFunction([0.0, 2.0], [0.5])
+        assert one.edges.tolist() == [0.0, 2.0] and one.values.tolist() == [0.5]
+        merged = StepFunction([0.0, 1.0, 2.0], [0.5, 0.5])
+        assert merged == one
+
+    def test_count_checks_match_all_and_any(self):
+        rng = np.random.default_rng(4)
+        arrays = [np.zeros(0, dtype=bool), np.ones(7, dtype=bool), np.zeros(7, dtype=bool)]
+        arrays += [rng.random(size) < p for size in (1, 5, 64) for p in (0.1, 0.5, 0.99)]
+        for x in arrays:
+            assert core._all(x) == x.all() and core._any(x) == x.any()
+
     def test_canonical_roundtrip_random(self):
         # merging equal adjacent values must not change any evaluation
         for seed in range(30):
@@ -202,6 +242,14 @@ class TestPiecewiseLinear:
         assert p(1.5) == 0.25
         assert p(2.5) == 0.0
         assert p.integral() == pytest.approx(0.75 + 0.25)
+
+    def test_edges_must_increase_to_the_last(self):
+        edges = np.arange(501, dtype=float)
+        PiecewiseLinear(edges, np.ones(500), np.zeros(500))
+        assert PiecewiseLinear.zero().integral() == 0.0
+        edges[500] = 499.0
+        with pytest.raises(ContractError, match="increase strictly"):
+            PiecewiseLinear(edges, np.ones(500), np.zeros(500))
 
 
 class TestValidation:

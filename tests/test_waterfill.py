@@ -179,6 +179,52 @@ class TestWaterfillStep:
                 _, _, level = scan_level(usage, job, deadline)
                 assert out.ok and out.level == level
 
+    def test_level_matches_the_candidate_scan_on_large_usages(self):
+        # usages of 40-600 pieces bisect on single candidates before the
+        # block of the rest; the last one has more pieces than the block
+        # budget, so its search bisects all the way
+        budget = waterfill.BLOCK_ENTRIES
+        kinds = set()
+        for staircase in (True, False):
+            rng = np.random.default_rng(9)
+            sizes = [int(k) for k in rng.integers(40, 601, 14)] + [budget + 77]
+            for k in sizes:
+                edges = np.append(0.0, np.cumsum(rng.uniform(0.05, 2.0, k)))
+                heights = rng.uniform(0.0, 1.0, k)
+                usage = StepFunction(edges, np.sort(heights)[::-1] if staircase else heights)
+                r = float(rng.uniform(0.05, 1.0))
+                deadline = float(edges[-1] * rng.uniform(0.5, 1.5))
+                _, widths, lv = core._pieces_before(usage, deadline)
+                cands = np.unique(np.concatenate([lv, lv + r, [0.0, 1.0]]))
+                cands = cands[(cands >= 0.0) & (cands <= 1.0)]
+                assert cands.size * lv.size > budget
+                kinds.add(lv.size > budget)
+                # the direct sum at a candidate (the boundary), and halfway to
+                # the one below, where the level depends on both sums
+                for i in rng.integers(1, cands.size, 4):
+                    below, at = (float(np.dot(widths, np.minimum(r, np.maximum(h - lv, 0.0))))
+                                 for h in cands[i - 1:i + 1])
+                    for v in (at, 0.5 * (below + at)):
+                        if v <= 0.0:
+                            continue
+                        job = Job(v, r)
+                        out = waterfill_step(usage, job, deadline)
+                        _, _, level = scan_level(usage, job, deadline)
+                        assert out.ok and out.level == level
+        assert kinds == {False, True}
+
+    def test_block_sums_are_the_single_dots(self):
+        # the premise of the block search: np.vecdot sums each row as np.dot
+        # does, byte for byte, at every row length it meets
+        rng = np.random.default_rng(2)
+        for k in range(1, 3001):
+            levels = rng.uniform(0.0, 1.0, k)
+            widths = rng.uniform(1e-3, 2.0, k)
+            hs = np.sort(rng.uniform(0.0, 1.0, 3))
+            rows = np.minimum(0.4, np.maximum(hs[:, None] - levels, 0.0))
+            want = [np.dot(widths, row) for row in rows]
+            assert np.vecdot(rows, widths).tobytes() == np.array(want).tobytes()
+
     def test_staircase_preserved(self):
         # nonincreasing total usage stays nonincreasing after each pour
         for seed in range(20):
