@@ -121,11 +121,16 @@ def line_structure(v, r, alpha):
     return vols, jac
 
 
+def _read(events, rates, times):
+    """``rates_at`` on the rows ``events`` and ``rates`` of ``_rows``."""
+    out = np.empty((len(events), np.size(times)))
+    for j, (row, rate) in enumerate(zip(events, rates)):
+        rate.take(row.searchsorted(times, side="right"), out=out[j])
+    return out
+
+
 def rates_at(v, r, alpha, times):
     """Each job's rate on ``[t, next event)`` for each t in ``times``: at a
     crossing, the order just after it (the flatter line first)."""
     events, _, _, rates, _ = _rows(v, r, alpha)
-    out = np.empty((v.size, np.size(times)))
-    for j, (row, rate) in enumerate(zip(events, rates)):
-        rate.take(row.searchsorted(times, side="right"), out=out[j])
-    return out
+    return _read(events, rates, times)

@@ -403,10 +403,7 @@ def _cmd_plot(args) -> int:
             print(f"--alpha needs comma-separated finite numbers, got {args.alpha!r}",
                   file=sys.stderr)
             return EXIT_USAGE
-        if len(alpha) != len(jobs):
-            print(f"--alpha gives {len(alpha)} intercepts for {len(jobs)} jobs",
-                  file=sys.stderr)
-            return EXIT_USAGE
+        linesched._check_inputs(jobs, alpha)    # a ContractError is a usage error
     if args.duals and alpha is None:
         print("--duals requires --alpha", file=sys.stderr)
         return EXIT_USAGE

@@ -64,8 +64,9 @@ class LineSchedule:
     """Primal rates plus the dual prices built from one alpha vector.
 
     ``grid`` holds 0 and each event of a job's packing row where that job
-    runs on one side, so it ends where the last job ends; rates are constant
-    and ``gamma`` and ``beta`` affine on each grid interval.
+    runs on one side, so it ends where the last job ends; ``rates[j, i]`` is
+    job j's rate on ``[grid[i], grid[i+1])``, the assignments are built from
+    it, and ``gamma`` and ``beta`` are affine on each grid interval.
     ``scheduled_volumes`` are the exact per-job integrals of the rates
     (these equal the demand vector only when alpha solves for it).
     """
@@ -77,6 +78,7 @@ class LineSchedule:
     scheduled_volumes: np.ndarray
     grid: np.ndarray
     job_volumes: np.ndarray
+    rates: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -115,12 +117,22 @@ class SlacknessReport:
 
 
 def _check_inputs(jobs: JobSet, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rule for intercepts: one per job, each finite and nonnegative, and
+    each line's zero ``alpha_j v_j`` finite."""
     a = np.asarray(alpha, dtype=float)
     if a.shape != (len(jobs),):
-        raise ContractError(f"alpha must have length {len(jobs)}")
+        raise ContractError(f"alpha of shape {a.shape} gives {a.size} intercepts for "
+                            f"{len(jobs)} jobs; it needs one per job")
     if _any(a < 0.0) or not _all(np.isfinite(a)):
         raise ContractError("alpha entries must be finite and nonnegative")
-    return jobs.volumes(), jobs.requirements(), a
+    v = jobs.volumes()
+    with np.errstate(over="ignore"):
+        overflow = np.isinf(a * v)
+    if _any(overflow):
+        j = int(overflow.argmax())
+        raise ContractError(f"job {j}'s line reaches zero at alpha_j * v_j = "
+                            f"{float(a[j])!r} * {float(v[j])!r}, which overflows")
+    return v, jobs.requirements(), a
 
 
 def build_line_schedule(jobs: JobSet, alpha) -> LineSchedule:
@@ -139,16 +151,12 @@ def build_line_schedule(jobs: JobSet, alpha) -> LineSchedule:
     n = v.size
     if n == 0:
         return LineSchedule(Schedule.empty(0), a, (), PiecewiseLinear.zero(),
-                            np.zeros(0), np.array([0.0]), np.zeros(0))
+                            np.zeros(0), np.array([0.0]), np.zeros(0), np.zeros((0, 0)))
     times, _, _, row_rates, vols = _kernel._rows(v, r, a)
-    prev = np.concatenate((np.zeros((n, 1)), times[:, :-1]), axis=1)
-    wide = (times > prev) & (times < np.inf)    # rate i holds on [event i - 1, event i)
-    assignments = [StepFunction(np.concatenate(([0.0], times[j][wide[j]])),
-                                row_rates[j, :-1][wide[j]]) for j in range(n)]
     runs = (row_rates[:, :-1] > 0.0) | (row_rates[:, 1:] > 0.0)    # on a side of event i
     grid = _distinct(np.concatenate(([0.0], times[runs])))
     t0 = grid[:-1]
-    rates = np.vstack([f(t0) for f in assignments])
+    rates = _kernel._read(times, row_rates, t0)
 
     # gamma follows line k and beta_j = d_j - gamma wherever they are positive
     mid = 0.5 * (t0 + grid[1:])
@@ -160,7 +168,8 @@ def build_line_schedule(jobs: JobSet, alpha) -> LineSchedule:
     beta_slope = np.where(positive, -1.0 / v[:, None] - gamma_slope, 0.0)
     gamma = PiecewiseLinear(grid, gamma_start, gamma_slope)
     beta = tuple(PiecewiseLinear(grid, beta_start[j], beta_slope[j]) for j in range(n))
-    return LineSchedule(Schedule(assignments), a, beta, gamma, vols, grid, v)
+    return LineSchedule(Schedule(StepFunction(grid, rates[j]) for j in range(n)), a,
+                        beta, gamma, vols, grid, v, rates)
 
 
 def solve_alpha(jobs: JobSet, targets=None, vol_tol: float = DEFAULT_TOL,
@@ -306,11 +315,10 @@ def check_slackness(ls: LineSchedule, jobs: JobSet) -> SlacknessReport:
     r = jobs.requirements()
     vol_viol = float(np.max(np.abs(ls.alpha * (ls.scheduled_volumes - ls.schedule.volumes())),
                             initial=0.0))
-    grid = ls.grid
+    grid, rates = ls.grid, ls.rates
     if grid.size < 2:
         return SlacknessReport(vol_viol, 0.0, 0.0, 0.0, 0.0)
     w = np.diff(grid)
-    rates = np.vstack([a(grid[:-1]) for a in ls.schedule.assignments])
     ends = np.stack([grid[:-1], grid[1:]])[:, None, :]                 # (2, 1, m)
 
     def at_ends(starts, slopes):                                      # (2, rows, m)
@@ -331,7 +339,4 @@ def check_slackness(ls: LineSchedule, jobs: JobSet) -> SlacknessReport:
 
 def cost_rates_on_grid(ls: LineSchedule) -> np.ndarray:
     """Cost rate on every grid interval, in time order."""
-    if ls.grid.size < 2:
-        return np.zeros(0)
-    rates = np.vstack([a(ls.grid[:-1]) for a in ls.schedule.assignments])
-    return (rates / ls.job_volumes[:, None]).sum(axis=0)
+    return (ls.rates / ls.job_volumes[:, None]).sum(axis=0)

@@ -265,12 +265,12 @@ def build_discretized_lp(jobs: JobSet, targets=None, horizon: float | None = Non
         raise ContractError("targets must be nonnegative")
     if horizon is None:
         horizon = len(jobs) * jobs.max_processing_time() if len(jobs) else 1.0
-    if horizon <= 0.0:
-        raise ContractError("horizon must be positive")
+    if not 0.0 < horizon < np.inf:     # NaN fails too
+        raise ContractError(f"horizon must be positive and finite, got {float(horizon)!r}")
     if slot_width is None:
         slot_width = horizon / SLOTS
-    if slot_width <= 0.0:
-        raise ContractError("slot width must be positive")
+    if not 0.0 < slot_width < np.inf:
+        raise ContractError(f"slot width must be positive and finite, got {float(slot_width)!r}")
     ratio = horizon / slot_width
     n_slots = int(round(ratio))
     if n_slots < 1 or abs(ratio - n_slots) > 1e-9 * max(1.0, n_slots):

@@ -189,6 +189,24 @@ class TestRun:
         captured = capsys.readouterr()
         assert "processing time" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("args", [["lsapprox"], ["best", "--lp-ls"]])
+    def test_overflowing_lp_horizon_exits_2(self, tmp_path, capsys, args):
+        # n * p_max = 2e308 overflows, so the slot LP has no finite horizon
+        inst = tmp_path / "horizon.json"
+        inst.write_text('{"jobs": [{"v": 1e308, "r": 1}, {"v": 1, "r": 1}]}\n')
+        assert main(["run", *args, "--input", str(inst)]) == 2
+        captured = capsys.readouterr()
+        assert "horizon must be positive and finite" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("algo", cli.ALGORITHMS)
+    def test_empty_instance_runs(self, tmp_path, capsys, algo):
+        inst = tmp_path / "empty.json"
+        inst.write_text('{"jobs": []}\n')
+        assert main(["run", algo, "--input", str(inst)]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["n"] == 0 and rec["total_completion_time"] == 0
+        assert rec["validation"] == {"feasible": True, "max_violation": 0}
+
     def test_json_booleans_and_strings_exit_2(self, tmp_path, capsys):
         inst = tmp_path / "coerced.json"
         inst.write_text('{"jobs": [{"v": true, "r": "0.5"}]}\n')
@@ -366,6 +384,11 @@ class TestPlot:
         ("1,nan,2", False, "comma-separated finite numbers"),
         ("1,2", False, "2 intercepts for 3 jobs"),
         ("1,2,3,4", True, "4 intercepts for 3 jobs"),
+        # the rule of build_line_schedule, with or without the overlay
+        ("1,1e308,1", False, "job 1's line reaches zero"),
+        ("1,1e308,1", True, "job 1's line reaches zero"),
+        ("-1,1,1", False, "finite and nonnegative"),
+        ("-1,1,1", True, "finite and nonnegative"),
     ])
     def test_bad_alpha_exits_2(self, workdir, tmp_path, capsys, alpha, duals, cause):
         sched_path = tmp_path / "s.json"
@@ -374,7 +397,7 @@ class TestPlot:
         capsys.readouterr()
         out = tmp_path / "p.svg"
         code = main(["plot", "--schedule", str(sched_path),
-                     "--instance", str(workdir / "three.json"), "--alpha", alpha,
+                     "--instance", str(workdir / "three.json"), f"--alpha={alpha}",
                      *(["--duals"] if duals else []), "--out", str(out)])
         assert code == 2 and not out.exists()
         err = capsys.readouterr().err

@@ -74,6 +74,19 @@ class TestBuildLineSchedule:
             build_line_schedule(jobs, [1.0, -0.5])
         with pytest.raises(ContractError):
             build_line_schedule(jobs, [1.0])
+        # alpha_0 * v_0 overflows, so line 0 never reaches zero
+        with pytest.raises(ContractError, match="job 0's line reaches zero .* overflows"):
+            build_line_schedule(JobSet.of([(10, 0.5), (1, 1)]), [1e308, 1.0])
+
+    def test_empty_instance(self):
+        jobs = JobSet()
+        ls = build_line_schedule(jobs, [])
+        assert ls.rates.shape == (0, 0) and ls.grid.tolist() == [0.0]
+        assert check_slackness(ls, jobs).max_violation() == 0.0
+        assert cost_rates_on_grid(ls).shape == (0,)
+        q = duality_quantities(ls, jobs)
+        assert (q.primal_cost, q.volume_payoff, q.requirement_penalty,
+                q.capacity_penalty) == (0.0, 0.0, 0.0, 0.0)
 
     def test_exact_twins_meet_slackness_and_duality(self):
         # parallel lines never cross, and equal priorities pack in job order
@@ -111,7 +124,7 @@ def reference_build(jobs, alpha):
     return LineSchedule(
         Schedule(StepFunction(grid, rates[j]) for j in range(n)), a,
         tuple(PiecewiseLinear(grid, beta_start[j], beta_slope[j]) for j in range(n)),
-        PiecewiseLinear(grid, gamma_start, gamma_slope), rates @ np.diff(grid), grid, v)
+        PiecewiseLinear(grid, gamma_start, gamma_slope), rates @ np.diff(grid), grid, v, rates)
 
 
 def _oracle_pool():
@@ -147,6 +160,10 @@ def test_matches_the_crossing_grid_reference():
         for got, want in zip(ls.schedule.assignments, ref.schedule.assignments):
             assert got.edges.tobytes() == want.edges.tobytes()
             assert got.values.tobytes() == want.values.tobytes()
+        # the kept rates are the assignments read on the grid
+        assert ls.rates.shape == (len(jobs), ls.grid.size - 1)
+        for j, a in enumerate(ls.schedule.assignments):
+            assert ls.rates[j].tobytes() == a(ls.grid[:-1]).tobytes()
         v, r = jobs.volumes(), jobs.requirements()
         assert ls.scheduled_volumes.tobytes() == _kernel.line_volumes(v, r, ls.alpha).tobytes()
         at = np.concatenate([ref.grid[:-1], 0.5 * (ref.grid[:-1] + ref.grid[1:])])
@@ -175,7 +192,9 @@ def test_crossing_of_two_running_lines_is_a_grid_point():
 class TestScheduledVolumes:
     def test_zero_alpha_schedules_nothing(self):
         jobs = JobSet.of([(1, 0.5), (2, 0.8)])
-        assert build_line_schedule(jobs, [0.0, 0.0]).scheduled_volumes.tolist() == [0.0, 0.0]
+        ls = build_line_schedule(jobs, [0.0, 0.0])
+        assert ls.scheduled_volumes.tolist() == [0.0, 0.0]
+        assert ls.rates.shape == (2, 0) and cost_rates_on_grid(ls).shape == (0,)
 
     def test_single(self):
         assert build_line_schedule(JobSet.of([(1, 1)]), [1.0]).scheduled_volumes.tolist() == [1.0]
@@ -361,7 +380,7 @@ class TestSlackness:
         good = build_line_schedule(jobs, [2.0])
         bad_gamma = PiecewiseLinear(good.grid, [2.0], [-0.5])  # positive while idle
         bad = LineSchedule(good.schedule, good.alpha, good.beta, bad_gamma,
-                           good.scheduled_volumes, good.grid, good.job_volumes)
+                           good.scheduled_volumes, good.grid, good.job_volumes, good.rates)
         report = check_slackness(bad, jobs)
         assert report.capacity > 0.1
 
@@ -375,7 +394,7 @@ class TestSlackness:
             return check_slackness(LineSchedule(
                 good.schedule, np.array([alpha]), (PiecewiseLinear(good.grid, *beta),),
                 PiecewiseLinear(good.grid, *gamma), good.scheduled_volumes, good.grid,
-                good.job_volumes), jobs)
+                good.job_volumes, good.rates), jobs)
 
         # gamma (1 - 0.5) peaks at the left end, 2 * 0.5, and at the right, 1 * 0.5
         assert report(2.0, ([2.0], [-1.0]), ([2.0], [-0.5])).capacity == 1.0

@@ -225,6 +225,21 @@ class TestBuild:
         with pytest.raises(ContractError):
             build_discretized_lp(JobSet.of([(1, 1)]), horizon=1.0, slot_width=0.3)
 
+    @pytest.mark.parametrize("kwargs, quantity", [
+        ({"horizon": np.inf}, "horizon"),
+        ({"horizon": np.nan}, "horizon"),
+        ({"horizon": 1.0, "slot_width": np.nan}, "slot width"),
+        ({"horizon": 1.0, "slot_width": np.inf}, "slot width"),
+    ])
+    def test_refuses_non_finite_horizon_and_slot_width(self, kwargs, quantity):
+        with pytest.raises(ContractError, match=f"{quantity} must be positive and finite"):
+            build_discretized_lp(JobSet.of([(1, 1)]), **kwargs)
+
+    def test_refuses_an_overflowing_default_horizon(self):
+        # n * p_max = 2e308 rounds to inf
+        with pytest.raises(ContractError, match="horizon must be positive and finite, got inf"):
+            build_discretized_lp(JobSet.of([(1e308, 1), (1, 1)]))
+
 
 def assert_same_as_reference(args, stall_switch):
     got = dense_simplex(*args)
