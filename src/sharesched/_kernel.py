@@ -66,7 +66,8 @@ def _rows(v, r, alpha):
     idx, ds, divisor, base, neg_v, neg_r = _pairs(v, r)
     zero = alpha * v
     zero_col = zero[:, None]
-    t = (alpha[:, None] - alpha) / divisor
+    with np.errstate(over="ignore"):               # an overflowing crossing is dead
+        t = (alpha[:, None] - alpha) / divisor
     dead = (t <= 0.0) | (t >= zero_col)                # the diagonal too
     # the order just after t = 0: larger intercept, then flatter line, then index
     first = np.lexsort((idx, neg_v, -alpha))

@@ -36,6 +36,8 @@ PALETTE = [
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f", "#edc948",
     "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac", "#86bcb6", "#d37295",
 ]
+#: size of a ``plot`` SVG in pixels
+SVG_WIDTH, SVG_HEIGHT = 720, 400
 
 
 def _write(path: str | None, text: str) -> None:
@@ -299,8 +301,7 @@ def _cmd_compare(args) -> int:
 # -- plot --------------------------------------------------------------------
 
 
-def render_svg(jobs: JobSet, sched: Schedule, width: int = 720, height: int = 400,
-               alpha=None, show_duals: bool = False) -> str:
+def render_svg(jobs: JobSet, sched: Schedule, alpha=None, show_duals: bool = False) -> str:
     """Stacked-area SVG of a schedule; optional priority-line overlay.
 
     Jobs stack in index order; each area's height at time t is the job's
@@ -309,7 +310,7 @@ def render_svg(jobs: JobSet, sched: Schedule, width: int = 720, height: int = 40
     right-hand priority axis.
     """
     ml, mr, mt, mb = 50, 50 if show_duals else 20, 16, 34
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = SVG_WIDTH - ml - mr, SVG_HEIGHT - mt - mb
     end = core.makespan(sched)
     grid = (core._distinct(np.concatenate([a.edges for a in sched.assignments]))
             if sched.n_jobs else np.array([0.0]))
@@ -326,9 +327,9 @@ def render_svg(jobs: JobSet, sched: Schedule, width: int = 720, height: int = 40
         return mt + ph * (1.0 - res)
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+        f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
     ]
     # stacked areas on the refined grid, each rate read at its interval's
     # left end: the midpoint of a one-ulp interval rounds onto an edge

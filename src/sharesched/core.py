@@ -168,11 +168,10 @@ class StepFunction:
         return float(np.dot(self.values, hi - lo))
 
     def first_moment(self) -> float:
-        """Integral of t * f(t) over the support."""
-        if not self.values.size:
-            return 0.0
-        seg = 0.5 * (self.edges[1:] ** 2 - self.edges[:-1] ** 2)
-        return float(np.dot(self.values, seg))
+        """Integral of t * f(t) over the support: each piece's integral at its
+        midpoint, so no edge is squared."""
+        w = self.widths()
+        return float(np.dot(self.values * w, self.edges[:-1] + 0.5 * w))
 
     # -- transforms --------------------------------------------------------
 
@@ -424,11 +423,15 @@ def fractional_completion_time(jobs: JobSet, sched: Schedule) -> tuple[list[floa
     """Volume-weighted mean completion per job and its sum.
 
     Per job this is the exact integral of t * R_j(t) / v_j over the step
-    grid.
+    grid, each piece's share of v_j weighted by its midpoint, so it stays
+    finite wherever the completion times do.
     """
     if len(jobs) != sched.n_jobs:
         raise ContractError("job/assignment count mismatch")
-    per_job = [a.first_moment() / job.volume for job, a in zip(jobs, sched.assignments)]
+    per_job = []
+    for job, a in zip(jobs, sched.assignments):
+        w = a.widths()
+        per_job.append(float(np.dot(a.values * w / job.volume, a.edges[:-1] + 0.5 * w)))
     return per_job, float(sum(per_job))
 
 

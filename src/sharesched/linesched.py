@@ -4,7 +4,7 @@ Every job gets a priority line ``d_j(t) = alpha_j - t / v_j``.  At each
 instant, jobs whose line is above zero are packed greedily in descending line
 height; the dual prices ``gamma`` (capacity) and ``beta_j`` (requirement cap)
 fall out of the same construction.  ``solve_alpha`` finds intercepts under
-which every job schedules exactly a target volume, which makes the resulting
+which every job schedules exactly its own volume, which makes the resulting
 schedule optimal for the fractional completion-time objective.  Those
 intercepts maximise a concave dual whose gradient is the volume residual and
 whose Hessian is minus the volume map's Jacobian, so one damped Newton
@@ -28,6 +28,7 @@ from .core import (
     _all,
     _any,
     _distinct,
+    fractional_completion_time,
 )
 
 
@@ -172,22 +173,21 @@ def build_line_schedule(jobs: JobSet, alpha) -> LineSchedule:
                         beta, gamma, vols, grid, v, rates)
 
 
-def solve_alpha(jobs: JobSet, targets=None, vol_tol: float = DEFAULT_TOL,
-                max_iters: int = 200) -> np.ndarray:
-    """Intercepts under which job j schedules exactly ``targets[j]`` volume.
+def solve_alpha(jobs: JobSet, vol_tol: float = DEFAULT_TOL, max_iters: int = 200) -> np.ndarray:
+    """Intercepts under which each job j schedules exactly its volume ``v_j``.
 
     The intercepts maximise the concave Lagrangian dual
-    ``g(alpha) = alpha . tau - integral of P(alpha, t) dt``, where
+    ``g(alpha) = alpha . v - integral of P(alpha, t) dt``, where
     ``P(alpha, t)`` is the largest value ``sum_j R_j (alpha_j - t / v_j)`` of
     a packing under the unit resource and the caps ``r_j``.  Its gradient is
-    ``tau - V(alpha)``, with ``V`` the scheduled volumes, and its Hessian is
+    ``v - V(alpha)``, with ``V`` the scheduled volumes, and its Hessian is
     ``-J(alpha)``, the exact Jacobian from ``_kernel.line_structure``.
 
     One damped Newton ascent on ``g``:
 
     - start where each line reaches zero at the job's completion time when
       the jobs run one after another in ascending volume at full requirement;
-    - step ``delta`` solves ``(J + diag(fill) + tiny I) delta = tau - V``,
+    - step ``delta`` solves ``(J + diag(fill) + tiny I) delta = v - V``,
       where ``fill_j = r_j v_j`` (the slope job j would have alone) on the
       jobs that schedule no volume; a ``delta`` that is not an ascent
       direction is replaced by the gradient;
@@ -198,7 +198,7 @@ def solve_alpha(jobs: JobSet, targets=None, vol_tol: float = DEFAULT_TOL,
     Each trial point is packed once, by ``_kernel.line_structure``: the
     accepted point's volumes and Jacobian drive the next Newton step.
 
-    Stops once max_j |vol_j - targets_j| <= vol_tol, after one last full
+    Stops once max_j |V_j - v_j| <= vol_tol, after one last full
     step that is kept only when it lowers that residual; near the solution
     the step is exact, so the residual usually ends near rounding level.
     Raises ConvergenceError carrying the residual, the Newton iterations
@@ -211,13 +211,6 @@ def solve_alpha(jobs: JobSet, targets=None, vol_tol: float = DEFAULT_TOL,
     """
     v = jobs.volumes()
     r = jobs.requirements()
-    if targets is None:
-        targets = v.copy()
-    tau = np.asarray(targets, dtype=float)
-    if tau.shape != v.shape:
-        raise ContractError("targets must have one entry per job")
-    if _any(tau <= 0.0):
-        raise ContractError("targets must be positive")
     if not vol_tol > 0.0:
         raise ContractError(f"vol_tol must be positive, got {vol_tol}")
     _check_volume_gaps(v, vol_tol)
@@ -227,12 +220,12 @@ def solve_alpha(jobs: JobSet, targets=None, vol_tol: float = DEFAULT_TOL,
 
     order = np.argsort(v, kind="stable")
     alpha = np.empty(n)
-    alpha[order] = np.cumsum(tau[order] / r[order]) / v[order]
+    alpha[order] = np.cumsum(v[order] / r[order]) / v[order]
     fill = r * v
     vols, jac = _kernel.line_structure(v, r, alpha)
     packings = 1
     for iteration in range(max_iters + 1):
-        grad = tau - vols
+        grad = v - vols
         residual = float(np.abs(grad).max())
         if residual > vol_tol and iteration == max_iters:
             break
@@ -243,7 +236,7 @@ def solve_alpha(jobs: JobSet, targets=None, vol_tol: float = DEFAULT_TOL,
         delta = np.linalg.solve(hess, grad)
         if residual <= vol_tol:
             last = np.maximum(alpha + delta, 0.0)
-            better = np.abs(tau - _kernel.line_volumes(v, r, last)).max() < residual
+            better = np.abs(v - _kernel.line_volumes(v, r, last)).max() < residual
             return last if better else alpha
         if not grad @ delta > 0.0:
             delta = grad
@@ -254,7 +247,7 @@ def solve_alpha(jobs: JobSet, targets=None, vol_tol: float = DEFAULT_TOL,
                 raise ConvergenceError(residual, iteration, packings, alpha.copy())
             vols, jac = _kernel.line_structure(v, r, trial)
             packings += 1
-            if (tau - vols) @ (trial - alpha) >= 0.0:
+            if (v - vols) @ (trial - alpha) >= 0.0:
                 break
             step *= 0.5
         alpha = trial
@@ -266,7 +259,7 @@ def _check_volume_gaps(v, vol_tol) -> None:
 
     Lines whose slopes differ by a relative gap g cross at a time that moves
     by about eps * sum(v) / g when an intercept moves by one ulp, so below
-    some multiple of eps * sum(v) / vol_tol no intercepts meet the targets
+    some multiple of eps * sum(v) / vol_tol no intercepts meet the volumes
     and the iteration stalls.  Measured with this check bypassed, on
     ``generate_random`` instances of 6 and 8 jobs, seeds 1-10, with job 1's
     volume set to job 0's times (1 + g) for 50 gaps g from 1e-15 to 1e-6:
@@ -276,28 +269,33 @@ def _check_volume_gaps(v, vol_tol) -> None:
     The factor 0.25 covers them.
     """
     sv = np.sort(v)
-    gap = 0.25 * np.finfo(float).eps * float(sv.sum()) / vol_tol
-    close = np.flatnonzero(np.diff(sv) <= gap * sv[1:])
-    if close.size:
-        lo, hi = sv[close[0]], sv[close[0] + 1]
+    with np.errstate(over="ignore"):   # a sum past the float range ties every pair
+        scale = np.finfo(float).eps * float(sv.sum())
+    gap = 0.25 * scale / vol_tol
+    close = np.flatnonzero(np.diff(sv) / sv[1:] <= gap)
+    if not close.size:
+        return
+    if gap >= 1.0:                     # every pair of volumes counts as tied
         raise DegenerateVolumesError(
-            f"job volumes {float(lo)!r} and {float(hi)!r} lie within a relative "
-            f"{gap:.1e}; solve_alpha cannot meet vol_tol={vol_tol:g} with lines "
-            "this close to parallel"
+            f"vol_tol={vol_tol:g} is at most 0.25 * eps * sum(v) = {0.25 * scale:.1e}; "
+            "solve_alpha cannot tell any two of these volumes apart"
         )
+    lo, hi = sv[close[0]], sv[close[0] + 1]
+    raise DegenerateVolumesError(
+        f"job volumes {float(lo)!r} and {float(hi)!r} lie within a relative "
+        f"{gap:.1e}; solve_alpha cannot meet vol_tol={vol_tol:g} with lines "
+        "this close to parallel"
+    )
 
 
 def duality_quantities(ls: LineSchedule, jobs: JobSet) -> DualityQuantities:
     """Exact segment-wise integrals of the four objective pieces."""
-    v = jobs.volumes()
     r = jobs.requirements()
-    primal = sum(
-        a.first_moment() / vj for a, vj in zip(ls.schedule.assignments, v)
-    )
+    primal = fractional_completion_time(jobs, ls.schedule)[1]
     payoff = float(np.dot(ls.alpha, ls.scheduled_volumes))
     req = sum(rj * b.integral() for rj, b in zip(r, ls.beta))
     cap = ls.gamma.integral()
-    return DualityQuantities(float(primal), payoff, float(req), float(cap))
+    return DualityQuantities(primal, payoff, float(req), float(cap))
 
 
 def check_slackness(ls: LineSchedule, jobs: JobSet) -> SlacknessReport:

@@ -2,7 +2,7 @@
 
 Time is cut into equal slots; the variables are per-job volumes per slot,
 priced at the slot midpoint divided by the job volume.  Constraints: each job
-accumulates its demand, no slot exceeds its capacity, and no job exceeds its
+accumulates its volume, no slot exceeds its capacity, and no job exceeds its
 requirement cap within a slot.
 
 The engine is a self-contained dense bounded-variable two-phase simplex
@@ -230,10 +230,9 @@ def dense_simplex(c, A, b, upper):
 
 @dataclass(frozen=True)
 class LpInstance:
-    """Slot LP data: jobs, demanded volumes, horizon and slot width."""
+    """Slot LP data: jobs, horizon and slot width; each job demands its volume."""
 
     jobs: JobSet
-    targets: np.ndarray
     horizon: float
     slot_width: float
     n_slots: int
@@ -246,23 +245,15 @@ class LpInstance:
         return (np.arange(1, self.n_slots + 1) - 0.5) * self.slot_width
 
 
-def build_discretized_lp(jobs: JobSet, targets=None, horizon: float | None = None,
+def build_discretized_lp(jobs: JobSet, horizon: float | None = None,
                          slot_width: float | None = None) -> LpInstance:
-    """Assemble the slot LP.
+    """Assemble the slot LP, in which each job demands its volume.
 
-    Defaults: demands equal the job volumes, the horizon is n * p_max (large
-    enough that an optimal fractional schedule never runs past it), and the
-    slot width is horizon / ``SLOTS``.  The slot width must divide the
-    horizon to within 1e-9 relative.
+    Defaults: the horizon is n * p_max (large enough that an optimal
+    fractional schedule never runs past it), and the slot width is
+    horizon / ``SLOTS``.  The slot width must divide the horizon to within
+    1e-9 relative.
     """
-    v = jobs.volumes()
-    if targets is None:
-        targets = v.copy()
-    targets = np.asarray(targets, dtype=float)
-    if targets.shape != (len(jobs),):
-        raise ContractError("targets must have one entry per job")
-    if np.any(targets < 0.0):
-        raise ContractError("targets must be nonnegative")
     if horizon is None:
         horizon = len(jobs) * jobs.max_processing_time() if len(jobs) else 1.0
     if not 0.0 < horizon < np.inf:     # NaN fails too
@@ -275,7 +266,7 @@ def build_discretized_lp(jobs: JobSet, targets=None, horizon: float | None = Non
     n_slots = int(round(ratio))
     if n_slots < 1 or abs(ratio - n_slots) > 1e-9 * max(1.0, n_slots):
         raise SlotWidthError(f"slot width must divide the horizon ({ratio=})")
-    return LpInstance(jobs, targets, float(horizon), float(slot_width), n_slots)
+    return LpInstance(jobs, float(horizon), float(slot_width), n_slots)
 
 
 @dataclass(frozen=True)
@@ -316,7 +307,7 @@ def _aggregated_solve(inst: LpInstance, edges: np.ndarray):
     for j in range(n):
         A[j, j * nb:(j + 1) * nb] = 1.0
         A[j, N + j] = -1.0
-        b[j] = inst.targets[j]
+        b[j] = v[j]
     for k in range(nb):
         A[n + k, k:N:nb] = 1.0
         A[n + k, N + n + k] = 1.0
@@ -376,7 +367,7 @@ def solve_lp(inst: LpInstance) -> LpSolution:
     Each round solves the LP restricted to volumes that are constant on
     slot blocks, with one ``dense_simplex`` call.  Its demand duals
     ``alpha`` price every slot by the priority packing (``_slot_duals``), and
-    ``alpha . targets`` minus the packing gains is a lower bound on the full
+    ``alpha . v`` minus the packing gains is a lower bound on the full
     LP.  Once that bound meets the block optimum to ``CERTIFICATE_TOL``
     relative, the block solution is optimal for the full LP; the solution
     reports that bound as ``dual_objective`` and the gap that stopped the
@@ -389,8 +380,7 @@ def solve_lp(inst: LpInstance) -> LpSolution:
     so every slot packs the same rates, and there is an optimal solution
     that is constant on each block between them.  The slot LP's duals tend
     to the continuous optimum as the slots shrink, so the first blocks are
-    cut around the breakpoints of ``solve_alpha`` on the jobs with a
-    positive target (the others get alpha 0).  When ``solve_alpha`` raises
+    cut around the breakpoints of ``solve_alpha``.  When it raises
     (near-tied volumes, or no convergence) the same loop starts from the
     single block ``{0, I}``.
 
@@ -413,26 +403,24 @@ def solve_lp(inst: LpInstance) -> LpSolution:
     if n == 0:
         return LpSolution(np.zeros((0, I)), 0.0, np.zeros(0), np.zeros((0, I)),
                           np.zeros(I), 0.0, 0.0, np.array([0, I]), 0, 0)
+    v = inst.jobs.volumes()
     r = inst.jobs.requirements()
     total_cap = inst.horizon
-    if inst.targets.sum() > total_cap * (1.0 + 1e-12):
+    if v.sum() > total_cap * (1.0 + 1e-12):
         raise InfeasibleInstanceError(
-            f"total demand {inst.targets.sum():.6g} exceeds horizon capacity {total_cap:.6g}"
+            f"total demand {v.sum():.6g} exceeds horizon capacity {total_cap:.6g}"
         )
-    bad = inst.targets > r * total_cap * (1.0 + 1e-12)
+    bad = v > r * total_cap * (1.0 + 1e-12)
     if np.any(bad):
         j = int(np.flatnonzero(bad)[0])
         raise InfeasibleInstanceError(
-            f"job {j} demands {inst.targets[j]:.6g} but can absorb at most "
+            f"job {j} demands {v[j]:.6g} but can absorb at most "
             f"{r[j] * total_cap:.6g} before the horizon"
         )
 
     edges = np.array([0, I])
-    positive = np.flatnonzero(inst.targets > 0.0)
-    seed = np.zeros(n)
     try:
-        seed[positive] = solve_alpha(JobSet(inst.jobs[j] for j in positive),
-                                     inst.targets[positive])
+        seed = solve_alpha(inst.jobs)
     except (DegenerateVolumesError, ConvergenceError):
         pass    # no continuous optimum to seed from: start from one block
     else:
@@ -442,7 +430,7 @@ def solve_lp(inst: LpInstance) -> LpSolution:
         W, alpha, objective, piv = _aggregated_solve(inst, edges)
         total_pivots += piv
         gamma, beta, slot_gain = _slot_duals(inst, alpha)
-        dual_obj = float(alpha @ inst.targets - slot_gain.sum())
+        dual_obj = float(alpha @ v - slot_gain.sum())
         gap = objective - dual_obj
         if gap <= CERTIFICATE_TOL * max(1.0, abs(objective)):
             volumes = np.repeat(W / np.diff(edges), np.diff(edges), axis=1)
@@ -477,7 +465,7 @@ def dump_lp(inst: LpInstance) -> str:
     coeffs = " ".join(_fmt(mids[i] / v[j]) for j in range(inst.n_jobs) for i in range(inst.n_slots))
     lines.append(f"min {coeffs}".rstrip())
     for j in range(inst.n_jobs):
-        lines.append(f"demand {j} >= {_fmt(inst.targets[j])}")
+        lines.append(f"demand {j} >= {_fmt(v[j])}")
     for i in range(inst.n_slots):
         lines.append(f"capacity {i} <= {_fmt(inst.slot_width)}")
     for j in range(inst.n_jobs):

@@ -103,7 +103,7 @@ def ls_exact(jobs: JobSet, vol_tol: float = DEFAULT_TOL) -> tuple[Schedule, np.n
     The returned schedule attains the optimal fractional completion time;
     its total completion time is at most twice that.
     """
-    alpha = solve_alpha(jobs, targets=None, vol_tol=vol_tol)
+    alpha = solve_alpha(jobs, vol_tol=vol_tol)
     ls = build_line_schedule(jobs, alpha)
     return ls.schedule, alpha, duality_quantities(ls, jobs)
 

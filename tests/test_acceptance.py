@@ -69,7 +69,7 @@ def test_criterion_1_worked_example_line_schedule():
 
 def test_criterion_2_fixed_point_recovery():
     t0 = time.perf_counter()
-    alpha = ss.solve_alpha(THREE_JOBS, targets=[1.0, 4.0, 6.0], vol_tol=1e-8)
+    alpha = ss.solve_alpha(THREE_JOBS, vol_tol=1e-8)
     elapsed = time.perf_counter() - t0
     err = float(np.max(np.abs(alpha - ALPHA_EXPECTED)))
     _report(2, "intercepts recovered to 1e-6 from volume targets",

@@ -19,6 +19,7 @@ from sharesched import (
     check_slackness,
     cost_rates_on_grid,
     duality_quantities,
+    fractional_completion_time,
     makespan,
     solve_alpha,
     solve_lp,
@@ -77,6 +78,14 @@ class TestBuildLineSchedule:
         # alpha_0 * v_0 overflows, so line 0 never reaches zero
         with pytest.raises(ContractError, match="job 0's line reaches zero .* overflows"):
             build_line_schedule(JobSet.of([(10, 0.5), (1, 1)]), [1e308, 1.0])
+
+    def test_an_overflowing_crossing_is_dropped_without_a_warning(self):
+        # the crossing time (1e300 - 0) / (1 / v_0 - 1 / v_1) overflows, but
+        # it lies past job 0's zero at 1e300, so the packing drops it
+        ls = build_line_schedule(JobSet.of([(1, 1), (1 + 1e-15, 1)]), [1e300, 0.0])
+        first, second = ls.schedule.assignments
+        assert first.edges.tolist() == [0.0, 1e300] and first.values.tolist() == [1.0]
+        assert second.support_end == 0.0
 
     def test_empty_instance(self):
         jobs = JobSet()
@@ -211,7 +220,7 @@ class TestSolveAlpha:
             assert alpha[0] == pytest.approx(1.0 / r, rel=1e-9)
 
     def test_worked_example(self, three_jobs):
-        alpha = solve_alpha(three_jobs, targets=[1.0, 4.0, 6.0], vol_tol=1e-8)
+        alpha = solve_alpha(three_jobs, vol_tol=1e-8)
         assert np.max(np.abs(alpha - ALPHA_EXPECTED)) < 1e-6
 
     def test_volume_targets_met_on_random_instances(self):
@@ -232,12 +241,6 @@ class TestSolveAlpha:
             assert np.max(np.abs(sol.alpha - alpha) / np.maximum(alpha, 1e-9)) < 0.02
             lp_line_vols = build_line_schedule(jobs, sol.alpha).scheduled_volumes
             assert np.max(np.abs(lp_line_vols - jobs.volumes()) / jobs.volumes()) < 0.05
-
-    def test_custom_targets(self):
-        jobs = JobSet.of([(2.0, 0.5), (3.0, 0.8)])
-        targets = [1.0, 1.5]
-        alpha = solve_alpha(jobs, targets=targets)
-        assert build_line_schedule(jobs, alpha).scheduled_volumes == pytest.approx(targets, abs=1e-8)
 
     def test_convergence_error_carries_residual(self):
         jobs = JobSet.of([(1.0, 0.5), (1.2, 0.7)])
@@ -292,6 +295,13 @@ class TestSolveAlpha:
             solve_alpha(JobSet.of([(1, 0.5), (2, 0.6)]), vol_tol=vol_tol)
         assert not isinstance(err.value, DegenerateVolumesError)
 
+    def test_a_vol_tol_below_the_volume_scale_is_named(self):
+        # 0.25 * eps * sum(v) / vol_tol exceeds 1, so every pair counts as tied
+        for pairs in ([(1e308, 1), (1, 1)], [(1e308, 1), (1e308, 1)]):
+            with pytest.raises(DegenerateVolumesError,
+                               match=r"vol_tol=1e-09 is at most 0.25 \* eps \* sum\(v\)"):
+                solve_alpha(JobSet.of(pairs))
+
     def test_near_tied_volumes_fail_fast(self):
         # volumes a relative 1e-15 apart, and twins 1e-12 apart, are too
         # close for vol_tol; iterating on them stalls for several seconds
@@ -332,6 +342,12 @@ class TestSolveAlpha:
 
 
 class TestDualityQuantities:
+    def test_primal_cost_is_the_fractional_completion_time(self):
+        jobs = generate_random(8, 1)
+        ls = build_line_schedule(jobs, solve_alpha(jobs))
+        got = duality_quantities(ls, jobs).primal_cost
+        assert got == fractional_completion_time(jobs, ls.schedule)[1]
+
     def test_single_full_requirement(self):
         jobs = JobSet.of([(1, 1)])
         ls = build_line_schedule(jobs, [1.0])

@@ -244,14 +244,14 @@ def test_permuting_jobs_keeps_the_fractional_optima(jobs, data):
     assert ls_opt[1] == pytest.approx(ls_opt[0], rel=1e-12)
 
 
-def _min_horizon(targets, r) -> float:
+def _min_horizon(v, r) -> float:
     """Shortest horizon the slot LP's demands fit in: every job subset S
-    needs ``targets(S) <= horizon * min(1, r(S))``."""
-    n = targets.size
+    needs ``v(S) <= horizon * min(1, r(S))``."""
+    n = v.size
     need = 0.0
     for mask in range(1, 2 ** n):
         s = np.array([(mask >> j) & 1 for j in range(n)], dtype=bool)
-        need = max(need, targets[s].sum() / min(1.0, r[s].sum()))
+        need = max(need, v[s].sum() / min(1.0, r[s].sum()))
     return need
 
 
@@ -259,8 +259,8 @@ def _min_horizon(targets, r) -> float:
 def slot_lps(draw):
     """Slot LPs of 1-6 jobs on 8-256 slots, from a tight horizon to 3x slack.
 
-    Some targets are zero, and some volumes tie or nearly tie, which makes
-    ``solve_alpha`` refuse the seed and ``solve_lp`` start from one block.
+    Some volumes tie or nearly tie, which makes ``solve_alpha`` refuse the
+    seed and ``solve_lp`` start from one block.
     """
     jobs = draw(st.lists(
         st.tuples(st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e),
@@ -270,12 +270,9 @@ def slot_lps(draw):
     r = np.array([b for _, b in jobs])
     if v.size > 1 and draw(st.booleans()):
         v[1] = v[0] * (1.0 + draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9])))
-    targets = np.where(draw(st.lists(st.booleans(), min_size=v.size, max_size=v.size)), 0.0, v)
-    if not targets.any():
-        targets[0] = v[0]
-    horizon = _min_horizon(targets, r) * draw(st.floats(1.0, 3.0))
+    horizon = _min_horizon(v, r) * draw(st.floats(1.0, 3.0))
     slots = draw(st.integers(8, 256))
-    return build_discretized_lp(JobSet.of(zip(v, r)), targets, horizon, horizon / slots)
+    return build_discretized_lp(JobSet.of(zip(v, r)), horizon, horizon / slots)
 
 
 @PROPERTY_SETTINGS
@@ -289,7 +286,7 @@ def test_solve_lp_matches_linprog_and_certifies_itself(inst):
     demand = -np.kron(np.eye(n), np.ones(m))
     capacity = np.kron(np.ones(n), np.eye(m))
     ref = linprog(cost, A_ub=np.vstack([demand, capacity]),
-                  b_ub=np.concatenate([-inst.targets, np.full(m, d)]),
+                  b_ub=np.concatenate([-v, np.full(m, d)]),
                   bounds=[(0.0, rj * d) for rj in r for _ in range(m)], method="highs")
     assert ref.status == 0
     assert sol.objective == pytest.approx(ref.fun, rel=1e-7, abs=1e-12)
@@ -298,4 +295,4 @@ def test_solve_lp_matches_linprog_and_certifies_itself(inst):
     assert np.all(V >= -1e-12)
     assert np.all(V <= r[:, None] * d * (1.0 + 1e-9))
     assert np.all(V.sum(axis=0) <= d * (1.0 + 1e-9))
-    assert np.all(V.sum(axis=1) >= inst.targets - 1e-9 * np.maximum(1.0, inst.targets))
+    assert np.all(V.sum(axis=1) >= v - 1e-9 * np.maximum(1.0, v))

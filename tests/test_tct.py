@@ -102,6 +102,17 @@ class TestGreedy:
         assert validate_schedule(jobs, sched).feasible
         assert sched.completion_times()[2] == sched.completion_times()[1]
 
+    @pytest.mark.parametrize("pairs", [[(1e308, 1), (1, 1)], [(1e200, 1)]])
+    def test_fractional_completion_time_of_huge_volumes_is_finite(self, pairs):
+        # no edge is squared, and a RuntimeWarning fails the test
+        jobs = JobSet.of(pairs)
+        sched = greedy(jobs)
+        per_job, total = fractional_completion_time(jobs, sched)
+        assert np.isfinite(total)
+        # the huge job runs at rate 1 on one piece, so its mean completion is
+        # that piece's midpoint
+        assert per_job[0] == 0.5 * sched.completion_times()[0]
+
     def test_at_most_one_partial_job_per_interval(self):
         for seed in range(30):
             jobs = random_instance(seed, 8)
