@@ -36,7 +36,7 @@ print()
 print("the same object carries the dual prices:")
 print("  capacity price gamma at t=0.5:", round(ls.gamma(0.5), 6))
 print("  cap price beta_2 at t=0.5:", round(ls.beta[1](0.5), 6))
-q = ss.duality_quantities(ls, jobs)
+q = ss.duality_quantities(ls)
 print(f"  primal cost            P = {q.primal_cost}")
 print(f"  volume payoff          A = {q.volume_payoff}")
 print(f"  requirement penalty    B = {q.requirement_penalty}")
@@ -47,7 +47,7 @@ print(f"  balancedness    P = B + G:     "
       f"{abs(q.primal_cost - (q.requirement_penalty + q.capacity_penalty)):.2e}")
 print("  (so the completion total is at most A = 2P, twice the fractional optimum)")
 
-report = ss.check_slackness(ls, jobs)
+report = ss.check_slackness(ls)
 print(f"  max slackness violation: {report.max_violation():.2e}")
 
 print()
@@ -55,7 +55,7 @@ print("the cost rate sum_j R_j(t)/v_j only ever decreases:")
 rates = ss.cost_rates_on_grid(ls)
 print("  per-interval cost rates:", np.round(rates, 5).tolist())
 
-svg = render_svg(jobs, ls.schedule, alpha=alpha, show_duals=True)
+svg = render_svg(jobs, ls.schedule, alpha=alpha)
 (OUT / "line_schedule.svg").write_text(svg)
 print(f"\nschedule with the priority lines overlaid -> {OUT / 'line_schedule.svg'}")
 
@@ -65,7 +65,7 @@ print("for different scheduled volumes:")
 rng = np.random.default_rng(4)
 wild = rng.uniform(0.2, 4.0, 3)
 ls2 = ss.build_line_schedule(jobs, wild)
-q2 = ss.duality_quantities(ls2, jobs)
+q2 = ss.duality_quantities(ls2)
 print("  alpha =", np.round(wild, 4).tolist(),
       "-> volumes", np.round(ls2.scheduled_volumes, 4).tolist())
 print(f"  A - (P+B+G) = "

@@ -38,7 +38,7 @@ print("cost equals the LP objective (midpoint pricing is exact for")
 print("slot-constant rates):")
 inst = ss.build_discretized_lp(jobs, horizon=horizon, slot_width=horizon / 512)
 sol = ss.solve_lp(inst)
-sched = ss.lp_schedule(inst, sol)
+sched = ss.lp_schedule(sol)
 _, realized = ss.fractional_completion_time(jobs, sched)
 print(f"  LP objective {sol.objective:.8f} vs realized {realized:.8f}")
 print(f"  feasible: {ss.validate_schedule(jobs, sched).feasible}")

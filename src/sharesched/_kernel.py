@@ -34,10 +34,11 @@ def prices(d, rates):
 
 def _pairs(v, r):
     """The terms of ``_rows`` that do not depend on alpha, computed once per
-    instance: ``(idx, ds, divisor, base, neg_v, neg_r)``, all read-only.
+    instance: ``(idx, divisor, base, neg_v, neg_r)``, all read-only.
 
-    ``divisor`` is ``ds`` with ``inf`` for parallel lines, whose crossing
-    times are then 0; ``base[j] = j * n`` is the flat offset of row j.
+    ``divisor[j, k] = 1 / v_j - 1 / v_k``, with ``inf`` for parallel lines,
+    whose crossing times are then 0; ``base[j] = j * n`` is the flat offset
+    of row j.
     """
     return _pair_terms(np.asarray(v, dtype=float).tobytes(),
                        np.asarray(r, dtype=float).tobytes())
@@ -48,7 +49,7 @@ def _pair_terms(v_bytes: bytes, r_bytes: bytes):
     v, r = np.frombuffer(v_bytes), np.frombuffer(r_bytes)
     n = v.size
     ds = 1.0 / v[:, None] - 1.0 / v
-    terms = (np.arange(n), ds, np.where(ds != 0.0, ds, np.inf),
+    terms = (np.arange(n), np.where(ds != 0.0, ds, np.inf),
              (np.arange(n) * n)[:, None], -v, -r)
     for term in terms:
         term.setflags(write=False)
@@ -56,14 +57,14 @@ def _pair_terms(v_bytes: bytes, r_bytes: bytes):
 
 
 def _rows(v, r, alpha):
-    """Event rows ``(times, order, ds, rates, vols)``.
+    """Event rows ``(times, order, rates, vols)``.
 
     Row j: the crossings of line j in ``(0, alpha_j v_j)``, its zero, then
-    ``inf``; ``order[j, i]`` is the line behind event i, ``ds[j, k] =
-    1 / v_j - 1 / v_k``, and ``rates[j, i]`` j's rate up to event i.
+    ``inf``; ``order[j, i]`` is the line behind event i, and ``rates[j, i]``
+    j's rate up to event i.
     """
     n = v.size
-    idx, ds, divisor, base, neg_v, neg_r = _pairs(v, r)
+    idx, divisor, base, neg_v, neg_r = _pairs(v, r)
     zero = alpha * v
     zero_col = zero[:, None]
     with np.errstate(over="ignore"):               # an overflowing crossing is dead
@@ -93,12 +94,12 @@ def _rows(v, r, alpha):
     ends = np.zeros((n, n + 1))
     np.minimum(times, zero_col, out=ends[:, 1:])
     widths = ends[:, 1:] - ends[:, :-1]
-    return times, order, ds, rates, (rates[:, :-1] * widths).sum(axis=1)
+    return times, order, rates, (rates[:, :-1] * widths).sum(axis=1)
 
 
 def line_volumes(v, r, alpha):
     """Scheduled volume per job for the line schedule of ``alpha``."""
-    return _rows(v, r, alpha)[4]
+    return _rows(v, r, alpha)[3]
 
 
 def line_structure(v, r, alpha):
@@ -106,12 +107,13 @@ def line_structure(v, r, alpha):
 
     For a fixed priority structure each event is affine in alpha: j's zero
     moves by ``v_j`` per unit of ``alpha_j``, its crossing with line k by
-    ``1 / ds_jk`` per unit of ``alpha_j`` and ``-1 / ds_jk`` of ``alpha_k``.
-    Moving by dt, an event changes j's volume by dt times j's rate drop there.
+    ``1 / ds_jk`` per unit of ``alpha_j`` and ``-1 / ds_jk`` of ``alpha_k``,
+    with ``ds_jk = 1 / v_j - 1 / v_k`` (``divisor`` in ``_pairs``).  Moving
+    by dt, an event changes j's volume by dt times j's rate drop there.
     """
     n = v.size
-    _, order, _, rates, vols = _rows(v, r, alpha)
-    _, _, divisor, base, _, _ = _pairs(v, r)
+    _, order, rates, vols = _rows(v, r, alpha)
+    _, divisor, base, _, _ = _pairs(v, r)
     drop = np.empty((n, n))                            # rate before minus after
     drop.put(order + base, rates[:, :-1] - rates[:, 1:])
     per_ds = drop / divisor                            # a zero for parallel lines
@@ -133,5 +135,5 @@ def _read(events, rates, times):
 def rates_at(v, r, alpha, times):
     """Each job's rate on ``[t, next event)`` for each t in ``times``: at a
     crossing, the order just after it (the flatter line first)."""
-    events, _, _, rates, _ = _rows(v, r, alpha)
+    events, _, rates, _ = _rows(v, r, alpha)
     return _read(events, rates, times)

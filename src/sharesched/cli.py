@@ -301,20 +301,21 @@ def _cmd_compare(args) -> int:
 # -- plot --------------------------------------------------------------------
 
 
-def render_svg(jobs: JobSet, sched: Schedule, alpha=None, show_duals: bool = False) -> str:
+def render_svg(jobs: JobSet, sched: Schedule, alpha=None) -> str:
     """Stacked-area SVG of a schedule; optional priority-line overlay.
 
     Jobs stack in index order; each area's height at time t is the job's
-    rate, so areas are proportional to volumes.  With ``show_duals`` the
-    lines alpha_j - t / v_j and the capacity price are drawn against a
-    right-hand priority axis.
+    rate, so areas are proportional to volumes.  With ``alpha`` the time
+    axis runs out to the last line zero, and the lines alpha_j - t / v_j and
+    the capacity price are drawn against a right-hand priority axis.
     """
-    ml, mr, mt, mb = 50, 50 if show_duals else 20, 16, 34
+    overlay = alpha is not None and len(jobs) > 0
+    ml, mr, mt, mb = 50, 50 if overlay else 20, 16, 34
     pw, ph = SVG_WIDTH - ml - mr, SVG_HEIGHT - mt - mb
     end = core.makespan(sched)
     grid = (core._distinct(np.concatenate([a.edges for a in sched.assignments]))
             if sched.n_jobs else np.array([0.0]))
-    if alpha is not None and len(jobs):
+    if overlay:
         zeros = [a * j.volume for a, j in zip(alpha, jobs)]
         end = max(end, max(zeros, default=0.0))
         grid = core._distinct(np.concatenate([grid, np.asarray(zeros, dtype=float)]))
@@ -361,7 +362,7 @@ def render_svg(jobs: JobSet, sched: Schedule, alpha=None, show_duals: bool = Fal
         out.append(f'<line x1="{X(t):.2f}" y1="{Y(0)}" x2="{X(t):.2f}" y2="{Y(0) + 4}" stroke="black"/>')
         out.append(f'<text x="{X(t):.2f}" y="{Y(0) + 16}" font-size="11" '
                    f'text-anchor="middle">{t:.3g}</text>')
-    if show_duals and alpha is not None and len(jobs):
+    if overlay:
         amax = max(float(a) for a in alpha)
         amax = max(amax, 1e-9)
 
@@ -405,10 +406,7 @@ def _cmd_plot(args) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
         linesched._check_inputs(jobs, alpha)    # a ContractError is a usage error
-    if args.duals and alpha is None:
-        print("--duals requires --alpha", file=sys.stderr)
-        return EXIT_USAGE
-    svg = render_svg(jobs, sched, alpha=alpha, show_duals=args.duals)
+    svg = render_svg(jobs, sched, alpha=alpha)
     _write(args.out, svg)
     return EXIT_OK
 
@@ -474,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--schedule", required=True)
     pl.add_argument("--instance")
     pl.add_argument("--alpha", help="comma-separated intercepts for the dual overlay")
-    pl.add_argument("--duals", action="store_true")
     pl.add_argument("--out", default="-")
     pl.set_defaults(func=_cmd_plot)
     return p

@@ -95,9 +95,6 @@ class JobSet(tuple):
     def max_processing_time(self) -> float:
         return max((j.processing_time for j in self), default=0.0)
 
-    def prefix(self, k: int) -> "JobSet":
-        return JobSet(self[:k])
-
 
 class StepFunction:
     """Right-continuous piecewise-constant function with bounded support.
@@ -158,20 +155,6 @@ class StepFunction:
 
     def integral(self) -> float:
         return float(np.dot(self.values, self.widths())) if self.values.size else 0.0
-
-    def integral_to(self, C: float) -> float:
-        """Integral over [0, C)."""
-        if C <= 0.0 or not self.values.size:
-            return 0.0
-        hi = np.minimum(self.edges[1:], C)
-        lo = np.minimum(self.edges[:-1], C)
-        return float(np.dot(self.values, hi - lo))
-
-    def first_moment(self) -> float:
-        """Integral of t * f(t) over the support: each piece's integral at its
-        midpoint, so no edge is squared."""
-        w = self.widths()
-        return float(np.dot(self.values * w, self.edges[:-1] + 0.5 * w))
 
     # -- transforms --------------------------------------------------------
 

@@ -32,6 +32,10 @@ from .core import (
 )
 
 
+#: Newton iterations after which ``solve_alpha`` raises ConvergenceError
+MAX_ITERS = 200
+
+
 class DegenerateVolumesError(ContractError):
     """``solve_alpha`` cannot meet ``vol_tol``: two volumes are nearly equal.
 
@@ -64,12 +68,13 @@ class ConvergenceError(RuntimeError):
 class LineSchedule:
     """Primal rates plus the dual prices built from one alpha vector.
 
-    ``grid`` holds 0 and each event of a job's packing row where that job
-    runs on one side, so it ends where the last job ends; ``rates[j, i]`` is
-    job j's rate on ``[grid[i], grid[i+1])``, the assignments are built from
-    it, and ``gamma`` and ``beta`` are affine on each grid interval.
+    ``jobs`` is the instance the lines belong to.  ``grid`` holds 0 and each
+    event of a job's packing row where that job runs on one side, so it
+    ends where the last job ends; ``rates[j, i]`` is job j's rate on
+    ``[grid[i], grid[i+1])``, the assignments are built from it, and
+    ``gamma`` and ``beta`` are affine on each grid interval.
     ``scheduled_volumes`` are the exact per-job integrals of the rates
-    (these equal the demand vector only when alpha solves for it).
+    (these equal the job volumes only when alpha solves for them).
     """
 
     schedule: Schedule
@@ -78,7 +83,7 @@ class LineSchedule:
     gamma: PiecewiseLinear
     scheduled_volumes: np.ndarray
     grid: np.ndarray
-    job_volumes: np.ndarray
+    jobs: JobSet
     rates: np.ndarray
 
 
@@ -152,8 +157,8 @@ def build_line_schedule(jobs: JobSet, alpha) -> LineSchedule:
     n = v.size
     if n == 0:
         return LineSchedule(Schedule.empty(0), a, (), PiecewiseLinear.zero(),
-                            np.zeros(0), np.array([0.0]), np.zeros(0), np.zeros((0, 0)))
-    times, _, _, row_rates, vols = _kernel._rows(v, r, a)
+                            np.zeros(0), np.array([0.0]), jobs, np.zeros((0, 0)))
+    times, _, row_rates, vols = _kernel._rows(v, r, a)
     runs = (row_rates[:, :-1] > 0.0) | (row_rates[:, 1:] > 0.0)    # on a side of event i
     grid = _distinct(np.concatenate(([0.0], times[runs])))
     t0 = grid[:-1]
@@ -170,10 +175,10 @@ def build_line_schedule(jobs: JobSet, alpha) -> LineSchedule:
     gamma = PiecewiseLinear(grid, gamma_start, gamma_slope)
     beta = tuple(PiecewiseLinear(grid, beta_start[j], beta_slope[j]) for j in range(n))
     return LineSchedule(Schedule(StepFunction(grid, rates[j]) for j in range(n)), a,
-                        beta, gamma, vols, grid, v, rates)
+                        beta, gamma, vols, grid, jobs, rates)
 
 
-def solve_alpha(jobs: JobSet, vol_tol: float = DEFAULT_TOL, max_iters: int = 200) -> np.ndarray:
+def solve_alpha(jobs: JobSet, vol_tol: float = DEFAULT_TOL) -> np.ndarray:
     """Intercepts under which each job j schedules exactly its volume ``v_j``.
 
     The intercepts maximise the concave Lagrangian dual
@@ -202,7 +207,7 @@ def solve_alpha(jobs: JobSet, vol_tol: float = DEFAULT_TOL, max_iters: int = 200
     step that is kept only when it lowers that residual; near the solution
     the step is exact, so the residual usually ends near rounding level.
     Raises ConvergenceError carrying the residual, the Newton iterations
-    taken, the packings spent and the last accepted alpha when ``max_iters``
+    taken, the packings spent and the last accepted alpha when ``MAX_ITERS``
     iterations do not reach ``vol_tol``, or earlier when the line search can
     no longer move alpha.
     Raises DegenerateVolumesError up front when two volumes are too close for
@@ -224,10 +229,10 @@ def solve_alpha(jobs: JobSet, vol_tol: float = DEFAULT_TOL, max_iters: int = 200
     fill = r * v
     vols, jac = _kernel.line_structure(v, r, alpha)
     packings = 1
-    for iteration in range(max_iters + 1):
+    for iteration in range(MAX_ITERS + 1):
         grad = v - vols
         residual = float(np.abs(grad).max())
-        if residual > vol_tol and iteration == max_iters:
+        if residual > vol_tol and iteration == MAX_ITERS:
             break
         hess = jac                                     # in place: jac is not used again
         diagonal = hess.ravel()[::n + 1]
@@ -251,7 +256,7 @@ def solve_alpha(jobs: JobSet, vol_tol: float = DEFAULT_TOL, max_iters: int = 200
                 break
             step *= 0.5
         alpha = trial
-    raise ConvergenceError(residual, max_iters, packings, alpha.copy())
+    raise ConvergenceError(residual, MAX_ITERS, packings, alpha.copy())
 
 
 def _check_volume_gaps(v, vol_tol) -> None:
@@ -288,17 +293,17 @@ def _check_volume_gaps(v, vol_tol) -> None:
     )
 
 
-def duality_quantities(ls: LineSchedule, jobs: JobSet) -> DualityQuantities:
+def duality_quantities(ls: LineSchedule) -> DualityQuantities:
     """Exact segment-wise integrals of the four objective pieces."""
-    r = jobs.requirements()
-    primal = fractional_completion_time(jobs, ls.schedule)[1]
+    r = ls.jobs.requirements()
+    primal = fractional_completion_time(ls.jobs, ls.schedule)[1]
     payoff = float(np.dot(ls.alpha, ls.scheduled_volumes))
     req = sum(rj * b.integral() for rj, b in zip(r, ls.beta))
     cap = ls.gamma.integral()
     return DualityQuantities(primal, payoff, float(req), float(cap))
 
 
-def check_slackness(ls: LineSchedule, jobs: JobSet) -> SlacknessReport:
+def check_slackness(ls: LineSchedule) -> SlacknessReport:
     """Evaluate all four slackness families plus dual feasibility, exactly.
 
     On each ``ls.grid`` interval the rates are constant and ``d_j``,
@@ -309,8 +314,8 @@ def check_slackness(ls: LineSchedule, jobs: JobSet) -> SlacknessReport:
     inside), and dual feasibility also just past the grid, where only the
     lines are left.  Exact grid integrals feed the volume condition.
     """
-    v = jobs.volumes()
-    r = jobs.requirements()
+    v = ls.jobs.volumes()
+    r = ls.jobs.requirements()
     vol_viol = float(np.max(np.abs(ls.alpha * (ls.scheduled_volumes - ls.schedule.volumes())),
                             initial=0.0))
     grid, rates = ls.grid, ls.rates
@@ -337,4 +342,4 @@ def check_slackness(ls: LineSchedule, jobs: JobSet) -> SlacknessReport:
 
 def cost_rates_on_grid(ls: LineSchedule) -> np.ndarray:
     """Cost rate on every grid interval, in time order."""
-    return (ls.rates / ls.job_volumes[:, None]).sum(axis=0)
+    return (ls.rates / ls.jobs.volumes()[:, None]).sum(axis=0)

@@ -271,7 +271,7 @@ def build_discretized_lp(jobs: JobSet, horizon: float | None = None,
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Optimal slot volumes with basis duals and a duality certificate.
+    """Optimal slot volumes of ``instance``, basis duals and a duality certificate.
 
     ``volumes[j, i]`` is job j's volume in slot i.  ``alpha`` are the demand
     duals from the simplex basis; ``gamma``/``beta`` the per-slot capacity
@@ -279,6 +279,7 @@ class LpSolution:
     bound ``dual_objective`` that ``solve_lp`` stopped on.
     """
 
+    instance: LpInstance
     volumes: np.ndarray
     objective: float
     alpha: np.ndarray
@@ -286,9 +287,9 @@ class LpSolution:
     gamma: np.ndarray
     dual_objective: float
     certificate_gap: float
-    block_edges: np.ndarray = field(repr=False, default=None)
-    rounds: int = 0
-    pivots: int = 0
+    block_edges: np.ndarray = field(repr=False)
+    rounds: int
+    pivots: int
 
 
 def _aggregated_solve(inst: LpInstance, edges: np.ndarray):
@@ -401,7 +402,7 @@ def solve_lp(inst: LpInstance) -> LpSolution:
     n = inst.n_jobs
     I = inst.n_slots
     if n == 0:
-        return LpSolution(np.zeros((0, I)), 0.0, np.zeros(0), np.zeros((0, I)),
+        return LpSolution(inst, np.zeros((0, I)), 0.0, np.zeros(0), np.zeros((0, I)),
                           np.zeros(I), 0.0, 0.0, np.array([0, I]), 0, 0)
     v = inst.jobs.volumes()
     r = inst.jobs.requirements()
@@ -434,7 +435,7 @@ def solve_lp(inst: LpInstance) -> LpSolution:
         gap = objective - dual_obj
         if gap <= CERTIFICATE_TOL * max(1.0, abs(objective)):
             volumes = np.repeat(W / np.diff(edges), np.diff(edges), axis=1)
-            return LpSolution(volumes, objective, alpha, beta, gamma, dual_obj, gap,
+            return LpSolution(inst, volumes, objective, alpha, beta, gamma, dual_obj, gap,
                               edges, rounds, total_pivots)
         new_edges = _distinct(np.concatenate((edges, _cuts(inst, alpha, edges, W))))
         if new_edges.size == edges.size:
@@ -447,10 +448,9 @@ def solve_lp(inst: LpInstance) -> LpSolution:
     raise SimplexError(f"block refinement did not converge (gap {gap:.3e})")
 
 
-def lp_schedule(inst: LpInstance, sol: LpSolution) -> Schedule:
+def lp_schedule(sol: LpSolution) -> Schedule:
     """Realize slot volumes as a schedule with uniform rates inside slots."""
-    if sol.volumes.shape != (inst.n_jobs, inst.n_slots):
-        raise ContractError("solution shape does not match the instance")
+    inst = sol.instance
     grid = np.arange(inst.n_slots + 1) * inst.slot_width
     rates = sol.volumes / inst.slot_width
     return Schedule(StepFunction(grid, rates[j]) for j in range(inst.n_jobs))

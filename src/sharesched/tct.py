@@ -105,7 +105,7 @@ def ls_exact(jobs: JobSet, vol_tol: float = DEFAULT_TOL) -> tuple[Schedule, np.n
     """
     alpha = solve_alpha(jobs, vol_tol=vol_tol)
     ls = build_line_schedule(jobs, alpha)
-    return ls.schedule, alpha, duality_quantities(ls, jobs)
+    return ls.schedule, alpha, duality_quantities(ls)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sharesched import JobSet, Schedule, StepFunction
+from sharesched.core import _pieces_before
 
 
 def random_instance(seed: int, n_max: int, n_min: int = 1,
@@ -29,6 +30,12 @@ def left_end_sum(fns) -> StepFunction:
             if k < f.values.size:
                 total[i] += float(f.values[k])
     return StepFunction(grid, total) if total else StepFunction.zero()
+
+
+def volume_before(f: StepFunction, C: float) -> float:
+    """Integral of ``f`` over [0, C)."""
+    _, widths, values = _pieces_before(f, C)
+    return float(widths @ values)
 
 
 def prefix_schedules(run) -> list[Schedule]:

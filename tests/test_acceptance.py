@@ -83,7 +83,7 @@ def test_criterion_3_duality_and_slackness_suite(pool):
     worst_strong = worst_balance = worst_slack = 0.0
     for entry in entries:
         for ls in (entry.solved, entry.randomized):
-            q = ss.duality_quantities(ls, entry.jobs)
+            q = ss.duality_quantities(ls)
             if q.volume_payoff > 0:
                 lhs = abs(q.volume_payoff
                           - (q.primal_cost + q.requirement_penalty + q.capacity_penalty))
@@ -92,7 +92,7 @@ def test_criterion_3_duality_and_slackness_suite(pool):
                 lhs = abs(q.primal_cost - (q.requirement_penalty + q.capacity_penalty))
                 worst_balance = max(worst_balance, lhs / q.primal_cost)
             worst_slack = max(worst_slack,
-                              ss.check_slackness(ls, entry.jobs).max_violation())
+                              ss.check_slackness(ls).max_violation())
     elapsed = build_seconds + (time.perf_counter() - t0)
     ok = worst_strong <= 1e-6 and worst_balance <= 1e-6 and worst_slack <= 1e-7
     _report(3, "strong duality, balancedness, and slackness on 200 instances",
@@ -108,7 +108,7 @@ def test_criterion_4_fractionality_gap(pool):
     for entry in entries:
         sched = entry.solved.schedule
         cost = ss.total_completion_time(entry.jobs, sched)
-        q = ss.duality_quantities(entry.solved, entry.jobs)
+        q = ss.duality_quantities(entry.solved)
         if cost > 2.0 * q.primal_cost * (1.0 + 1e-6):
             ok = False
         worst_gap = max(worst_gap, cost / q.primal_cost if q.primal_cost else 0.0)
@@ -147,7 +147,7 @@ def test_criterion_6_combined_approximation_chain(pool):
     for entry in entries:
         greedy_cost = ss.total_completion_time(entry.jobs, ss.greedy(entry.jobs))
         line_cost = ss.total_completion_time(entry.jobs, entry.solved.schedule)
-        q = ss.duality_quantities(entry.solved, entry.jobs)
+        q = ss.duality_quantities(entry.solved)
         b = ss.lower_bounds(entry.jobs, fractional_opt=q.primal_cost)
         bound = max(b.squashed_area, b.total_length, b.fractional_plus_half_length)
         ratio = min(greedy_cost, line_cost) / bound

@@ -371,26 +371,23 @@ class TestPlot:
         out = tmp_path / "p.svg"
         code = main(["plot", "--schedule", str(sched_path),
                      "--instance", str(workdir / "three.json"),
-                     "--alpha", alpha, "--duals", "--out", str(out)])
+                     "--alpha", alpha, "--out", str(out)])
         assert code == 0
         svg = out.read_text()
         assert svg.startswith("<svg")
         assert svg.count("<polygon") == 3
         assert "polyline" in svg  # capacity price overlay
 
-    @pytest.mark.parametrize("alpha, duals, cause", [
-        ("1,x,2", True, "comma-separated finite numbers"),
-        ("1,x,2", False, "comma-separated finite numbers"),
-        ("1,nan,2", False, "comma-separated finite numbers"),
-        ("1,2", False, "2 intercepts for 3 jobs"),
-        ("1,2,3,4", True, "4 intercepts for 3 jobs"),
-        # the rule of build_line_schedule, with or without the overlay
-        ("1,1e308,1", False, "job 1's line reaches zero"),
-        ("1,1e308,1", True, "job 1's line reaches zero"),
-        ("-1,1,1", False, "finite and nonnegative"),
-        ("-1,1,1", True, "finite and nonnegative"),
+    @pytest.mark.parametrize("alpha, cause", [
+        ("1,x,2", "comma-separated finite numbers"),
+        ("1,nan,2", "comma-separated finite numbers"),
+        ("1,2", "2 intercepts for 3 jobs"),
+        ("1,2,3,4", "4 intercepts for 3 jobs"),
+        # the rule of build_line_schedule
+        ("1,1e308,1", "job 1's line reaches zero"),
+        ("-1,1,1", "finite and nonnegative"),
     ])
-    def test_bad_alpha_exits_2(self, workdir, tmp_path, capsys, alpha, duals, cause):
+    def test_bad_alpha_exits_2(self, workdir, tmp_path, capsys, alpha, cause):
         sched_path = tmp_path / "s.json"
         main(["run", "greedy", "--input", str(workdir / "three.json"),
               "--record", str(tmp_path / "rec.json"), "--schedule-out", str(sched_path)])
@@ -398,10 +395,22 @@ class TestPlot:
         out = tmp_path / "p.svg"
         code = main(["plot", "--schedule", str(sched_path),
                      "--instance", str(workdir / "three.json"), f"--alpha={alpha}",
-                     *(["--duals"] if duals else []), "--out", str(out)])
+                     "--out", str(out)])
         assert code == 2 and not out.exists()
         err = capsys.readouterr().err
         assert cause in err and "Traceback" not in err
+
+    def test_alpha_alone_draws_the_overlay(self, workdir, tmp_path, capsys):
+        sched_path = tmp_path / "s.json"
+        main(["run", "greedy", "--input", str(workdir / "three.json"),
+              "--record", str(tmp_path / "rec.json"), "--schedule-out", str(sched_path)])
+        out = tmp_path / "p.svg"
+        plot = ["plot", "--schedule", str(sched_path), "--instance", str(workdir / "three.json"),
+                "--alpha", "3,2,2", "--out", str(out)]
+        assert main(plot) == 0
+        assert "<polyline" in out.read_text()
+        out.unlink()
+        assert main([*plot, "--duals"]) == 2 and not out.exists()
 
     def test_empty_schedule_renders_axes_only(self, tmp_path, capsys):
         sched = tmp_path / "empty.json"

@@ -27,7 +27,7 @@ from sharesched import core
 from sharesched.tct import greedy, ls_exact
 from sharesched.waterfill import adversarial_instance, waterfill_online
 
-from conftest import left_end_sum, random_instance
+from conftest import left_end_sum, random_instance, volume_before
 
 
 def brute_eval(edges, values, t):
@@ -152,10 +152,12 @@ class TestStepFunction:
         w = np.diff(edges)
         assert f.integral() == pytest.approx(float(np.dot(values, w)), rel=1e-14)
         mids = 0.5 * (edges[:-1] + edges[1:])
-        assert f.first_moment() == pytest.approx(float(np.dot(values * w, mids)), rel=1e-12)
+        # the first moment is the fractional completion time of a unit volume
+        moment = fractional_completion_time(JobSet.of([(1.0, 1.0)]), Schedule([f]))[1]
+        assert moment == pytest.approx(float(np.dot(values * w, mids)), rel=1e-12)
         C = float(edges[3]) + 0.3 * float(w[3])
         want = float(np.dot(values[:3], w[:3]) + values[3] * 0.3 * w[3])
-        assert f.integral_to(C) == pytest.approx(want, rel=1e-12)
+        assert volume_before(f, C) == pytest.approx(want, rel=1e-12)
 
     def test_narrow_intervals_kept_with_their_integral(self):
         edges, values = [0.0, 1.0, 1.0 + 1e-15, 2.0], [0.5, 0.9, 0.25]

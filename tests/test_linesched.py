@@ -24,7 +24,7 @@ from sharesched import (
     solve_alpha,
     solve_lp,
 )
-from sharesched import _kernel
+from sharesched import _kernel, linesched
 from sharesched.cli import generate_random
 
 from conftest import random_instance
@@ -91,9 +91,9 @@ class TestBuildLineSchedule:
         jobs = JobSet()
         ls = build_line_schedule(jobs, [])
         assert ls.rates.shape == (0, 0) and ls.grid.tolist() == [0.0]
-        assert check_slackness(ls, jobs).max_violation() == 0.0
+        assert check_slackness(ls).max_violation() == 0.0
         assert cost_rates_on_grid(ls).shape == (0,)
-        q = duality_quantities(ls, jobs)
+        q = duality_quantities(ls)
         assert (q.primal_cost, q.volume_payoff, q.requirement_penalty,
                 q.capacity_penalty) == (0.0, 0.0, 0.0, 0.0)
 
@@ -102,8 +102,8 @@ class TestBuildLineSchedule:
         twins = JobSet.of([(1, 0.5), (1, 0.8), (2, 0.3)])
         for alpha in ([1.0, 1.0, 1.0], [1.0, 1.5, 0.7], [2.0, 2.0, 0.0], [3.0, 3.0, 3.0]):
             ls = build_line_schedule(twins, alpha)
-            assert check_slackness(ls, twins).max_violation() <= 1e-12
-            q = duality_quantities(ls, twins)
+            assert check_slackness(ls).max_violation() <= 1e-12
+            q = duality_quantities(ls)
             rhs = q.primal_cost + q.requirement_penalty + q.capacity_penalty
             assert q.volume_payoff == pytest.approx(rhs, rel=1e-12, abs=1e-12)
             assert q.primal_cost == pytest.approx(
@@ -133,7 +133,7 @@ def reference_build(jobs, alpha):
     return LineSchedule(
         Schedule(StepFunction(grid, rates[j]) for j in range(n)), a,
         tuple(PiecewiseLinear(grid, beta_start[j], beta_slope[j]) for j in range(n)),
-        PiecewiseLinear(grid, gamma_start, gamma_slope), rates @ np.diff(grid), grid, v, rates)
+        PiecewiseLinear(grid, gamma_start, gamma_slope), rates @ np.diff(grid), grid, jobs, rates)
 
 
 def _oracle_pool():
@@ -179,10 +179,10 @@ def test_matches_the_crossing_grid_reference():
         assert _close(ls.gamma(at), ref.gamma(at))
         for got, want in zip(ls.beta, ref.beta):
             assert _close(got(at), want(at))
-        q, q_ref = duality_quantities(ls, jobs), duality_quantities(ref, jobs)
+        q, q_ref = duality_quantities(ls), duality_quantities(ref)
         assert vars(q) == pytest.approx(vars(q_ref), rel=1e-12, abs=1e-12)
-        assert (check_slackness(ls, jobs).max_violation()
-                <= check_slackness(ref, jobs).max_violation() + 1e-12)
+        assert (check_slackness(ls).max_violation()
+                <= check_slackness(ref).max_violation() + 1e-12)
         assert ls.grid[-1] == makespan(ls.schedule)
         cases += 1
     assert cases > 900
@@ -195,7 +195,7 @@ def test_crossing_of_two_running_lines_is_a_grid_point():
     ls = build_line_schedule(jobs, [3.0, 2.0])
     assert ls.grid.tolist() == [0.0, 2.0, 3.0, 4.0]
     assert ls.gamma(1.0) == 1.5 and ls.gamma(2.5) == 0.5
-    assert check_slackness(ls, jobs).max_violation() == 0.0
+    assert check_slackness(ls).max_violation() == 0.0
 
 
 class TestScheduledVolumes:
@@ -242,10 +242,11 @@ class TestSolveAlpha:
             lp_line_vols = build_line_schedule(jobs, sol.alpha).scheduled_volumes
             assert np.max(np.abs(lp_line_vols - jobs.volumes()) / jobs.volumes()) < 0.05
 
-    def test_convergence_error_carries_residual(self):
+    def test_convergence_error_carries_residual(self, monkeypatch):
         jobs = JobSet.of([(1.0, 0.5), (1.2, 0.7)])
+        monkeypatch.setattr(linesched, "MAX_ITERS", 0)
         with pytest.raises(ConvergenceError) as err:
-            solve_alpha(jobs, max_iters=0)
+            solve_alpha(jobs)
         assert err.value.residual > 0 or err.value.residual == float("inf")
 
     @staticmethod
@@ -270,19 +271,30 @@ class TestSolveAlpha:
 
     def test_convergence_error_counts_packings(self, monkeypatch):
         packed = self._record_packings(monkeypatch)
+        monkeypatch.setattr(linesched, "MAX_ITERS", 1)
         with pytest.raises(ConvergenceError, match="volume residual") as err:
-            solve_alpha(generate_random(8, 1), max_iters=1)
+            solve_alpha(generate_random(8, 1))
         assert err.value.iterations == 1 and err.value.residual > 1e-9
         assert err.value.packings == len(packed) > 1
         assert f"{len(packed)} packings" in str(err.value)
 
-    def test_convergence_error_carries_the_last_accepted_alpha(self):
+    def test_convergence_error_carries_the_last_accepted_alpha(self, monkeypatch):
         jobs = generate_random(8, 1)
         v, r = jobs.volumes(), jobs.requirements()
+        monkeypatch.setattr(linesched, "MAX_ITERS", 1)
         with pytest.raises(ConvergenceError) as err:
-            solve_alpha(jobs, max_iters=1)
+            solve_alpha(jobs)
         vols = _kernel.line_volumes(v, r, err.value.alpha)
         assert float(np.abs(v - vols).max()) == err.value.residual
+
+    def test_the_iteration_limit_is_a_module_constant(self, monkeypatch):
+        jobs = generate_random(4, 1)
+        with pytest.raises(TypeError):
+            solve_alpha(jobs, max_iters=0)
+        monkeypatch.setattr(linesched, "MAX_ITERS", 0)
+        with pytest.raises(ConvergenceError) as err:
+            solve_alpha(jobs)
+        assert err.value.iterations == 0 and err.value.packings == 1
 
     def test_rejects_degenerate(self):
         with pytest.raises(DegenerateVolumesError):
@@ -327,7 +339,7 @@ class TestSolveAlpha:
             alpha = solve_alpha(jobs, vol_tol=1e-8)
             ls = build_line_schedule(jobs, alpha)
             assert np.max(np.abs(ls.scheduled_volumes - jobs.volumes())) <= 1e-8
-            q = duality_quantities(ls, jobs)
+            q = duality_quantities(ls)
             rhs = q.primal_cost + q.requirement_penalty + q.capacity_penalty
             assert q.volume_payoff == pytest.approx(rhs, rel=1e-6)
 
@@ -342,16 +354,30 @@ class TestSolveAlpha:
 
 
 class TestDualityQuantities:
+    def test_results_read_the_instance_the_line_schedule_keeps(self):
+        # reference values from the form that took the jobs beside the line
+        # schedule, duality_quantities(ls, jobs) and check_slackness(ls, jobs)
+        jobs = generate_random(8, 1)
+        ls = build_line_schedule(jobs, solve_alpha(jobs))
+        assert ls.jobs == jobs
+        q = duality_quantities(ls)
+        assert (q.primal_cost, q.volume_payoff, q.requirement_penalty, q.capacity_penalty) == (
+            42.52272389395118, 85.04544778790238, 1.9026147295381513, 40.62010916441304)
+        s = check_slackness(ls)
+        assert (s.volume, s.requirement, s.capacity, s.rate, s.dual_feasibility) == (
+            8.290236527747635e-16, 0.0, 5.654319200839764e-16, 6.099608545592106e-16,
+            8.881784197001252e-16)
+
     def test_primal_cost_is_the_fractional_completion_time(self):
         jobs = generate_random(8, 1)
         ls = build_line_schedule(jobs, solve_alpha(jobs))
-        got = duality_quantities(ls, jobs).primal_cost
+        got = duality_quantities(ls).primal_cost
         assert got == fractional_completion_time(jobs, ls.schedule)[1]
 
     def test_single_full_requirement(self):
         jobs = JobSet.of([(1, 1)])
         ls = build_line_schedule(jobs, [1.0])
-        q = duality_quantities(ls, jobs)
+        q = duality_quantities(ls)
         assert q.primal_cost == pytest.approx(0.5)
         assert q.volume_payoff == pytest.approx(1.0)
         assert q.requirement_penalty == 0.0
@@ -360,7 +386,7 @@ class TestDualityQuantities:
     def test_single_capped(self):
         jobs = JobSet.of([(1, 0.5)])
         ls = build_line_schedule(jobs, [2.0])
-        q = duality_quantities(ls, jobs)
+        q = duality_quantities(ls)
         assert q.primal_cost == pytest.approx(1.0)
         assert q.volume_payoff == pytest.approx(2.0)
         assert q.requirement_penalty == pytest.approx(1.0)
@@ -368,7 +394,7 @@ class TestDualityQuantities:
 
     def test_worked_example(self, three_jobs):
         ls = build_line_schedule(three_jobs, ALPHA_EXPECTED)
-        q = duality_quantities(ls, three_jobs)
+        q = duality_quantities(ls)
         assert q.volume_payoff == pytest.approx(393.0 / 16.0, abs=1e-12)
         assert q.primal_cost == pytest.approx(393.0 / 32.0, rel=1e-12)
 
@@ -378,7 +404,7 @@ class TestDualityQuantities:
             rng = np.random.default_rng(seed + 777)
             alpha = rng.uniform(0.0, 1.5 / jobs.requirements().min(), len(jobs))
             ls = build_line_schedule(jobs, alpha)
-            q = duality_quantities(ls, jobs)
+            q = duality_quantities(ls)
             rhs = q.primal_cost + q.requirement_penalty + q.capacity_penalty
             assert q.volume_payoff == pytest.approx(rhs, rel=1e-6, abs=1e-9)
             assert q.primal_cost == pytest.approx(
@@ -388,7 +414,7 @@ class TestDualityQuantities:
 class TestSlackness:
     def test_constructed_schedules_are_slack_free(self, three_jobs):
         ls = build_line_schedule(three_jobs, ALPHA_EXPECTED)
-        report = check_slackness(ls, three_jobs)
+        report = check_slackness(ls)
         assert report.max_violation() <= 1e-9
 
     def test_bad_gamma_is_flagged(self):
@@ -396,8 +422,8 @@ class TestSlackness:
         good = build_line_schedule(jobs, [2.0])
         bad_gamma = PiecewiseLinear(good.grid, [2.0], [-0.5])  # positive while idle
         bad = LineSchedule(good.schedule, good.alpha, good.beta, bad_gamma,
-                           good.scheduled_volumes, good.grid, good.job_volumes, good.rates)
-        report = check_slackness(bad, jobs)
+                           good.scheduled_volumes, good.grid, good.jobs, good.rates)
+        report = check_slackness(bad)
         assert report.capacity > 0.1
 
     def test_violations_are_read_exactly_at_interval_ends(self):
@@ -410,7 +436,7 @@ class TestSlackness:
             return check_slackness(LineSchedule(
                 good.schedule, np.array([alpha]), (PiecewiseLinear(good.grid, *beta),),
                 PiecewiseLinear(good.grid, *gamma), good.scheduled_volumes, good.grid,
-                good.job_volumes, good.rates), jobs)
+                good.jobs, good.rates))
 
         # gamma (1 - 0.5) peaks at the left end, 2 * 0.5, and at the right, 1 * 0.5
         assert report(2.0, ([2.0], [-1.0]), ([2.0], [-0.5])).capacity == 1.0
@@ -420,7 +446,7 @@ class TestSlackness:
 
     def test_volume_condition_uses_scheduled_volumes(self, three_jobs):
         ls = build_line_schedule(three_jobs, ALPHA_EXPECTED)
-        assert check_slackness(ls, three_jobs).volume <= 1e-12
+        assert check_slackness(ls).volume <= 1e-12
 
 
 class TestCostRate:
@@ -480,7 +506,7 @@ class TestStructuralProperties:
         for seed in range(25):
             jobs = random_instance(seed, 6)
             ls = build_line_schedule(jobs, solve_alpha(jobs))
-            assert check_slackness(ls, jobs).dual_feasibility <= 1e-9
+            assert check_slackness(ls).dual_feasibility <= 1e-9
 
     def test_completion_bounded_by_line_zero(self):
         for seed in range(25):

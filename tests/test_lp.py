@@ -541,7 +541,7 @@ class TestLpSchedule:
         jobs = JobSet.of([(1, 1)])
         inst = build_discretized_lp(jobs, horizon=1.0, slot_width=0.25)
         sol = solve_lp(inst)
-        sched = lp_schedule(inst, sol)
+        sched = lp_schedule(sol)
         assert sched.assignments[0].values.tolist() == [1.0]
         assert validate_schedule(jobs, sched).feasible
 
@@ -552,7 +552,7 @@ class TestLpSchedule:
             horizon = len(jobs) * jobs.max_processing_time()
             inst = build_discretized_lp(jobs, horizon=horizon, slot_width=horizon / 64)
             sol = solve_lp(inst)
-            sched = lp_schedule(inst, sol)
+            sched = lp_schedule(sol)
             _, got = fractional_completion_time(jobs, sched)
             assert got == pytest.approx(sol.objective, rel=1e-10)
             assert validate_schedule(jobs, sched).feasible

@@ -99,7 +99,7 @@ def test_waterfill_meets_every_prefix_target_and_scales(jobs):
     assert run.ok
     assert validate_schedule(jobs, run.final_schedule()).feasible
     for k, sched in enumerate(prefix_schedules(run)):
-        opt, _ = optimal_makespan(jobs.prefix(k + 1))
+        opt, _ = optimal_makespan(JobSet(jobs[:k + 1]))
         assert makespan(sched) <= COMPETITIVE_RATIO * opt * (1.0 + 1e-12)
     twice = waterfill_online(doubled(jobs))
     assert twice.ok
@@ -114,7 +114,7 @@ def test_greedy_and_waterfill_are_valid_on_wide_volume_spreads(jobs):
     run = waterfill_online(jobs)
     assert run.ok
     for k, sched in enumerate(prefix_schedules(run)):
-        assert validate_schedule(jobs.prefix(k + 1), sched).feasible
+        assert validate_schedule(JobSet(jobs[:k + 1]), sched).feasible
         assert makespan(sched) <= run.targets[k]
 
 
@@ -126,7 +126,7 @@ def test_ls_exact_and_best_are_valid_on_wide_volume_spreads(jobs):
     except DegenerateVolumesError:
         return
     assert validate_schedule(jobs, sched).feasible
-    slack = check_slackness(build_line_schedule(jobs, alpha), jobs)
+    slack = check_slackness(build_line_schedule(jobs, alpha))
     assert slack.max_violation() <= 1e-8 * max(1.0, alpha.max())
     assert validate_schedule(jobs, best_schedule(jobs)[0]).feasible
 

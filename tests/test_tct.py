@@ -20,7 +20,7 @@ from sharesched import (
 from sharesched.cli import generate_random
 from sharesched.lp import build_discretized_lp, solve_lp
 
-from conftest import random_instance
+from conftest import random_instance, volume_before
 
 
 def reference_greedy_completions(jobs: JobSet) -> list[float]:
@@ -121,7 +121,7 @@ class TestGreedy:
             mids = 0.5 * (grid[:-1] + grid[1:])
             for t in mids:
                 rates = np.array([a(t) for a in sched.assignments])
-                started = np.array([a.integral_to(t) > 1e-12 for a in sched.assignments])
+                started = np.array([volume_before(a, t) > 1e-12 for a in sched.assignments])
                 partial = np.flatnonzero(
                     (rates > 1e-12) & (rates < jobs.requirements() - 1e-9))
                 assert partial.size <= 1
@@ -374,7 +374,7 @@ class TestHalfVolumeAfterFractionalCompletion:
                 continue
             per, _ = fractional_completion_time(jobs, sched)
             for job, a, cf in zip(jobs, sched.assignments, per):
-                tail = a.integral() - a.integral_to(cf)
+                tail = a.integral() - volume_before(a, cf)
                 assert tail >= job.volume / 2 - 1e-9
             checked += 1
         assert checked >= 20

@@ -445,8 +445,8 @@ class TestAdversarialInstance:
 
     def test_prefix_optima(self):
         jobs = adversarial_instance(2)
-        assert max(jobs.prefix(1).total_volume(), jobs.prefix(1).max_processing_time()) == pytest.approx(0.5)
-        assert max(jobs.prefix(2).total_volume(), jobs.prefix(2).max_processing_time()) == pytest.approx(1.0)
+        assert max(JobSet(jobs[:1]).total_volume(), JobSet(jobs[:1]).max_processing_time()) == pytest.approx(0.5)
+        assert max(JobSet(jobs[:2]).total_volume(), JobSet(jobs[:2]).max_processing_time()) == pytest.approx(1.0)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ContractError):
@@ -508,7 +508,7 @@ def _flatness_pool():
         yield jobs, greedy(jobs)
         run = waterfill_online(jobs)
         for k, sched in enumerate(prefix_schedules(run)):
-            yield jobs.prefix(k + 1), sched
+            yield JobSet(jobs[:k + 1]), sched
 
 
 def test_area_matrix_matches_the_reference_byte_for_byte():
