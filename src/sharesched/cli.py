@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import functools
 import glob as globmod
+import os
+import stat
 import sys
 import time
 
@@ -43,9 +45,13 @@ SVG_WIDTH, SVG_HEIGHT = 720, 400
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        return
+    # no O_TRUNC: ext4 (auto_da_alloc) starts writeback of a file truncated to
+    # zero at its close, and the next truncating open of it waits for that
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):   # not a pipe or /dev/null
+            fh.truncate()
 
 
 def _read(path: str) -> bytes:
@@ -392,6 +398,8 @@ def render_svg(jobs: JobSet, sched: Schedule, alpha=None) -> str:
 def _cmd_plot(args) -> int:
     sched = core.schedule_from_json(_read(args.schedule))
     jobs = core.jobs_from_json(_read(args.instance)) if args.instance else JobSet()
+    if args.instance and len(jobs) != sched.n_jobs:
+        raise core.ContractError(f"{len(jobs)} jobs but {sched.n_jobs} assignments")
     alpha = None
     if args.alpha:
         if not args.instance:

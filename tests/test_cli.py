@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,13 @@ from sharesched.cli import main
 
 
 FIG_JOBS = '{"jobs": [{"v": 1, "r": 0.75}, {"v": 4, "r": 0.5}, {"v": 6, "r": 0.66666666666666663}]}\n'
+
+
+def _package_env() -> dict:
+    """The environment of a subprocess that imports this checkout's package."""
+    src = str(Path(sharesched.__file__).parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 @pytest.fixture
@@ -412,6 +420,21 @@ class TestPlot:
         out.unlink()
         assert main([*plot, "--duals"]) == 2 and not out.exists()
 
+    def test_schedule_of_another_instance_exits_2(self, workdir, tmp_path, capsys):
+        # the check verify makes, before any --alpha check
+        sched_path = tmp_path / "s.json"
+        main(["run", "greedy", "--input", str(workdir / "three.json"),
+              "--record", os.devnull, "--schedule-out", str(sched_path)])
+        two = tmp_path / "two.json"
+        main(["gen", "random", "--n", "2", "--seed", "1", "--out", str(two)])
+        out = tmp_path / "p.svg"
+        for alpha in ([], ["--alpha", "x"]):
+            code = main(["plot", "--schedule", str(sched_path), "--instance", str(two),
+                         *alpha, "--out", str(out)])
+            assert code == 2 and not out.exists()
+            err = capsys.readouterr().err
+            assert "2 jobs but 3 assignments" in err and "Traceback" not in err
+
     def test_empty_schedule_renders_axes_only(self, tmp_path, capsys):
         sched = tmp_path / "empty.json"
         sched.write_text('{"breakpoints": [0], "assignments": [], "completion_times": []}\n')
@@ -472,13 +495,10 @@ class TestUsage:
     def test_module_entry_point_runs_once(self):
         # ``python -m sharesched.cli`` warns, here fatally, if importing the
         # package has already run the module
-        src = str(Path(sharesched.__file__).parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "sharesched.cli",
              "gen", "random", "--n", "2", "--seed", "1"],
-            capture_output=True, text=True, env=env, timeout=60)
+            capture_output=True, text=True, env=_package_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert len(json.loads(proc.stdout)["jobs"]) == 2
 
@@ -506,6 +526,65 @@ class TestUsage:
                      "--out", str(out)]) == 0
         assert f"{bad_inst},greedy,,,,,,,,error,," in out.read_text().split("\n")
         assert "Traceback" not in capsys.readouterr().err
+
+
+class TestOutputFiles:
+    """Output files are overwritten in place and cut to the new text."""
+
+    def test_longer_files_are_overwritten_exactly(self, workdir, tmp_path):
+        inst, sched = str(workdir / "three.json"), str(workdir / "s.json")
+        main(["run", "ls", "--input", inst, "--record", os.devnull, "--schedule-out", sched])
+        fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+        names = ("gen.json", "rec.json", "sched.json", "verify.json", "cmp.csv", "plot.svg")
+        fresh.mkdir(), stale.mkdir()
+        for name in names:
+            (stale / name).write_bytes(b"x" * 65536)    # several blocks
+        for out in (fresh, stale):
+            for argv in (
+                ["gen", "random", "--n", "5", "--seed", "2", "--out", str(out / "gen.json")],
+                ["run", "greedy", "--input", inst, "--record", str(out / "rec.json"),
+                 "--schedule-out", str(out / "sched.json")],
+                ["verify", "--instance", inst, "--schedule", sched,
+                 "--out", str(out / "verify.json")],
+                ["compare", "--inputs", inst, "--algos", "greedy,ls",
+                 "--out", str(out / "cmp.csv")],
+                ["plot", "--schedule", sched, "--instance", inst, "--out", str(out / "plot.svg")],
+            ):
+                assert main(argv) == 0, argv
+        for name in names:
+            # a record's wall time differs from run to run
+            a, b = (re.sub(rb'"wall_ms": [^,]*,', b"", (out / name).read_bytes())
+                    for out in (fresh, stale))
+            assert a == b, name
+
+    def test_shorter_compare_leaves_no_tail(self, workdir, tmp_path):
+        main(["gen", "random", "--n", "6", "--seed", "3", "--out", str(workdir / "r6.json")])
+        out, once = tmp_path / "cmp.csv", tmp_path / "once.csv"
+        assert main(["compare", "--inputs", str(workdir / "*.json"), "--out", str(out)]) == 0
+        for path in (out, once):
+            assert main(["compare", "--inputs", str(workdir / "three.json"),
+                         "--out", str(path)]) == 0
+        assert out.read_bytes() == once.read_bytes()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_new_file_mode_follows_the_umask(self, tmp_path, umask):
+        out = tmp_path / "g.json"
+        old = os.umask(umask)
+        try:
+            assert main(["gen", "random", "--n", "2", "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_record_to_a_pipe(self, workdir):
+        # a pipe cannot be truncated
+        proc = subprocess.run(
+            [sys.executable, "-m", "sharesched.cli", "run", "greedy",
+             "--input", str(workdir / "three.json"), "--record", "/dev/stdout"],
+            capture_output=True, text=True, env=_package_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["validation"]["feasible"] is True
 
 
 class TestUnreadablePaths:
@@ -567,7 +646,6 @@ class TestUnreadablePaths:
 def test_numpy_ma_stays_unloaded(tmp_path):
     # np.unique imports numpy.ma on its first call, about 30 ms; no path
     # through these commands may call it
-    src = str(Path(sharesched.__file__).parent.parent)
     script = (
         "import sys\n"
         "from sharesched.cli import main\n"
@@ -581,9 +659,7 @@ def test_numpy_ma_stays_unloaded(tmp_path):
         "    assert main(argv) == 0, argv\n"
         "assert 'numpy.ma' not in sys.modules\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=_package_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "verify.json").read_text())["extendable"] is True
