@@ -34,8 +34,9 @@ print("  completions:", ls.schedule.completion_times().tolist(),
 
 print()
 print("the same object carries the dual prices:")
-print("  capacity price gamma at t=0.5:", round(ls.gamma(0.5), 6))
-print("  cap price beta_2 at t=0.5:", round(ls.beta[1](0.5), 6))
+gamma, beta = ls.prices(0.5)
+print("  capacity price gamma at t=0.5:", round(gamma, 6))
+print("  cap price beta_2 at t=0.5:", round(float(beta[1]), 6))
 q = ss.duality_quantities(ls)
 print(f"  primal cost            P = {q.primal_cost}")
 print(f"  volume payoff          A = {q.volume_payoff}")

@@ -16,7 +16,6 @@ from .core import (
     DEFAULT_TOL,
     Job,
     JobSet,
-    PiecewiseLinear,
     Schedule,
     StepFunction,
     ValidationReport,

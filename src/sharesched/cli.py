@@ -383,9 +383,8 @@ def render_svg(jobs: JobSet, sched: Schedule, alpha=None) -> str:
                 f'stroke="{color}" stroke-width="1.5" stroke-dasharray="6 3"/>'
             )
         ls = linesched.build_line_schedule(jobs, np.asarray(alpha, dtype=float))
-        g = ls.gamma
         gpts = []
-        for t0, t1, start, slope in zip(g.edges[:-1], g.edges[1:], g.starts, g.slopes):
+        for t0, t1, start, slope in zip(ls.grid[:-1], ls.grid[1:], ls.gamma_start, ls.gamma_slope):
             gpts += [(t0, start), (t1, start + slope * (t1 - t0))]
         if gpts:
             path = " ".join(f"{X(t):.2f},{Yp(v):.2f}" for t, v in gpts)

@@ -259,52 +259,6 @@ def _distinct(x) -> np.ndarray:
     return s[first]
 
 
-class PiecewiseLinear:
-    """Piecewise-affine function with bounded support, zero outside it.
-
-    Segment ``i`` covers ``[edges[i], edges[i+1])`` with value
-    ``starts[i] + slopes[i] * (t - edges[i])``.  Jump discontinuities at the
-    edges are allowed.
-    """
-
-    __slots__ = ("edges", "starts", "slopes")
-
-    def __init__(self, edges: Sequence[float], starts: Sequence[float], slopes: Sequence[float]):
-        e = np.asarray(edges, dtype=float)
-        a = np.asarray(starts, dtype=float)
-        s = np.asarray(slopes, dtype=float)
-        if e.size != a.size + 1 or a.size != s.size:
-            raise ContractError("need len(edges) == len(starts) + 1 == len(slopes) + 1")
-        if e.size == 0 or e[0] != 0.0 or _any(e[1:] <= e[:-1]):
-            raise ContractError("edges must start at 0 and increase strictly")
-        object.__setattr__(self, "edges", e)
-        object.__setattr__(self, "starts", a)
-        object.__setattr__(self, "slopes", s)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("PiecewiseLinear is immutable")
-
-    @classmethod
-    def zero(cls) -> "PiecewiseLinear":
-        return cls([0.0], [], [])
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        idx = self.edges.searchsorted(t, side="right") - 1
-        pad = (0.0,)
-        vals = (np.concatenate((self.starts, pad))[idx]
-                + np.concatenate((self.slopes, pad))[idx] * (t - self.edges[idx]))
-        # off the support, a pad slope times an infinite t would leak a NaN
-        out = np.where((idx >= 0) & (idx < self.starts.size), vals, 0.0)
-        return float(out) if out.ndim == 0 else out
-
-    def integral(self) -> float:
-        if not self.starts.size:
-            return 0.0
-        w = self.edges[1:] - self.edges[:-1]
-        return float(np.dot(w, self.starts + 0.5 * self.slopes * w))
-
-
 @dataclass(frozen=True)
 class Schedule:
     """One resource-rate step function per job, in job order."""

@@ -22,7 +22,6 @@ from .core import (
     ContractError,
     DEFAULT_TOL,
     JobSet,
-    PiecewiseLinear,
     Schedule,
     StepFunction,
     _all,
@@ -71,20 +70,41 @@ class LineSchedule:
     ``jobs`` is the instance the lines belong to.  ``grid`` holds 0 and each
     event of a job's packing row where that job runs on one side, so it
     ends where the last job ends; ``rates[j, i]`` is job j's rate on
-    ``[grid[i], grid[i+1])``, the assignments are built from it, and
-    ``gamma`` and ``beta`` are affine on each grid interval.
+    ``[grid[i], grid[i+1])`` and the assignments are built from it.  There
+    the capacity price gamma is ``gamma_start[i] + gamma_slope[i] * (t -
+    grid[i])``, and the cap price beta_j reads row j of ``beta_start`` and
+    ``beta_slope`` the same way; ``prices`` reads both at any time.
     ``scheduled_volumes`` are the exact per-job integrals of the rates
     (these equal the job volumes only when alpha solves for them).
     """
 
     schedule: Schedule
     alpha: np.ndarray
-    beta: tuple[PiecewiseLinear, ...]
-    gamma: PiecewiseLinear
+    gamma_start: np.ndarray
+    gamma_slope: np.ndarray
+    beta_start: np.ndarray
+    beta_slope: np.ndarray
     scheduled_volumes: np.ndarray
     grid: np.ndarray
     jobs: JobSet
     rates: np.ndarray
+
+    def prices(self, t):
+        """``(gamma(t), beta(t))``, with ``beta(t)`` of shape ``(n,) + np.shape(t)``:
+        right-continuous, and zero for t < 0, for t >= grid[-1] and for NaN."""
+        t = np.asarray(t, dtype=float)
+        # index -1 (t < 0) and m (past the grid, NaN) read the zero pad column,
+        # with dt 0 there: a pad slope times an infinite dt would be a NaN
+        idx = self.grid.searchsorted(t, side="right") - 1
+        dt = np.where((idx >= 0) & (idx < self.gamma_start.size), t - self.grid[idx], 0.0)
+
+        def read(starts, slopes):
+            pad = np.zeros(starts.shape[:-1] + (1,))
+            return (np.concatenate((starts, pad), axis=-1)[..., idx]
+                    + np.concatenate((slopes, pad), axis=-1)[..., idx] * dt)
+
+        gamma = read(self.gamma_start, self.gamma_slope)
+        return (float(gamma) if gamma.ndim == 0 else gamma), read(self.beta_start, self.beta_slope)
 
 
 @dataclass(frozen=True)
@@ -156,8 +176,8 @@ def build_line_schedule(jobs: JobSet, alpha) -> LineSchedule:
     v, r, a = _check_inputs(jobs, alpha)
     n = v.size
     if n == 0:
-        return LineSchedule(Schedule.empty(0), a, (), PiecewiseLinear.zero(),
-                            np.zeros(0), np.array([0.0]), jobs, np.zeros((0, 0)))
+        return LineSchedule(Schedule.empty(0), a, np.zeros(0), np.zeros(0), np.zeros((0, 0)),
+                            np.zeros((0, 0)), np.zeros(0), np.array([0.0]), jobs, np.zeros((0, 0)))
     times, _, row_rates, vols = _kernel._rows(v, r, a)
     runs = (row_rates[:, :-1] > 0.0) | (row_rates[:, 1:] > 0.0)    # on a side of event i
     grid = _distinct(np.concatenate(([0.0], times[runs])))
@@ -172,10 +192,8 @@ def build_line_schedule(jobs: JobSet, alpha) -> LineSchedule:
     positive = beta_mid > 0.0
     beta_start = np.where(positive, a[:, None] - t0[None, :] / v[:, None] - gamma_start, 0.0)
     beta_slope = np.where(positive, -1.0 / v[:, None] - gamma_slope, 0.0)
-    gamma = PiecewiseLinear(grid, gamma_start, gamma_slope)
-    beta = tuple(PiecewiseLinear(grid, beta_start[j], beta_slope[j]) for j in range(n))
     return LineSchedule(Schedule(StepFunction(grid, rates[j]) for j in range(n)), a,
-                        beta, gamma, vols, grid, jobs, rates)
+                        gamma_start, gamma_slope, beta_start, beta_slope, vols, grid, jobs, rates)
 
 
 def solve_alpha(jobs: JobSet, vol_tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -298,8 +316,10 @@ def duality_quantities(ls: LineSchedule) -> DualityQuantities:
     r = ls.jobs.requirements()
     primal = fractional_completion_time(ls.jobs, ls.schedule)[1]
     payoff = float(np.dot(ls.alpha, ls.scheduled_volumes))
-    req = sum(rj * b.integral() for rj, b in zip(r, ls.beta))
-    cap = ls.gamma.integral()
+    w = np.diff(ls.grid)
+    # np.vecdot sums each row as np.dot does; a matrix product may round differently
+    req = sum(r * np.vecdot(ls.beta_start + 0.5 * ls.beta_slope * w, w))
+    cap = np.dot(w, ls.gamma_start + 0.5 * ls.gamma_slope * w)
     return DualityQuantities(primal, payoff, float(req), float(cap))
 
 
@@ -327,8 +347,8 @@ def check_slackness(ls: LineSchedule) -> SlacknessReport:
     def at_ends(starts, slopes):                                      # (2, rows, m)
         return np.stack([starts, starts + slopes * w])
 
-    beta = at_ends(np.vstack([b.starts for b in ls.beta]), np.vstack([b.slopes for b in ls.beta]))
-    gamma = at_ends(ls.gamma.starts[None, :], ls.gamma.slopes[None, :])
+    beta = at_ends(ls.beta_start, ls.beta_slope)
+    gamma = at_ends(ls.gamma_start[None, :], ls.gamma_slope[None, :])
     reduced = ls.alpha[:, None] - ends / v[:, None] - beta - gamma     # d_j - beta_j - gamma
     tail = ls.alpha - grid[-1] / v
     return SlacknessReport(

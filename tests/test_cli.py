@@ -386,6 +386,43 @@ class TestPlot:
         assert svg.count("<polygon") == 3
         assert "polyline" in svg  # capacity price overlay
 
+    def test_alpha_overlay_draws_gamma_at_the_grid_interval_ends(self, workdir, tmp_path, capsys):
+        sched_path, rec_path = tmp_path / "s.json", tmp_path / "rec.json"
+        main(["run", "ls", "--input", str(workdir / "three.json"),
+              "--record", str(rec_path), "--schedule-out", str(sched_path)])
+        alpha = json.loads(rec_path.read_text())["parameters"]["alpha"]
+        out = tmp_path / "p.svg"
+
+        def plot(alpha):
+            assert main(["plot", "--schedule", str(sched_path),
+                         "--instance", str(workdir / "three.json"),
+                         "--alpha", ",".join(map(repr, alpha)), "--out", str(out)]) == 0
+            return out.read_text()
+
+        svg = plot(alpha)
+        jobs = core.jobs_from_json(FIG_JOBS)
+        ls = sharesched.build_line_schedule(jobs, alpha)
+        # the plot's frame: the time axis spans [0, end] at priority 0, and
+        # the dashed unit-resource line sits at the top, priority max(alpha)
+        left, bottom, right = map(float, re.search(
+            r'<line x1="(\S+)" y1="(\S+)" x2="(\S+)" y2="\S+" stroke="black"/>', svg).groups())
+        top = float(re.search(r'<line x1="\S+" y1="(\S+)" x2="\S+" y2="\S+" stroke="black" '
+                              r'stroke-dasharray="4 3"/>', svg).group(1))
+        end = max(ls.grid[-1], *(a * j.volume for a, j in zip(alpha, jobs)))
+        points = [tuple(map(float, p.split(",")))
+                  for p in re.search(r'<polyline points="([^"]*)"', svg).group(1).split()]
+        assert len(points) == 2 * (ls.grid.size - 1)
+        ends = []
+        for t0, t1 in zip(ls.grid[:-1], ls.grid[1:]):
+            # the right end is the limit from inside, not gamma(t1)
+            ends += [(t0, ls.prices(t0)[0]), (t1, ls.prices(np.nextafter(t1, -np.inf))[0])]
+        for (x, y), (t, gamma) in zip(points, ends):
+            assert x == pytest.approx(left + (right - left) * t / end, abs=0.0051)
+            assert y == pytest.approx(bottom - (bottom - top) * gamma / max(alpha), abs=0.0051)
+        assert ends[0][1] == alpha[1]    # jobs 0 and 1 fill the resource at 0, line 1 the lower
+        # every line at zero: no grid interval, so no gamma
+        assert "<polyline" not in plot([0.0, 0.0, 0.0])
+
     @pytest.mark.parametrize("alpha, cause", [
         ("1,x,2", "comma-separated finite numbers"),
         ("1,nan,2", "comma-separated finite numbers"),

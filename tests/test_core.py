@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,9 +9,9 @@ from sharesched import (
     ContractError,
     Job,
     JobSet,
-    PiecewiseLinear,
     Schedule,
     StepFunction,
+    build_line_schedule,
     fractional_completion_time,
     is_flatter,
     jobs_from_json,
@@ -236,24 +237,6 @@ class TestStepFunction:
             assert got.values.tobytes() == want.values.tobytes()
 
 
-class TestPiecewiseLinear:
-    def test_eval_and_integral(self):
-        p = PiecewiseLinear([0.0, 1.0, 2.0], [1.0, 0.5], [-0.5, -0.5])
-        assert p(0.0) == 1.0
-        assert p(0.5) == 0.75
-        assert p(1.5) == 0.25
-        assert p(2.5) == 0.0
-        assert p.integral() == pytest.approx(0.75 + 0.25)
-
-    def test_edges_must_increase_to_the_last(self):
-        edges = np.arange(501, dtype=float)
-        PiecewiseLinear(edges, np.ones(500), np.zeros(500))
-        assert PiecewiseLinear.zero().integral() == 0.0
-        edges[500] = 499.0
-        with pytest.raises(ContractError, match="increase strictly"):
-            PiecewiseLinear(edges, np.ones(500), np.zeros(500))
-
-
 class TestValidation:
     def test_greedy_three_jobs_is_feasible(self, three_jobs):
         report = validate_schedule(three_jobs, greedy(three_jobs))
@@ -475,23 +458,29 @@ def reference_step_call(f, t):
     return float(out) if out.ndim == 0 else out
 
 
-def reference_linear_call(f, t):
-    """``PiecewiseLinear.__call__`` before it shared the padded gather."""
+def reference_linear_call(edges, starts, slopes, t):
+    """One price of ``LineSchedule.prices`` on ``edges``, read through a
+    clipped index instead of the padded gather."""
     t = np.asarray(t, dtype=float)
-    idx = np.searchsorted(f.edges, t, side="right") - 1
-    ok = (idx >= 0) & (idx < f.starts.size)
-    safe = np.clip(idx, 0, max(f.starts.size - 1, 0))
-    if f.starts.size:
-        vals = f.starts[safe] + f.slopes[safe] * (t - f.edges[:-1][safe])
+    idx = np.searchsorted(edges, t, side="right") - 1
+    ok = (idx >= 0) & (idx < starts.size)
+    safe = np.clip(idx, 0, max(starts.size - 1, 0))
+    if starts.size:
+        vals = starts[safe] + slopes[safe] * (t - edges[:-1][safe])
     else:
         vals = np.zeros_like(t)
     out = np.where(ok, vals, 0.0)
     return float(out) if out.ndim == 0 else out
 
 
+# three jobs whose line schedule lends its other fields to the random prices
+_THREE = build_line_schedule(JobSet.of([(1.0, 0.75), (4.0, 0.5), (6.0, 2.0 / 3.0)]), [1.0] * 3)
+
+
 def _lookup_cases():
-    """Random step and piecewise-linear functions (empty ones and one-ulp
-    intervals among them), each with the points to read them at."""
+    """Random step functions and line-schedule prices on the same edges
+    (empty ones and one-ulp intervals among them), each with the points to
+    read them at."""
     rng = np.random.default_rng(11)
     for k in range(60):
         m = k % 7
@@ -500,23 +489,39 @@ def _lookup_cases():
             edges[2] = np.nextafter(edges[1], np.inf)
         values = rng.choice([0.0, 0.25, 0.5, 1.0, rng.uniform()], m)
         end = edges[-1]
-        ts = np.concatenate([[-1.0, -0.0, np.nan, end, end + 1.0, 1e300],
+        ts = np.concatenate([[-1.0, -0.0, np.nan, end, end + 1.0, 1e300, np.inf, -np.inf],
                              edges, edges[:-1] + 0.5 * np.diff(edges),
                              np.nextafter(edges, -np.inf), rng.uniform(-0.5, end + 1.0, 8)])
+        gamma_start, gamma_slope = rng.normal(size=m), rng.normal(size=m)
+        beta = np.random.default_rng(k).normal(size=(2, 3, m))
         yield (StepFunction(edges, values),
-               PiecewiseLinear(edges, rng.normal(size=m), rng.normal(size=m)), ts)
+               dataclasses.replace(_THREE, grid=edges, gamma_start=gamma_start,
+                                   gamma_slope=gamma_slope, beta_start=beta[0],
+                                   beta_slope=beta[1]), ts)
 
 
 def test_lookups_match_the_references_byte_for_byte():
-    empties = (StepFunction.zero(), PiecewiseLinear.zero(), np.array([-1.0, 0.0, 2.0, np.nan]))
-    for step, linear, ts in [*_lookup_cases(), empties]:
-        for f, ref in ((step, reference_step_call), (linear, reference_linear_call)):
-            assert f(ts).tobytes() == ref(f, ts).tobytes()
-            grid = ts[: ts.size // 2 * 2].reshape(2, -1)
-            assert f(grid).tobytes() == ref(f, grid).tobytes()
-            for t in ts:
-                got, want = f(t), ref(f, t)
-                assert type(got) is float
+    empty = np.array([-1.0, 0.0, 2.0, np.nan, np.inf])
+    empties = [(StepFunction.zero(), build_line_schedule(JobSet(), []), empty),
+               # every line at zero: three jobs on the grid [0]
+               (StepFunction.zero(), build_line_schedule(_THREE.jobs, [0.0] * 3), empty)]
+    for step, ls, ts in [*_lookup_cases(), *empties]:
+        # gamma, then each beta_j
+        prices = [(ls.gamma_start, ls.gamma_slope), *zip(ls.beta_start, ls.beta_slope)]
+        for at in (ts, ts[: ts.size // 2 * 2].reshape(2, -1)):
+            assert step(at).tobytes() == reference_step_call(step, at).tobytes()
+            gamma, beta = ls.prices(at)
+            assert beta.shape == (len(prices) - 1,) + at.shape
+            for got, (starts, slopes) in zip([gamma, *beta], prices):
+                assert got.tobytes() == reference_linear_call(ls.grid, starts, slopes, at).tobytes()
+        for t in ts:
+            got, want = step(t), reference_step_call(step, t)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            gamma, beta = ls.prices(t)
+            assert type(gamma) is float and beta.shape == (len(prices) - 1,)
+            for got, (starts, slopes) in zip([gamma, *beta], prices):
+                want = reference_linear_call(ls.grid, starts, slopes, t)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -10,7 +11,6 @@ from sharesched import (
     Job,
     JobSet,
     LineSchedule,
-    PiecewiseLinear,
     Schedule,
     StepFunction,
     best_schedule,
@@ -40,10 +40,10 @@ class TestBuildLineSchedule:
         a = ls.schedule.assignments[0]
         assert a.values.tolist() == [1.0] and a.support_end == 1.0
         # capacity price follows the line while the resource is exhausted
-        assert ls.gamma(0.0) == pytest.approx(1.0)
-        assert ls.gamma(0.5) == pytest.approx(0.5)
-        assert ls.gamma(1.5) == 0.0
-        assert ls.beta[0].integral() == 0.0
+        assert ls.prices(0.0)[0] == pytest.approx(1.0)
+        assert ls.prices(0.5)[0] == pytest.approx(0.5)
+        assert ls.prices(1.5)[0] == 0.0
+        assert duality_quantities(ls).requirement_penalty == 0.0
 
     def test_single_capped_job_prices_the_cap(self):
         jobs = JobSet.of([(1, 0.5)])
@@ -51,10 +51,11 @@ class TestBuildLineSchedule:
         a = ls.schedule.assignments[0]
         assert a.values.tolist() == [0.5] and a.support_end == 2.0
         # resource is never exhausted: all price mass sits on the cap
-        assert ls.gamma.integral() == 0.0
-        assert ls.beta[0](0.0) == pytest.approx(2.0)
-        assert ls.beta[0](1.0) == pytest.approx(1.0)
-        assert ls.beta[0].integral() == pytest.approx(2.0)
+        q = duality_quantities(ls)
+        assert q.capacity_penalty == 0.0
+        assert ls.prices(0.0)[1][0] == pytest.approx(2.0)
+        assert ls.prices(1.0)[1][0] == pytest.approx(1.0)
+        assert q.requirement_penalty == pytest.approx(0.5 * 2.0)   # r_0 times beta_0's integral
 
     def test_worked_example_structure(self, three_jobs):
         ls = build_line_schedule(three_jobs, ALPHA_EXPECTED)
@@ -110,6 +111,18 @@ class TestBuildLineSchedule:
                 q.requirement_penalty + q.capacity_penalty, rel=1e-12, abs=1e-12)
 
 
+class TestPrices:
+    def test_eval_and_integral(self):
+        # one job (2, 1) at alpha 1 runs at its full requirement on [0, 2),
+        # so gamma is its line 1 - t / 2 there
+        ls = build_line_schedule(JobSet.of([(2, 1)]), [1.0])
+        assert ls.prices(0.0)[0] == 1.0
+        assert ls.prices(0.5)[0] == 0.75
+        assert ls.prices(1.5)[0] == 0.25
+        assert ls.prices(2.5)[0] == 0.0
+        assert duality_quantities(ls).capacity_penalty == pytest.approx(0.75 + 0.25)
+
+
 def reference_build(jobs, alpha):
     """Reference ``build_line_schedule``: every job on the grid of 0, every
     line zero and every crossing of two lines at positive time, with the
@@ -131,9 +144,8 @@ def reference_build(jobs, alpha):
     beta_start = np.where(positive, a[:, None] - t0[None, :] / v[:, None] - gamma_start, 0.0)
     beta_slope = np.where(positive, -1.0 / v[:, None] - gamma_slope, 0.0)
     return LineSchedule(
-        Schedule(StepFunction(grid, rates[j]) for j in range(n)), a,
-        tuple(PiecewiseLinear(grid, beta_start[j], beta_slope[j]) for j in range(n)),
-        PiecewiseLinear(grid, gamma_start, gamma_slope), rates @ np.diff(grid), grid, jobs, rates)
+        Schedule(StepFunction(grid, rates[j]) for j in range(n)), a, gamma_start, gamma_slope,
+        beta_start, beta_slope, rates @ np.diff(grid), grid, jobs, rates)
 
 
 def _oracle_pool():
@@ -176,9 +188,8 @@ def test_matches_the_crossing_grid_reference():
         v, r = jobs.volumes(), jobs.requirements()
         assert ls.scheduled_volumes.tobytes() == _kernel.line_volumes(v, r, ls.alpha).tobytes()
         at = np.concatenate([ref.grid[:-1], 0.5 * (ref.grid[:-1] + ref.grid[1:])])
-        assert _close(ls.gamma(at), ref.gamma(at))
-        for got, want in zip(ls.beta, ref.beta):
-            assert _close(got(at), want(at))
+        (gamma, beta), (gamma_ref, beta_ref) = ls.prices(at), ref.prices(at)
+        assert _close(gamma, gamma_ref) and _close(beta, beta_ref)
         q, q_ref = duality_quantities(ls), duality_quantities(ref)
         assert vars(q) == pytest.approx(vars(q_ref), rel=1e-12, abs=1e-12)
         assert (check_slackness(ls).max_violation()
@@ -194,7 +205,7 @@ def test_crossing_of_two_running_lines_is_a_grid_point():
     jobs = JobSet.of([(1.0, 0.5), (2.0, 0.5)])
     ls = build_line_schedule(jobs, [3.0, 2.0])
     assert ls.grid.tolist() == [0.0, 2.0, 3.0, 4.0]
-    assert ls.gamma(1.0) == 1.5 and ls.gamma(2.5) == 0.5
+    assert ls.prices(1.0)[0] == 1.5 and ls.prices(2.5)[0] == 0.5
     assert check_slackness(ls).max_violation() == 0.0
 
 
@@ -420,9 +431,8 @@ class TestSlackness:
     def test_bad_gamma_is_flagged(self):
         jobs = JobSet.of([(1, 0.5)])
         good = build_line_schedule(jobs, [2.0])
-        bad_gamma = PiecewiseLinear(good.grid, [2.0], [-0.5])  # positive while idle
-        bad = LineSchedule(good.schedule, good.alpha, good.beta, bad_gamma,
-                           good.scheduled_volumes, good.grid, good.jobs, good.rates)
+        # positive while idle
+        bad = dataclasses.replace(good, gamma_start=np.array([2.0]), gamma_slope=np.array([-0.5]))
         report = check_slackness(bad)
         assert report.capacity > 0.1
 
@@ -433,10 +443,10 @@ class TestSlackness:
         good = build_line_schedule(jobs, [2.0])
 
         def report(alpha, beta, gamma):
-            return check_slackness(LineSchedule(
-                good.schedule, np.array([alpha]), (PiecewiseLinear(good.grid, *beta),),
-                PiecewiseLinear(good.grid, *gamma), good.scheduled_volumes, good.grid,
-                good.jobs, good.rates))
+            return check_slackness(dataclasses.replace(
+                good, alpha=np.array([alpha]), beta_start=np.array([beta[0]]),
+                beta_slope=np.array([beta[1]]), gamma_start=np.array(gamma[0]),
+                gamma_slope=np.array(gamma[1])))
 
         # gamma (1 - 0.5) peaks at the left end, 2 * 0.5, and at the right, 1 * 0.5
         assert report(2.0, ([2.0], [-1.0]), ([2.0], [-0.5])).capacity == 1.0
@@ -487,7 +497,9 @@ class TestStructuralProperties:
         for seed in range(25):
             jobs = random_instance(seed, 6)
             ls = build_line_schedule(jobs, solve_alpha(jobs))
-            g = ls.gamma
+            def g(t):
+                return ls.prices(t)[0]
+
             grid = ls.grid
             # continuity across interior breakpoints
             for k in range(1, grid.size - 1):
