@@ -66,7 +66,7 @@ _, _, q = ss.ls_exact(jobs)
 print(f"\n  pipeline completion total: {cost:.3f}")
 print(f"  greedy completion total:   {greedy_cost:.3f}")
 print(f"  fractional floor:          {q.primal_cost:.3f}")
-best, rep = ss.best_schedule(jobs, params, use_exact_ls=False)
+best, rep = ss.best_schedule(jobs, params)
 print(f"  best-of-both picks {rep.chosen!r} -> "
       f"{ss.total_completion_time(jobs, best):.3f}")
 

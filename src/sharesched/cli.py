@@ -103,41 +103,46 @@ def _ratio(objective: float, bound: float | None):
     return objective / bound
 
 
-def run_algorithm(algo: str, jobs: JobSet, *, ratio: float, eps: float,
-                  slot_width: float | None, vol_tol: float, use_exact_ls: bool):
+def run_algorithm(algo: str, jobs: JobSet, opts):
     """Execute one algorithm; returns (schedule, extras dict).
 
-    Raises RuntimeError subclasses on algorithm failure (water-fill failure
-    index is reported through AlgorithmFailure).
+    ``opts`` holds the options that ``run`` and ``compare`` share (``c``,
+    ``eps``, ``delta``, ``vol_tol``, ``lp_ls``).  ``best`` checks ``eps`` and
+    ``delta`` with or without ``lp_ls``, but runs the approximation branch
+    only under it.  Raises RuntimeError subclasses on algorithm failure
+    (water-fill failure index is reported through AlgorithmFailure).
     """
     extras: dict = {}
+    if algo in ("lsapprox", "best"):
+        params = tct.LsApproxParams(opts.eps, slot_width=opts.delta)
     if algo == "waterfill":
-        run = mk.waterfill_online(jobs, ratio=ratio)
-        extras["ratio"] = ratio
+        run = mk.waterfill_online(jobs, ratio=opts.c)
+        extras["ratio"] = opts.c
         extras["prefix_optima"] = list(run.prefix_optima)
         if not run.ok:
             raise AlgorithmFailure(
                 f"water-fill failed at job {run.failure_index}",
                 {"failure_index": run.failure_index,
-                 "deficit": run.failure_deficit, "ratio": ratio},
+                 "deficit": run.failure_deficit, "ratio": opts.c},
             )
         sched = run.final_schedule()
     elif algo == "greedy":
         sched = tct.greedy(jobs)
     elif algo == "ls":
-        sched, alpha, quantities = tct.ls_exact(jobs, vol_tol=vol_tol)
+        sched, alpha, quantities = tct.ls_exact(jobs, vol_tol=opts.vol_tol)
         extras["alpha"] = [float(a) for a in alpha]
         extras["fractional_optimum"] = quantities.primal_cost
-        extras["vol_tol"] = vol_tol
+        extras["vol_tol"] = opts.vol_tol
     elif algo == "lsapprox":
-        params = tct.LsApproxParams(eps, slot_width=slot_width)
         sched, info = tct.lsapprox_report(jobs, params)
-        extras["epsilon"] = eps
+        extras["epsilon"] = opts.eps
         extras.update((k, x) for k, x in vars(info).items() if k != "subdivision")
     elif algo == "best":
-        params = tct.LsApproxParams(eps, slot_width=slot_width)
-        sched, report = tct.best_schedule(jobs, params, use_exact_ls=use_exact_ls)
+        sched, report = tct.best_schedule(jobs, params if opts.lp_ls else None)
+        if opts.lp_ls:
+            extras.update(epsilon=opts.eps, slot_width=opts.delta)
         extras["chosen"] = report.chosen
+        extras["line_branch"] = report.line_branch
         extras["greedy_cost"] = report.greedy_cost
         extras["line_cost"] = report.line_cost
         if report.line_error:
@@ -202,11 +207,7 @@ def _cmd_run(args) -> int:
     jobs = core.jobs_from_json(_read(args.input))
     t0 = time.perf_counter()
     try:
-        sched, extras = run_algorithm(
-            args.algo, jobs, ratio=args.c, eps=args.eps,
-            slot_width=args.delta, vol_tol=args.vol_tol,
-            use_exact_ls=not args.lp_ls,
-        )
+        sched, extras = run_algorithm(args.algo, jobs, args)
     except ALGORITHM_ERRORS as exc:
         err = {"error": str(exc), "algorithm": args.algo, "instance": args.input}
         if isinstance(exc, AlgorithmFailure):
@@ -278,11 +279,7 @@ def _cmd_compare(args) -> int:
         for algo in algos:
             t0 = time.perf_counter()
             try:
-                sched, extras = run_algorithm(
-                    algo, jobs, ratio=args.c, eps=args.eps,
-                    slot_width=args.delta, vol_tol=args.vol_tol,
-                    use_exact_ls=not args.lp_ls,
-                )
+                sched, extras = run_algorithm(algo, jobs, args)
             # one --delta may divide some instances' horizons n * p_max and
             # not others, so a slot width that does not is an error row
             except ALGORITHM_ERRORS + (lp.SlotWidthError,):
@@ -432,7 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="water-fill competitive target ratio")
     algo_opts.add_argument("--eps", type=float, default=0.5)
     algo_opts.add_argument("--delta", type=float, default=None, help="LP slot width")
-    algo_opts.add_argument("--vol-tol", type=float, default=core.DEFAULT_TOL)
+    algo_opts.add_argument("--vol-tol", type=float, default=core.DEFAULT_TOL,
+                           help="ls only: volume tolerance of the fixed point "
+                                "(best's exact branch keeps the default)")
     algo_opts.add_argument("--lp-ls", action="store_true",
                            help="best: use the LP-based approximation pipeline")
 

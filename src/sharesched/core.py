@@ -158,15 +158,6 @@ class StepFunction:
 
     # -- transforms --------------------------------------------------------
 
-    def scale_values(self, factor: float) -> "StepFunction":
-        return StepFunction(self.edges, self.values * factor)
-
-    def scale_time(self, factor: float) -> "StepFunction":
-        """Horizontal stretch: result(t) = self(t / factor)."""
-        if factor <= 0.0:
-            raise ContractError("time scale factor must be positive")
-        return StepFunction(self.edges * factor, self.values)
-
     def __add__(self, other: "StepFunction") -> "StepFunction":
         return sum_steps([self, other])
 

@@ -237,12 +237,13 @@ def lsapprox_report(jobs: JobSet, params: LsApproxParams) -> tuple[Schedule, LsA
                                 "intercepts (less than rounding noise)")
         scale = float(np.max(vols / vbar))
         squash = 1.0 - mu
-        for pos, idx in enumerate(lh):
-            # multiplying edges one ulp apart by the factors can round them
-            # onto one time, which leaves no step function
+        for idx, f in zip(lh, ls.schedule.assignments):
+            # stretch by scale, squash into the 1 - mu share and stretch by
+            # 1 / squash to keep the volume; multiplying edges one ulp apart
+            # by the factors can round them onto one time, which leaves no
+            # step function
             try:
-                stretched = ls.schedule.assignments[pos].scale_time(scale)
-                assignments[idx] = stretched.scale_values(squash).scale_time(1.0 / squash)
+                assignments[idx] = StepFunction(f.edges * scale * (1.0 / squash), f.values * squash)
             except ContractError as exc:
                 raise PipelineError("scale", f"stretching job {idx} by {scale!r} and "
                                     f"{1.0 / squash!r} merges two of its edges") from exc
@@ -273,27 +274,27 @@ class BestReport:
     fractional_optimum: float | None = None
 
 
-def best_schedule(jobs: JobSet, params: LsApproxParams | None = None,
-                  use_exact_ls: bool = True) -> tuple[Schedule, BestReport]:
+def best_schedule(jobs: JobSet, lsapprox: LsApproxParams | None = None
+                  ) -> tuple[Schedule, BestReport]:
     """Better of greedy and the line-schedule branch.
 
-    With ``use_exact_ls`` the branch is the exact fixed-point line schedule,
-    otherwise the approximation pipeline with ``params``.  If the branch
-    fails, greedy is returned with the failure noted.
+    Given ``lsapprox``, the branch is the approximation pipeline run with
+    those parameters; otherwise it is the exact fixed-point line schedule.
+    If the branch fails, greedy is returned with the failure noted.
     """
     g = greedy(jobs)
     g_cost = total_completion_time(jobs, g)
-    branch = "ls" if use_exact_ls else "lsapprox"
+    branch = "ls" if lsapprox is None else "lsapprox"
     line_sched = None
     line_cost = None
     fractional = None
     err: str | None = None
     try:
-        if use_exact_ls:
+        if lsapprox is None:
             line_sched, _, quantities = ls_exact(jobs)
             fractional = quantities.primal_cost
         else:
-            line_sched = lsapprox_report(jobs, params or LsApproxParams(0.5))[0]
+            line_sched = lsapprox_report(jobs, lsapprox)[0]
         line_cost = total_completion_time(jobs, line_sched)
     except (ConvergenceError, DegenerateVolumesError, PipelineError) as exc:
         err = str(exc)

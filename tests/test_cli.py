@@ -115,6 +115,26 @@ class TestRun:
         ratio = rec["ratios"]["tct_over_best_bound"]
         assert ratio == rec["total_completion_time"] / lb3 and ratio <= 1.5
 
+    def test_best_echoes_its_branch_and_approximation_flags(self, workdir, capsys):
+        three = str(workdir / "three.json")
+        assert main(["run", "best", "--input", three]) == 0
+        params = json.loads(capsys.readouterr().out)["parameters"]
+        assert params["line_branch"] == "ls"
+        assert "epsilon" not in params and "slot_width" not in params
+        assert main(["run", "best", "--lp-ls", "--eps", "0.3", "--input", three]) == 0
+        params = json.loads(capsys.readouterr().out)["parameters"]
+        assert (params["line_branch"], params["epsilon"], params["slot_width"]) == (
+            "lsapprox", 0.3, None)
+        # the names and values of run lsapprox, and its schedule's cost
+        flags = ["--eps", "0.3", "--delta", str(27.0 / 256.0), "--input", three]
+        assert main(["run", "lsapprox", *flags]) == 0
+        approx = json.loads(capsys.readouterr().out)
+        assert main(["run", "best", "--lp-ls", *flags]) == 0
+        params = json.loads(capsys.readouterr().out)["parameters"]
+        for key in ("epsilon", "slot_width"):
+            assert params[key] == approx["parameters"][key]
+        assert params["line_cost"] == approx["total_completion_time"]
+
     def test_schedule_out_roundtrips(self, workdir, tmp_path, capsys):
         sched_path = tmp_path / "s.json"
         main(["run", "ls", "--input", str(workdir / "three.json"),
@@ -155,6 +175,8 @@ class TestRun:
         ("lsapprox", ["--delta", "0.4"], "slot width must divide the horizon"),
         ("best", ["--lp-ls", "--delta", "0.4"], "slot width must divide the horizon"),
         ("waterfill", ["--c", "nan"], "competitive ratio must be at least 1 and finite, got nan"),
+        # checked without --lp-ls too, though only that branch reads it
+        ("best", ["--eps", "0"], "epsilon must be positive"),
     ])
     def test_bad_parameter_values_exit_2(self, workdir, capsys, algo, flags, cause):
         # a value out of range is a usage error (2), not an algorithm failure (3)

@@ -186,14 +186,6 @@ class TestStepFunction:
         assert np.array_equal(g.edges, [0.0, 1.0, 1.0 + 1e-15])
         assert np.array_equal(g.values, [0.5, 0.25])
 
-    def test_transforms(self):
-        f = StepFunction([0.0, 1.0, 3.0], [1.0, 0.5])
-        g = f.scale_time(2.0)
-        assert g(1.9) == 1.0 and g(2.1) == 0.5
-        assert g.integral() == pytest.approx(2.0 * f.integral())
-        h = f.scale_values(0.5)
-        assert h.integral() == pytest.approx(0.5 * f.integral())
-
     def test_sum_steps(self):
         a = StepFunction([0.0, 2.0], [0.5])
         b = StepFunction([0.0, 1.0, 3.0], [0.25, 0.5])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from sharesched import (
     JobSet,
     LsApproxParams,
     PipelineError,
+    StepFunction,
+    build_line_schedule,
     best_schedule,
     fractional_completion_time,
     greedy,
@@ -232,6 +236,25 @@ class TestLsApproxParams:
                 LsApproxParams(0.5, slot_width=bad)
 
 
+def chained_stretch(f: StepFunction, scale: float, squash: float) -> StepFunction:
+    """The pipeline's stretch as three step functions: stretch in time,
+    squash the values, stretch in time by 1 / squash."""
+    g = StepFunction(f.edges * scale, f.values)
+    g = StepFunction(g.edges, g.values * squash)
+    return StepFunction(g.edges * (1.0 / squash), g.values)
+
+
+def volume_for_scale(v: float, scale: float) -> float:
+    """A scheduled volume c near ``v / scale``: one a few ulps away with
+    ``v / c == scale`` in floating point if there is one."""
+    c = v / scale
+    for _ in range(8):
+        if v / c == scale:
+            return c
+        c = np.nextafter(c, 0.0 if v / c < scale else np.inf)
+    return v / scale
+
+
 class TestLsApprox:
     def test_worked_example_all_long_heavy(self, three_jobs):
         params = LsApproxParams(0.5, slot_width=27.0 / 512.0)
@@ -312,9 +335,44 @@ class TestLsApprox:
 
     def test_edges_merged_by_the_stretch_fail_the_scale_stage(self, merging_stretch):
         # this once escaped as a plain ContractError from StepFunction
-        with pytest.raises(PipelineError, match="merges two of its edges") as err:
+        with pytest.raises(PipelineError) as err:
             lsapprox_report(merging_stretch, LsApproxParams(0.5))
         assert err.value.stage == "scale"
+        assert str(err.value) == ("scale: stretching job 2 by 1.57176546204651 and "
+                                  "1.0256410256410258 merges two of its edges")
+
+    @pytest.mark.parametrize("scale", [1.0, np.nextafter(1.0, 2.0), 1.37, 2.0, 7.0])
+    def test_stretch_matches_the_chained_reference(self, monkeypatch, scale):
+        # the LP's line schedule is kept; only its volumes are set so that
+        # the pipeline stretches by `scale`, or a few ulps off it
+        built = []
+
+        def build_for_scale(lh_jobs, alpha):
+            ls = build_line_schedule(lh_jobs, alpha)
+            vols = lh_jobs.volumes()
+            vbar = vols.copy()
+            vbar[0] = volume_for_scale(vols[0], scale)
+            built.append((ls, float(np.max(vols / vbar))))
+            return dataclasses.replace(ls, scheduled_volumes=vbar)
+
+        monkeypatch.setattr("sharesched.tct.build_line_schedule", build_for_scale)
+        params = LsApproxParams(0.5)
+        squash = 1.0 - params.mu
+        for n in range(1, 9):
+            for seed in (1, 2, 3):
+                jobs = generate_random(n, seed)
+                built.clear()
+                sched, info = lsapprox_report(jobs, params)
+                [(ls, used)] = built
+                assert info.scale_factor == used
+                if scale <= np.nextafter(1.0, 2.0):
+                    assert used == scale
+                lh = sorted(info.subdivision.long_heavy)
+                for idx, f in zip(lh, ls.schedule.assignments):
+                    want = chained_stretch(f, used, squash)
+                    got = sched.assignments[idx]
+                    assert got.edges.tobytes() == want.edges.tobytes()
+                    assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestBestSchedule:
@@ -345,11 +403,21 @@ class TestBestSchedule:
         assert validate_schedule(jobs, sched).feasible
 
     def test_lsapprox_failure_falls_back_to_greedy(self, merging_stretch):
-        sched, report = best_schedule(merging_stretch, use_exact_ls=False)
+        sched, report = best_schedule(merging_stretch, LsApproxParams(0.5))
         assert (report.chosen, report.line_branch) == ("greedy", "lsapprox")
         assert report.line_cost is None
         assert report.line_error.startswith("scale: ")
         assert validate_schedule(merging_stretch, sched).feasible
+
+    @pytest.mark.parametrize("eps", [0.3, 0.5])
+    def test_runs_the_approximation_at_the_epsilon_it_is_given(self, eps):
+        params = LsApproxParams(eps)
+        for n, seed in ((2, 3), (4, 1), (5, 1), (6, 3)):
+            jobs = generate_random(n, seed)
+            _, report = best_schedule(jobs, params)
+            assert report.line_branch == "lsapprox"
+            assert report.line_cost == total_completion_time(
+                jobs, lsapprox_report(jobs, params)[0])
 
     def test_approximation_chain(self):
         for seed in range(60):
