@@ -67,12 +67,17 @@ def generate_random(n: int, seed: int, vmin: float = 0.1, vmax: float = 10.0,
                     rmin: float = 0.05, rmax: float = 1.0) -> JobSet:
     """Log-uniform volumes in [vmin, vmax], requirements in (rmin, rmax].
 
-    Deterministic per seed.
+    Deterministic per seed.  Requires 0 < vmin <= vmax < inf and
+    0 <= rmin <= rmax <= 1 (``Job`` rejects the zero requirements of rmax = 0).
     """
     if min(n, seed) < 0:
         raise core.ContractError(f"n and seed must be nonnegative, got {n}, {seed}")
-    if not (min(vmin, vmax) > 0.0 and np.isfinite([vmin, vmax]).all()):
-        raise core.ContractError(f"vmin and vmax must be positive and finite, got {vmin}, {vmax}")
+    if not 0.0 < vmin <= vmax < np.inf:
+        raise core.ContractError(f"vmin and vmax must be positive and finite with vmin <= vmax, "
+                                 f"got {vmin}, {vmax}")
+    if not 0.0 <= rmin <= rmax <= 1.0:
+        raise core.ContractError(f"rmin and rmax must satisfy 0 <= rmin <= rmax <= 1, "
+                                 f"got {rmin}, {rmax}")
     rng = np.random.default_rng(seed)
     v = np.exp(rng.uniform(np.log(vmin), np.log(vmax), n))
     r = rmax - rng.uniform(0.0, rmax - rmin, n)

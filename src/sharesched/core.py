@@ -41,9 +41,9 @@ class Job:
     def __post_init__(self) -> None:
         v, r = float(self.volume), float(self.requirement)
         if not (math.isfinite(v) and v > 0.0):
-            raise ContractError(f"volume must be positive and finite, got {self.volume!r}")
+            raise ContractError(f"volume must be positive and finite, got {v!r}")
         if not (math.isfinite(r) and 0.0 < r <= 1.0):
-            raise ContractError(f"requirement must lie in (0, 1], got {self.requirement!r}")
+            raise ContractError(f"requirement must lie in (0, 1], got {r!r}")
         if not math.isfinite(v / r):
             raise ContractError(f"processing time volume / requirement must be finite, got {v!r} / {r!r}")
         object.__setattr__(self, "volume", v)

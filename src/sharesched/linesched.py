@@ -230,12 +230,12 @@ def solve_alpha(jobs: JobSet, vol_tol: float = DEFAULT_TOL) -> np.ndarray:
     no longer move alpha.
     Raises DegenerateVolumesError up front when two volumes are too close for
     any alpha to meet ``vol_tol``, and ContractError when ``vol_tol`` is not
-    positive.
+    positive and finite.
     """
     v = jobs.volumes()
     r = jobs.requirements()
-    if not vol_tol > 0.0:
-        raise ContractError(f"vol_tol must be positive, got {vol_tol}")
+    if not 0.0 < vol_tol < np.inf:
+        raise ContractError(f"vol_tol must be positive and finite, got {vol_tol}")
     _check_volume_gaps(v, vol_tol)
     n = v.size
     if n == 0:

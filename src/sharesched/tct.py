@@ -158,10 +158,10 @@ class LsApproxParams:
     slot_width: float | None = None
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ContractError("epsilon must be positive")
-        if self.slot_width is not None and not self.slot_width > 0.0:
-            raise ContractError("slot width must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ContractError("epsilon must be positive and finite")
+        if self.slot_width is not None and not 0.0 < self.slot_width < math.inf:
+            raise ContractError("slot width must be positive and finite")
 
     @property
     def mu(self) -> float:
@@ -205,18 +205,18 @@ def lsapprox_report(jobs: JobSet, params: LsApproxParams) -> tuple[Schedule, LsA
                             0.0, 0.0, 0.0, None, 0, 0, 0)
         return Schedule.empty(0), info
     sub = subdivide(jobs, mu)
-    horizon = n * jobs.max_processing_time()
-    slot_width = params.slot_width if params.slot_width is not None else horizon / lpmod.SLOTS
-    guarantee = horizon * (mu / n) ** 6
+    lh = sorted(sub.long_heavy)
+    lh_jobs = JobSet(jobs[i] for i in lh)
+    # built on every instance, so a slot width that does not divide the
+    # horizon is a bad parameter even with no long-heavy job: its
+    # ContractError is not a pipeline failure
+    inst = lpmod.build_discretized_lp(lh_jobs, horizon=n * jobs.max_processing_time(),
+                                      slot_width=params.slot_width)
+    horizon = inst.horizon
     assignments: list[StepFunction | None] = [None] * n
     scale = None
     lp_rounds = lp_pivots = lp_blocks = 0
-    lh = sorted(sub.long_heavy)
     if lh:
-        lh_jobs = JobSet(jobs[i] for i in lh)
-        # a slot width that does not divide the horizon is a bad parameter:
-        # its ContractError is not a pipeline failure
-        inst = lpmod.build_discretized_lp(lh_jobs, horizon=horizon, slot_width=slot_width)
         try:
             sol = lpmod.solve_lp(inst)
         except (lpmod.InfeasibleInstanceError, lpmod.SimplexError) as exc:
@@ -251,7 +251,7 @@ def lsapprox_report(jobs: JobSet, params: LsApproxParams) -> tuple[Schedule, LsA
         job = jobs[idx]
         rate = min(mu / n, job.requirement)
         assignments[idx] = StepFunction.constant(rate, job.volume / rate)
-    info = LsApproxInfo(mu, sub, horizon, slot_width, guarantee, scale,
+    info = LsApproxInfo(mu, sub, horizon, inst.slot_width, horizon * (mu / n) ** 6, scale,
                         lp_rounds, lp_pivots, lp_blocks)
     return Schedule(assignments), info
 

@@ -77,24 +77,21 @@ def waterfill_step(usage: StepFunction, job: Job, deadline: float) -> WaterfillO
     those candidates.
 
     The search finds the first candidate whose volume reaches the job's
-    volume, as a scan in order would.  The direct sum ``volume_below`` is
-    nondecreasing in h as computed, not only in exact arithmetic: each term
-    ``w * min(r, max(h - level, 0))`` is, rounding is monotone, and the
-    terms are added in the same order at every h.  ``np.vecdot`` sums each
-    row of a block of candidates in that same order, so every row equals
-    ``volume_below`` at its candidate bit for bit, and the sums of a block
-    are nondecreasing too.  A bisection on single candidates narrows the
-    range while the rows left, times the K usage pieces, exceed
-    ``BLOCK_ENTRIES``; one block then gives the sums of every candidate
-    left, and ``searchsorted`` takes the first that reaches the volume.  The
-    level is interpolated from the direct sums at that candidate and the
-    one before, each held either by the block or by the bisection.
+    volume, as a scan in order would.  Each sum is a row of one
+    ``np.vecdot``: every term ``w * min(r, max(h - level, 0))`` is
+    nondecreasing in h, rounding is monotone, and the terms are added in the
+    same order at every h, so the sums are nondecreasing as computed, not
+    only in exact arithmetic, and a row does not depend on the block it sits
+    in.  While the candidates left, times the K usage pieces, exceed
+    ``BLOCK_ENTRIES``, a bisection on single candidates narrows the range;
+    one block then sums every candidate left through the top one, whose sum
+    is the capacity below level 1 when no probe reached the volume, and
+    ``searchsorted`` takes the first that reaches it.  The level is
+    interpolated from the sums at that candidate and the one before.
 
-    The budget bounds the block: a step costs O(K log K) for the bisection
-    plus at most ``BLOCK_ENTRIES`` entries for the block (all candidates at
-    once when they fit, about 2K of them), so at few pieces one numpy call
-    replaces the whole bisection, and at many pieces the step stays as it
-    was.
+    A step costs O(K log K) for the bisection plus at most ``BLOCK_ENTRIES``
+    entries for the block (all of the about 2K candidates at once when they
+    fit).
     """
     if deadline < 0.0:
         raise ContractError("deadline must be nonnegative")
@@ -105,36 +102,26 @@ def waterfill_step(usage: StepFunction, job: Job, deadline: float) -> WaterfillO
     cands = np.concatenate((levels, levels + r, (0.0, 1.0)))
     cands = _distinct(cands[(cands >= 0.0) & (cands <= 1.0)])     # the last one is 1.0
 
-    def volume_below(h: float) -> float:
-        return float(np.dot(widths, np.minimum(r, np.maximum(h - levels, 0.0))))
-
     def block(lo: int, hi: int) -> np.ndarray:
-        """``volume_below`` at each of ``cands[lo:hi]``."""
+        """The volume below each of ``cands[lo:hi]``."""
         return np.vecdot(np.minimum(r, np.maximum(cands[lo:hi, None] - levels, 0.0)), widths)
 
-    # the first candidate reaching v lies in [lo, hi]; ``sums`` will hold the
-    # direct sums at cands[lo:hi + 1], and ``below_lo`` the one at lo - 1
-    lo, hi = 0, cands.size - 1
-    fits = cands.size * levels.size <= BLOCK_ENTRIES
-    if fits:
-        sums = block(lo, hi + 1)
-        capacity = float(sums[-1])
-    else:
-        capacity = volume_below(1.0)
-    if capacity < v - DEFAULT_TOL * max(1.0, v):
-        return WaterfillOutcome(ok=False, deficit=v - capacity)
+    # the first candidate reaching v lies in [lo, hi], and ``below_lo`` is
+    # the sum at lo - 1; hi stays at 1.0 unless a probe reaches v
+    lo, hi, below_lo = 0, cands.size - 1, 0.0
+    while (hi - lo) * levels.size > BLOCK_ENTRIES:
+        mid = (lo + hi) // 2
+        val = float(block(mid, mid + 1)[0])
+        if val >= v:
+            hi = mid
+        else:
+            lo, below_lo = mid + 1, val
+    sums = block(lo, hi + 1)
+    top = float(sums[-1])
+    if top < v - DEFAULT_TOL * max(1.0, v):
+        return WaterfillOutcome(ok=False, deficit=v - top)
     level = 1.0     # kept when the capacity falls short of v within the tolerance
-    if capacity >= v:
-        if not fits:
-            at_hi, below_lo = capacity, 0.0     # below_lo is read only once lo > 0
-            while hi > lo and (hi - lo) * levels.size > BLOCK_ENTRIES:
-                mid = (lo + hi) // 2
-                val = volume_below(cands[mid])
-                if val >= v:
-                    hi, at_hi = mid, val
-                else:
-                    lo, below_lo = mid + 1, val
-            sums = np.concatenate((block(lo, hi), (at_hi,))) if hi > lo else np.array((at_hi,))
+    if top >= v:
         j = int(sums.searchsorted(v))
         i = lo + j
         if i == 0:      # reachable when a caller's usage has negative levels
@@ -379,7 +366,7 @@ def extendability_check(sched: Schedule, jobs: JobSet, ratio: float,
     lo = (ratio - 1.0) / ratio
     ys = np.concatenate([usage.values, [lo, 1.0, total / p_max if p_max else 1.0]])
     ys = _distinct(ys[(ys >= lo) & (ys <= 1.0)])
-    measure = (usage.values[None, :] > ys[:-1, None]) @ usage.widths()
+    measure = _cumulative(usage.values > ys[:-1, None], usage, np.array([usage.support_end]))[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):   # no usage above: no y*
         ystar = np.sqrt((ratio - 1.0) * total / measure)
     inside = (ys[:-1] < ystar) & (ystar < ys[1:])

@@ -68,6 +68,12 @@ class TestGen:
         (["--vmin", "0"], "vmin and vmax must be positive"),
         (["--vmax", "0"], "vmin and vmax must be positive"),
         (["--vmax", "inf"], "vmin and vmax must be positive"),
+        # these once exited 1 with a traceback from numpy
+        (["--n", "3", "--vmin", "5", "--vmax", "1"], "with vmin <= vmax, got 5.0, 1.0"),
+        (["--n", "3", "--rmin", "0.5", "--rmax", "0.2"], "0 <= rmin <= rmax <= 1, got 0.5, 0.2"),
+        (["--n", "3", "--rmax", "nan"], "0 <= rmin <= rmax <= 1, got 0.05, nan"),
+        (["--n", "3", "--rmin", "nan"], "0 <= rmin <= rmax <= 1, got nan, 1.0"),
+        (["--n", "3", "--rmax", "inf"], "0 <= rmin <= rmax <= 1, got 0.05, inf"),
     ])
     def test_bad_random_parameters_exit_2(self, flags, cause, capsys):
         assert main(["gen", "random", *flags]) == 2
@@ -177,6 +183,10 @@ class TestRun:
         ("waterfill", ["--c", "nan"], "competitive ratio must be at least 1 and finite, got nan"),
         # checked without --lp-ls too, though only that branch reads it
         ("best", ["--eps", "0"], "epsilon must be positive"),
+        # an infinite value once wrote inf into the JSON record
+        ("lsapprox", ["--eps", "inf"], "epsilon must be positive and finite"),
+        ("best", ["--lp-ls", "--eps", "inf"], "epsilon must be positive and finite"),
+        ("ls", ["--vol-tol", "inf"], "vol_tol must be positive and finite, got inf"),
     ])
     def test_bad_parameter_values_exit_2(self, workdir, capsys, algo, flags, cause):
         # a value out of range is a usage error (2), not an algorithm failure (3)
@@ -378,6 +388,20 @@ class TestCompare:
         for algo in ("lsapprox", "best"):
             assert rows[str(workdir / "three.json"), algo][9] == "error"
             assert float(rows[str(workdir / "two.json"), algo][9]) >= 1.0
+
+    def test_slot_width_is_checked_on_an_instance_without_long_heavy_jobs(self, tmp_path, capsys):
+        # once exited 0 because no LP was built for two light jobs
+        inst = tmp_path / "light.json"
+        inst.write_text('{"jobs": [{"v": 1, "r": 0.001}, {"v": 2, "r": 0.002}]}\n')
+        for delta, cause in (("0.3", "slot width must divide the horizon"),
+                             ("inf", "slot width must be positive and finite")):
+            assert main(["run", "lsapprox", "--input", str(inst), "--delta", delta]) == 2
+            captured = capsys.readouterr()
+            assert cause in captured.err and captured.out == ""
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--inputs", str(inst), "--algos", "lsapprox",
+                     "--delta", "0.3", "--out", str(out)]) == 0
+        assert out.read_text().split("\n")[1] == f"{inst},lsapprox,2,,,,,,,error,,"
 
     def test_failed_run_marks_row(self, tmp_path):
         inst = tmp_path / "deg.json"

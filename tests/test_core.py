@@ -57,6 +57,12 @@ class TestJob:
         with pytest.raises(ContractError):
             Job(v, r)
 
+    def test_messages_name_plain_floats(self):
+        with pytest.raises(ContractError, match=r"requirement must lie in \(0, 1\], got 1.5$"):
+            Job(1.0, np.float64(1.5))
+        with pytest.raises(ContractError, match="volume must be positive and finite, got -2.0$"):
+            Job(np.float64(-2.0), 0.5)
+
     @pytest.mark.parametrize("algo", [greedy, waterfill_online, ls_exact])
     def test_rejects_an_overflowing_processing_time(self, algo):
         # 1e300 / 1e-10 is inf: no algorithm may see such a job

@@ -22,7 +22,7 @@ from sharesched import (
     validate_schedule,
 )
 from sharesched.cli import generate_random
-from sharesched.lp import build_discretized_lp, solve_lp
+from sharesched.lp import SLOTS, SlotWidthError, build_discretized_lp, solve_lp
 
 from conftest import random_instance, volume_before
 
@@ -229,7 +229,7 @@ class TestLsApproxParams:
         assert inv == pytest.approx(round(inv))
 
     def test_rejects_bad_values(self):
-        for bad in (0.0, -1.0, float("nan")):
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ContractError, match="epsilon must be positive"):
                 LsApproxParams(bad)
             with pytest.raises(ContractError, match="slot width must be positive"):
@@ -304,6 +304,17 @@ class TestLsApprox:
             grid = np.unique(np.concatenate([a.edges for a in sched.assignments]))
             mids = 0.5 * (grid[:-1] + grid[1:])
             assert sum(a(mids) for a in sched.assignments).max() <= 1.0 + 1e-9
+
+    def test_slot_width_checked_without_long_heavy_jobs(self):
+        # two light jobs, horizon 2 * 1000: the LP is built though it has no
+        # job, so a width that does not divide the horizon is still rejected
+        jobs = JobSet.of([(1.0, 0.001), (2.0, 0.002)])
+        with pytest.raises(SlotWidthError):
+            lsapprox_report(jobs, LsApproxParams(0.5, slot_width=0.3))
+        sched, info = lsapprox_report(jobs, LsApproxParams(0.5))
+        assert info.subdivision.long_heavy == frozenset()
+        assert (info.horizon, info.slot_width) == (2000.0, 2000.0 / SLOTS) and info.lp_rounds == 0
+        assert validate_schedule(jobs, sched).feasible
 
     def test_guarantee_width_reported(self, three_jobs):
         params = LsApproxParams(0.5, slot_width=27.0 / 512.0)

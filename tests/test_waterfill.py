@@ -215,7 +215,8 @@ class TestWaterfillStep:
 
     def test_block_sums_are_the_single_dots(self):
         # the premise of the block search: np.vecdot sums each row as np.dot
-        # does, byte for byte, at every row length it meets
+        # does, byte for byte, at every row length it meets, and a row sums
+        # alike alone (a bisection probe) and in a block
         rng = np.random.default_rng(2)
         for k in range(1, 3001):
             levels = rng.uniform(0.0, 1.0, k)
@@ -223,7 +224,24 @@ class TestWaterfillStep:
             hs = np.sort(rng.uniform(0.0, 1.0, 3))
             rows = np.minimum(0.4, np.maximum(hs[:, None] - levels, 0.0))
             want = [np.dot(widths, row) for row in rows]
-            assert np.vecdot(rows, widths).tobytes() == np.array(want).tobytes()
+            sums = np.vecdot(rows, widths)
+            assert sums.tobytes() == np.array(want).tobytes()
+            assert np.vecdot(rows[1:2], widths).tobytes() == sums[1:2].tobytes()
+
+    def test_failure_over_the_budget_reports_the_capacity_deficit(self):
+        # every probe falls short, so the search bisects up to level 1.0,
+        # whose sum is the capacity the deficit is measured from
+        rng = np.random.default_rng(4)
+        k = 600
+        edges = np.append(0.0, np.cumsum(rng.uniform(0.05, 2.0, k)))
+        usage = StepFunction(edges, np.sort(rng.uniform(0.0, 1.0, k))[::-1])
+        deadline, r = float(edges[-1]), 0.3
+        _, widths, lv = core._pieces_before(usage, deadline)
+        assert 2 * lv.size * lv.size > waterfill.BLOCK_ENTRIES
+        capacity = float(np.dot(widths, np.minimum(r, np.maximum(1.0 - lv, 0.0))))
+        v = 2.0 * capacity
+        out = waterfill_step(usage, Job(v, r), deadline)
+        assert not out.ok and out.deficit == v - capacity
 
     def test_staircase_preserved(self):
         # nonincreasing total usage stays nonincreasing after each pour
