@@ -12,8 +12,10 @@ Submodules:
 """
 
 from .core import (
+    AlgorithmError,
     ContractError,
     DEFAULT_TOL,
+    InstanceError,
     Job,
     JobSet,
     Schedule,

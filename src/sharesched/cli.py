@@ -2,8 +2,11 @@
 compare, and plot.
 
 Commands: ``gen | run | verify | compare | plot``.  Exit codes: 0 success,
-2 usage error, 3 algorithm failure, 4 validation failure.  All numeric flag
-values are echoed (after rounding) in the emitted records so runs are
+2 usage error, 3 algorithm failure, 4 validation failure.  ``FAILURE_KINDS``
+maps each kind of error (its base class in ``core``) to the exit code and to
+whether ``compare`` stops or writes the instance's ``error`` row; no other
+exception is caught, so a bug shows its traceback.  All numeric
+flag values are echoed (after rounding) in the emitted records so runs are
 reproducible from their outputs alone.
 
 The argument parser is built once per process, so ``main(argv)`` may be
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import glob as globmod
+import math
 import os
 import stat
 import sys
@@ -22,17 +26,30 @@ import time
 
 import numpy as np
 
-from . import core, linesched, lp, tct, waterfill as mk
+from . import core, linesched, tct, waterfill as mk
 from .core import JobSet, Schedule
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_ALGO = 3
 EXIT_INVALID = 4
+#: each kind of error, read along an exception's MRO: run's exit code, and
+#: whether compare writes the instance's error row (else it stops, and exits
+#: with that code)
+FAILURE_KINDS = {
+    OSError: (EXIT_USAGE, False),               # it names its path
+    core.ContractError: (EXIT_USAGE, False),    # usage: bad for every instance
+    core.InstanceError: (EXIT_USAGE, True),     # options this instance cannot take
+    core.AlgorithmError: (EXIT_ALGO, True),     # a failure on valid input
+}
 #: the algorithms that ``run`` and ``compare`` accept
 ALGORITHMS = ("waterfill", "greedy", "ls", "lsapprox", "best")
 
 CSV_HEADER = "instance,algo,n,makespan,tct,ftct,c_a,c_l,lb3,ratio_best,wall_ms,seed"
+#: the ``_measure`` keys of the CSV columns makespan to ratio_best
+CSV_MEASURES = ("makespan", "total_completion_time", "fractional_completion_time",
+                "squashed_area", "total_length", "fractional_plus_half_length",
+                "tct_over_best_bound")
 
 PALETTE = [
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f", "#edc948",
@@ -114,8 +131,8 @@ def run_algorithm(algo: str, jobs: JobSet, opts):
     ``opts`` holds the options that ``run`` and ``compare`` share (``c``,
     ``eps``, ``delta``, ``vol_tol``, ``lp_ls``).  ``best`` checks ``eps`` and
     ``delta`` with or without ``lp_ls``, but runs the approximation branch
-    only under it.  Raises RuntimeError subclasses on algorithm failure
-    (water-fill failure index is reported through AlgorithmFailure).
+    only under it.  Raises an AlgorithmError on algorithm failure (the
+    water-fill failure index is reported through AlgorithmFailure).
     """
     extras: dict = {}
     if algo in ("lsapprox", "best"):
@@ -159,45 +176,57 @@ def run_algorithm(algo: str, jobs: JobSet, opts):
     return sched, extras
 
 
-class AlgorithmFailure(RuntimeError):
+class AlgorithmFailure(core.AlgorithmError):
     def __init__(self, message: str, data: dict):
         self.data = data
         super().__init__(message)
 
 
-#: failures of an algorithm on valid input; any other ContractError is a usage error
-ALGORITHM_ERRORS = (RuntimeError, linesched.DegenerateVolumesError)
+def _kind(exc: Exception) -> tuple[int, bool]:
+    """The ``FAILURE_KINDS`` row of the nearest class of ``exc`` that it lists."""
+    return next(FAILURE_KINDS[cls] for cls in type(exc).__mro__ if cls in FAILURE_KINDS)
 
 
-def _measure(jobs: JobSet, sched: Schedule, extras: dict):
-    """(makespan, tct, ftct, lower bounds, tct over the best bound)."""
+def _measure(jobs: JobSet, sched: Schedule, extras: dict) -> dict:
+    """The measures, lower bounds and ratios of a record, by its key names.
+
+    Raises InstanceError naming the first that is not finite: the instance
+    overflows the float range, and JSON has no inf or NaN.
+    """
     cost = core.total_completion_time(jobs, sched)
-    _, ftct = core.fractional_completion_time(jobs, sched)
     bounds = tct.lower_bounds(jobs, fractional_opt=extras.get("fractional_optimum"))
-    return core.makespan(sched), cost, ftct, bounds, _ratio(cost, bounds.best)
+    measures = {
+        "makespan": core.makespan(sched),
+        "total_completion_time": cost,
+        "fractional_completion_time": core.fractional_completion_time(jobs, sched)[1],
+        "squashed_area": bounds.squashed_area,
+        "total_length": bounds.total_length,
+        "fractional_plus_half_length": bounds.fractional_plus_half_length,
+        "tct_over_squashed_area": _ratio(cost, bounds.squashed_area),
+        "tct_over_total_length": _ratio(cost, bounds.total_length),
+        "tct_over_best_bound": _ratio(cost, bounds.best),
+    }
+    for name, x in measures.items():
+        if x is not None and not math.isfinite(x):
+            raise core.InstanceError(f"{name} overflows the float range: got {x}")
+    return measures
 
 
 def _record(instance: str, algo: str, jobs: JobSet, sched: Schedule,
             extras: dict, wall_ms: float, seed, tol: float) -> dict:
     report = core.validate_schedule(jobs, sched, tol=tol)
-    span, cost, ftct, bounds, ratio = _measure(jobs, sched, extras)
+    m = _measure(jobs, sched, extras)
     return {
         "instance": instance,
         "algorithm": algo,
         "n": len(jobs),
-        "makespan": span,
-        "total_completion_time": cost,
-        "fractional_completion_time": ftct,
-        "bounds": {
-            "squashed_area": bounds.squashed_area,
-            "total_length": bounds.total_length,
-            "fractional_plus_half_length": bounds.fractional_plus_half_length,
-        },
-        "ratios": {
-            "tct_over_squashed_area": _ratio(cost, bounds.squashed_area),
-            "tct_over_total_length": _ratio(cost, bounds.total_length),
-            "tct_over_best_bound": ratio,
-        },
+        "makespan": m["makespan"],
+        "total_completion_time": m["total_completion_time"],
+        "fractional_completion_time": m["fractional_completion_time"],
+        "bounds": {key: m[key] for key in (
+            "squashed_area", "total_length", "fractional_plus_half_length")},
+        "ratios": {key: m[key] for key in (
+            "tct_over_squashed_area", "tct_over_total_length", "tct_over_best_bound")},
         "validation": {
             "feasible": report.feasible,
             "max_violation": report.max_magnitude(),
@@ -213,12 +242,15 @@ def _cmd_run(args) -> int:
     t0 = time.perf_counter()
     try:
         sched, extras = run_algorithm(args.algo, jobs, args)
-    except ALGORITHM_ERRORS as exc:
+    except tuple(FAILURE_KINDS) as exc:
+        code, _ = _kind(exc)
+        if code != EXIT_ALGO:
+            raise       # main reports it on stderr
         err = {"error": str(exc), "algorithm": args.algo, "instance": args.input}
         if isinstance(exc, AlgorithmFailure):
             err.update(exc.data)
         _write(args.record, core._dump(err) + "\n")
-        return EXIT_ALGO
+        return code
     wall_ms = (time.perf_counter() - t0) * 1e3
     rec = _record(args.input, args.algo, jobs, sched, extras, wall_ms,
                   args.seed, args.tol)
@@ -277,7 +309,7 @@ def _cmd_compare(args) -> int:
     for path in paths:
         try:
             jobs = core.jobs_from_json(_read(path))
-        except (OSError, core.ContractError):
+        except tuple(FAILURE_KINDS):    # an instance that cannot be read gets error rows
             for algo in algos:
                 rows.append(f"{path},{algo},,,,,,,,error,,")
             continue
@@ -285,18 +317,18 @@ def _cmd_compare(args) -> int:
             t0 = time.perf_counter()
             try:
                 sched, extras = run_algorithm(algo, jobs, args)
-            # one --delta may divide some instances' horizons n * p_max and
-            # not others, so a slot width that does not is an error row
-            except ALGORITHM_ERRORS + (lp.SlotWidthError,):
+                wall = (time.perf_counter() - t0) * 1e3 if args.timing else 0.0
+                m = _measure(jobs, sched, extras)
+            except tuple(FAILURE_KINDS) as exc:
+                if not _kind(exc)[1]:
+                    raise   # a usage error stops compare
                 rows.append(f"{path},{algo},{len(jobs)},,,,,,,error,,")
                 continue
-            wall = (time.perf_counter() - t0) * 1e3 if args.timing else 0.0
-            span, cost, ftct, bounds, ratio = _measure(jobs, sched, extras)
+            ratio = m["tct_over_best_bound"]
             if ratio is not None:
                 max_ratio[algo] = max(max_ratio.get(algo, 0.0), ratio)
-            rows.append(",".join([path, algo, str(len(jobs)), *map(_csv_num, (
-                span, cost, ftct, bounds.squashed_area, bounds.total_length,
-                bounds.fractional_plus_half_length, ratio, wall)), ""]))
+            rows.append(",".join([path, algo, str(len(jobs)),
+                                  *(_csv_num(m[key]) for key in CSV_MEASURES), _csv_num(wall), ""]))
     for algo in algos:
         rows.append(",".join([
             "summary:max_ratio", algo, "", "", "", "", "", "", "",
@@ -500,9 +532,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except (OSError, core.ContractError) as exc:   # an OSError names its path
+    except tuple(FAILURE_KINDS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _kind(exc)[0]
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -21,8 +21,21 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 
+# the three kinds of error: every error class of the package derives from one
+
+
 class ContractError(ValueError):
-    """An operation was called outside its contract (bad shapes, bad args)."""
+    """Usage: an operation was called outside its contract (bad shapes, bad
+    args), with arguments that are bad for every instance."""
+
+
+class InstanceError(ContractError):
+    """Valid arguments that this instance cannot take (say, a horizon
+    ``n * p_max`` past the float range)."""
+
+
+class AlgorithmError(RuntimeError):
+    """An algorithm failed on valid input."""
 
 
 @dataclass(frozen=True)
@@ -342,9 +355,11 @@ def makespan(sched: Schedule) -> float:
 
 
 def total_completion_time(jobs: JobSet, sched: Schedule) -> float:
+    """Sum of the completion times; inf when the sum passes the float range."""
     if len(jobs) != sched.n_jobs:
         raise ContractError("job/assignment count mismatch")
-    return float(sched.completion_times().sum())
+    with np.errstate(over="ignore"):
+        return float(sched.completion_times().sum())
 
 
 def fractional_completion_time(jobs: JobSet, sched: Schedule) -> tuple[list[float], float]:

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import _kernel
 from .core import (
+    AlgorithmError,
     ContractError,
     DEFAULT_TOL,
     JobSet,
@@ -35,7 +36,7 @@ from .core import (
 MAX_ITERS = 200
 
 
-class DegenerateVolumesError(ContractError):
+class DegenerateVolumesError(AlgorithmError):
     """``solve_alpha`` cannot meet ``vol_tol``: two volumes are nearly equal.
 
     Their priority lines are (nearly) parallel, so the volume map jumps where
@@ -44,7 +45,7 @@ class DegenerateVolumesError(ContractError):
     """
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(AlgorithmError):
     """solve_alpha ran out of iterations.
 
     Carries the last volume residual, the Newton iterations taken,
@@ -229,8 +230,8 @@ def solve_alpha(jobs: JobSet, vol_tol: float = DEFAULT_TOL) -> np.ndarray:
     iterations do not reach ``vol_tol``, or earlier when the line search can
     no longer move alpha.
     Raises DegenerateVolumesError up front when two volumes are too close for
-    any alpha to meet ``vol_tol``, and ContractError when ``vol_tol`` is not
-    positive and finite.
+    any alpha to meet ``vol_tol``, an AlgorithmError when the start overflows,
+    and ContractError when ``vol_tol`` is not positive and finite.
     """
     v = jobs.volumes()
     r = jobs.requirements()
@@ -243,7 +244,13 @@ def solve_alpha(jobs: JobSet, vol_tol: float = DEFAULT_TOL) -> np.ndarray:
 
     order = np.argsort(v, kind="stable")
     alpha = np.empty(n)
-    alpha[order] = np.cumsum(v[order] / r[order]) / v[order]
+    with np.errstate(over="ignore"):
+        alpha[order] = np.cumsum(v[order] / r[order]) / v[order]
+        slopes = 1.0 / v
+    if not (_all(np.isfinite(alpha)) and _all(np.isfinite(slopes))):   # no packing is finite
+        raise AlgorithmError("solve_alpha's start overflows: a slope 1 / v_j, or the end of "
+                             "the jobs run one after another at full requirement, passes "
+                             "the float range")
     fill = r * v
     vols, jac = _kernel.line_structure(v, r, alpha)
     packings = 1

@@ -23,19 +23,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernel
-from .core import ContractError, JobSet, Schedule, StepFunction, _distinct, _fmt
-from .linesched import ConvergenceError, DegenerateVolumesError, solve_alpha
+from .core import (AlgorithmError, ContractError, InstanceError, JobSet, Schedule,
+                   StepFunction, _distinct, _fmt)
+from .linesched import solve_alpha
 
 
-class SimplexError(RuntimeError):
+class SimplexError(AlgorithmError):
     """The solver hit its pivot or refinement limit."""
 
 
-class InfeasibleInstanceError(RuntimeError):
+class InfeasibleInstanceError(AlgorithmError):
     """The demanded volumes do not fit the horizon."""
 
 
-class SlotWidthError(ContractError):
+class SlotWidthError(InstanceError):
     """The slot width does not divide the horizon, which depends on the instance."""
 
 
@@ -252,15 +253,20 @@ def build_discretized_lp(jobs: JobSet, horizon: float | None = None,
     Defaults: the horizon is n * p_max (large enough that an optimal
     fractional schedule never runs past it), and the slot width is
     horizon / ``SLOTS``.  The slot width must divide the horizon to within
-    1e-9 relative.
+    1e-9 relative.  A horizon that is not positive and finite (an
+    ``n * p_max`` past the float range) or too small for ``SLOTS`` slots
+    raises InstanceError, and a slot width that does not divide it
+    SlotWidthError, an InstanceError too.
     """
     if horizon is None:
         horizon = len(jobs) * jobs.max_processing_time() if len(jobs) else 1.0
     if not 0.0 < horizon < np.inf:     # NaN fails too
-        raise ContractError(f"horizon must be positive and finite, got {float(horizon)!r}")
+        raise InstanceError(f"horizon must be positive and finite, got {float(horizon)!r}")
     if slot_width is None:
         slot_width = horizon / SLOTS
-    if not 0.0 < slot_width < np.inf:
+        if slot_width == 0.0:
+            raise InstanceError(f"horizon {float(horizon)!r} is too small to cut into {SLOTS} slots")
+    elif not 0.0 < slot_width < np.inf:
         raise ContractError(f"slot width must be positive and finite, got {float(slot_width)!r}")
     ratio = horizon / slot_width
     n_slots = int(round(ratio))
@@ -381,9 +387,9 @@ def solve_lp(inst: LpInstance) -> LpSolution:
     so every slot packs the same rates, and there is an optimal solution
     that is constant on each block between them.  The slot LP's duals tend
     to the continuous optimum as the slots shrink, so the first blocks are
-    cut around the breakpoints of ``solve_alpha``.  When it raises
-    (near-tied volumes, or no convergence) the same loop starts from the
-    single block ``{0, I}``.
+    cut around the breakpoints of ``solve_alpha``.  When it raises an
+    AlgorithmError (near-tied volumes, a start past the float range, or no
+    convergence) the same loop starts from the single block ``{0, I}``.
 
     Every cut comes from the finite events of the ``_kernel._rows`` packing
     rows (``_cuts``).  The seed, and each round that does not certify, cut
@@ -422,7 +428,7 @@ def solve_lp(inst: LpInstance) -> LpSolution:
     edges = np.array([0, I])
     try:
         seed = solve_alpha(inst.jobs)
-    except (DegenerateVolumesError, ConvergenceError):
+    except AlgorithmError:
         pass    # no continuous optimum to seed from: start from one block
     else:
         edges = _distinct(np.concatenate((edges, _cuts(inst, seed))))

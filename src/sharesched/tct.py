@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    AlgorithmError,
     ContractError,
     DEFAULT_TOL,
     JobSet,
@@ -26,8 +27,6 @@ from .core import (
     total_completion_time,
 )
 from .linesched import (
-    ConvergenceError,
-    DegenerateVolumesError,
     DualityQuantities,
     build_line_schedule,
     duality_quantities,
@@ -90,9 +89,11 @@ class Bounds:
 
 
 def lower_bounds(jobs: JobSet, fractional_opt: float | None = None) -> Bounds:
+    """The bounds of ``Bounds``; a bound past the float range is inf."""
     vols = np.sort(jobs.volumes())
-    squashed = float(np.cumsum(vols).sum()) if vols.size else 0.0
-    length = float(jobs.processing_times().sum()) if len(jobs) else 0.0
+    with np.errstate(over="ignore"):
+        squashed = float(np.cumsum(vols).sum()) if vols.size else 0.0
+        length = float(jobs.processing_times().sum()) if len(jobs) else 0.0
     lb3 = fractional_opt + 0.5 * length if fractional_opt is not None else None
     return Bounds(squashed, length, lb3)
 
@@ -168,7 +169,7 @@ class LsApproxParams:
         return 1.0 / max(2, math.ceil(1.0 / (KAPPA * self.epsilon)))
 
 
-class PipelineError(RuntimeError):
+class PipelineError(AlgorithmError):
     """A stage of the approximation pipeline could not proceed."""
 
     def __init__(self, stage: str, message: str):
@@ -194,9 +195,9 @@ class LsApproxInfo:
 def lsapprox_report(jobs: JobSet, params: LsApproxParams) -> tuple[Schedule, LsApproxInfo]:
     """Run the approximation pipeline, returning the schedule and its report.
 
-    Raises lp.SlotWidthError, a ContractError, when ``params.slot_width``
-    does not divide the LP horizon, and PipelineError when a stage cannot
-    proceed.
+    Raises an InstanceError when the LP horizon ``n * p_max`` passes the
+    float range or ``params.slot_width`` does not divide it
+    (lp.SlotWidthError), and PipelineError when a stage cannot proceed.
     """
     mu = params.mu
     n = len(jobs)
@@ -208,8 +209,8 @@ def lsapprox_report(jobs: JobSet, params: LsApproxParams) -> tuple[Schedule, LsA
     lh = sorted(sub.long_heavy)
     lh_jobs = JobSet(jobs[i] for i in lh)
     # built on every instance, so a slot width that does not divide the
-    # horizon is a bad parameter even with no long-heavy job: its
-    # ContractError is not a pipeline failure
+    # horizon is refused even with no long-heavy job: its InstanceError is
+    # not a pipeline failure
     inst = lpmod.build_discretized_lp(lh_jobs, horizon=n * jobs.max_processing_time(),
                                       slot_width=params.slot_width)
     horizon = inst.horizon
@@ -219,7 +220,7 @@ def lsapprox_report(jobs: JobSet, params: LsApproxParams) -> tuple[Schedule, LsA
     if lh:
         try:
             sol = lpmod.solve_lp(inst)
-        except (lpmod.InfeasibleInstanceError, lpmod.SimplexError) as exc:
+        except AlgorithmError as exc:
             raise PipelineError("lp", str(exc)) from exc
         lp_rounds, lp_pivots, lp_blocks = sol.rounds, sol.pivots, sol.block_edges.size - 1
         try:
@@ -280,7 +281,8 @@ def best_schedule(jobs: JobSet, lsapprox: LsApproxParams | None = None
 
     Given ``lsapprox``, the branch is the approximation pipeline run with
     those parameters; otherwise it is the exact fixed-point line schedule.
-    If the branch fails, greedy is returned with the failure noted.
+    If the branch fails (an AlgorithmError), greedy is returned with the
+    failure noted.
     """
     g = greedy(jobs)
     g_cost = total_completion_time(jobs, g)
@@ -296,7 +298,7 @@ def best_schedule(jobs: JobSet, lsapprox: LsApproxParams | None = None
         else:
             line_sched = lsapprox_report(jobs, lsapprox)[0]
         line_cost = total_completion_time(jobs, line_sched)
-    except (ConvergenceError, DegenerateVolumesError, PipelineError) as exc:
+    except AlgorithmError as exc:
         err = str(exc)
     bounds = lower_bounds(jobs, fractional_opt=fractional)
     if line_cost is not None and line_cost < g_cost:

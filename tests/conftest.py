@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,22 @@ def left_end_sum(fns) -> StepFunction:
             if k < f.values.size:
                 total[i] += float(f.values[k])
     return StepFunction(grid, total) if total else StepFunction.zero()
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block after ``seconds`` of wall time, so
+    that a loop that never ends fails its test instead of hanging it."""
+    def stop(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def volume_before(f: StepFunction, C: float) -> float:

@@ -10,11 +10,17 @@ import numpy as np
 import pytest
 
 import sharesched
-from sharesched import core, cli
+from sharesched import core, cli, linesched, lp, tct
 from sharesched.cli import main
+
+from conftest import time_limit
 
 
 FIG_JOBS = '{"jobs": [{"v": 1, "r": 0.75}, {"v": 4, "r": 0.5}, {"v": 6, "r": 0.66666666666666663}]}\n'
+# each processing time is finite, but their sum n * p_max overflows
+BIGP_JOBS = '{"jobs": [{"v": 1, "r": 1e-308}, {"v": 2, "r": 2.2e-308}]}\n'
+# n * p_max = 2e308 overflows, so the slot LP has no finite horizon
+HORIZON_JOBS = '{"jobs": [{"v": 1e308, "r": 1}, {"v": 1, "r": 1}]}\n'
 
 
 def _package_env() -> dict:
@@ -238,6 +244,26 @@ class TestRun:
         captured = capsys.readouterr()
         assert "horizon must be positive and finite" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("algo, code, cause", [
+        ("greedy", 2, "total_completion_time overflows the float range: got inf"),
+        ("waterfill", 2, "total_completion_time overflows the float range: got inf"),
+        ("best", 2, "total_completion_time overflows the float range: got inf"),
+        ("ls", 3, "solve_alpha's start overflows"),
+        ("lsapprox", 2, "horizon must be positive and finite, got inf"),
+    ])
+    def test_overflowing_sum_of_processing_times(self, tmp_path, capsys, algo, code, cause):
+        # greedy, water-filling and best once wrote inf and nan into their
+        # records, and ls and best once looped forever
+        inst = tmp_path / "bigp.json"
+        inst.write_text(BIGP_JOBS)
+        with time_limit(5.0):
+            assert main(["run", algo, "--input", str(inst)]) == code
+        captured = capsys.readouterr()
+        if code == 3:
+            assert cause in json.loads(captured.out)["error"]
+        else:
+            assert cause in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("algo", cli.ALGORITHMS)
     def test_empty_instance_runs(self, tmp_path, capsys, algo):
         inst = tmp_path / "empty.json"
@@ -403,6 +429,41 @@ class TestCompare:
                      "--delta", "0.3", "--out", str(out)]) == 0
         assert out.read_text().split("\n")[1] == f"{inst},lsapprox,2,,,,,,,error,,"
 
+    def test_an_overflowing_horizon_marks_its_rows(self, tmp_path, capsys):
+        # compare once stopped here with exit 2 and wrote no CSV
+        (tmp_path / "horizon.json").write_text(HORIZON_JOBS)
+        (tmp_path / "inst.json").write_text(FIG_JOBS)
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--inputs", str(tmp_path / "[hi]*.json"),
+                     "--algos", "greedy,lsapprox", "--out", str(out)]) == 0
+        rows = {tuple(ln.split(",")[:2]): ln for ln in out.read_text().split("\n")[1:-1]}
+        horizon, inst = str(tmp_path / "horizon.json"), str(tmp_path / "inst.json")
+        assert rows[horizon, "lsapprox"] == f"{horizon},lsapprox,2,,,,,,,error,,"
+        for key in ((horizon, "greedy"), (inst, "greedy"), (inst, "lsapprox")):
+            assert float(rows[key].split(",")[9]) >= 1.0
+        assert capsys.readouterr().err == ""
+
+    def test_a_horizon_too_small_for_the_slots_marks_its_row(self, tmp_path, capsys):
+        # n * p_max / 1024 underflows to 0: no option was given, so no usage error
+        inst = tmp_path / "tiny.json"
+        inst.write_text('{"jobs": [{"v": 5e-324, "r": 1}]}\n')
+        assert main(["run", "lsapprox", "--input", str(inst)]) == 2
+        assert "horizon 5e-324 is too small to cut into 1024 slots" in capsys.readouterr().err
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--inputs", str(inst), "--algos", "greedy,lsapprox",
+                     "--out", str(out)]) == 0
+        assert out.read_text().split("\n")[2] == f"{inst},lsapprox,1,,,,,,,error,,"
+
+    def test_overflowing_instances_mark_their_rows(self, tmp_path):
+        # no row holds inf or nan; ls once looped forever here
+        (tmp_path / "bigp.json").write_text(BIGP_JOBS)
+        out = tmp_path / "cmp.csv"
+        with time_limit(10.0):
+            assert main(["compare", "--inputs", str(tmp_path / "bigp.json"),
+                         "--algos", ",".join(cli.ALGORITHMS), "--out", str(out)]) == 0
+        for algo in cli.ALGORITHMS:
+            assert f"{tmp_path / 'bigp.json'},{algo},2,,,,,,,error,," in out.read_text().split("\n")
+
     def test_failed_run_marks_row(self, tmp_path):
         inst = tmp_path / "deg.json"
         inst.write_text('{"jobs": [{"v": 1, "r": 0.5}, {"v": 1, "r": 0.8}]}\n')
@@ -557,6 +618,73 @@ class TestPlot:
             return {pair.split(",")[1] for pair in poly.split()}
 
         assert heights(sched) == heights(core.Schedule([wide]))
+
+
+def _horizon_refusal() -> Exception:
+    try:
+        lp.build_discretized_lp(core.jobs_from_json(HORIZON_JOBS))
+    except Exception as exc:
+        return exc
+    raise AssertionError("the horizon n * p_max = 2e308 was accepted")
+
+
+#: one error of every class in the library, with run's exit code and whether
+#: compare writes the instance's error row (else it stops, exiting 2); None
+#: for a bug, which propagates
+FAILURES = [
+    (OSError(2, "No such file or directory"), 2, False),
+    (core.ContractError("a usage error"), 2, False),
+    (core.InstanceError("an instance error"), 2, True),
+    (lp.SlotWidthError("slot width must divide the horizon"), 2, True),
+    (_horizon_refusal(), 2, True),
+    (core.AlgorithmError("an algorithm error"), 3, True),
+    (linesched.DegenerateVolumesError("volumes too close"), 3, True),
+    (linesched.ConvergenceError(1.0, 5, 9, np.zeros(3)), 3, True),
+    (lp.SimplexError("pivot limit exceeded"), 3, True),
+    (lp.InfeasibleInstanceError("no feasible point"), 3, True),
+    (tct.PipelineError("lp", "no feasible point"), 3, True),
+    (cli.AlgorithmFailure("water-fill failed at job 1", {"failure_index": 1}), 3, True),
+    (RecursionError("maximum recursion depth exceeded"), None, None),
+]
+
+
+@pytest.mark.parametrize("exc, code, row", FAILURES,
+                         ids=[f"{type(exc).__name__}: {exc}" for exc, _, _ in FAILURES])
+def test_each_kind_of_failure_maps_through_one_table(workdir, tmp_path, capsys, monkeypatch,
+                                                    exc, code, row):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_algorithm", fail)
+    inst, out = str(workdir / "three.json"), tmp_path / "cmp.csv"
+    run = ["run", "greedy", "--input", inst]
+    compare = ["compare", "--inputs", inst, "--algos", "greedy", "--out", str(out)]
+    if code is None:
+        for argv in (run, compare):
+            with pytest.raises(type(exc)):
+                main(argv)
+        assert not out.exists()
+        return
+    assert main(run) == code
+    captured = capsys.readouterr()
+    if code == 3:
+        record = json.loads(captured.out)
+        assert record["error"] == str(exc) and captured.err == ""
+        assert record.get("failure_index") == getattr(exc, "data", {}).get("failure_index")
+    else:
+        assert captured.err == f"error: {exc}\n" and captured.out == ""
+    if row:
+        assert main(compare) == 0
+        assert out.read_text().split("\n")[1] == f"{inst},greedy,3,,,,,,,error,,"
+    else:
+        assert main(compare) == 2 and not out.exists()
+        assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+def test_the_table_test_covers_every_error_class():
+    classes = {obj for obj in vars(sharesched).values()
+               if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert classes | {cli.AlgorithmFailure} <= {type(exc) for exc, _, _ in FAILURES}
 
 
 class TestUsage:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sharesched import (
+    AlgorithmError,
     ContractError,
     ConvergenceError,
     DegenerateVolumesError,
@@ -27,7 +28,7 @@ from sharesched import (
 from sharesched import _kernel, linesched
 from sharesched.cli import generate_random
 
-from conftest import random_instance
+from conftest import random_instance, time_limit
 from test_kernel import _oracle_cases
 
 ALPHA_EXPECTED = np.array([51.0 / 16.0, 39.0 / 16.0, 31.0 / 16.0])
@@ -342,6 +343,26 @@ class TestSolveAlpha:
             _, report = best_schedule(jobs)
             assert time.perf_counter() - start < 1.0
             assert report.chosen == "greedy" and report.line_error is not None
+
+    @pytest.mark.parametrize("pairs", [
+        # each processing time is finite, but their sum is not
+        [(1, 1e-308), (2, 2.2e-308)],
+        # the sum is finite, but alpha = p / v is not
+        [(0.5, 5e-309)],
+        # 1 / v_j, the slope of each line, is not finite
+        [(1e-310, 1), (2e-310, 1)],
+    ])
+    def test_an_overflowing_start_fails_fast(self, pairs):
+        # the first two once looped forever: the line search never left its NaN trials
+        jobs = JobSet.of(pairs)
+        with time_limit(5.0):
+            start = time.perf_counter()
+            with pytest.raises(AlgorithmError, match="solve_alpha's start overflows") as err:
+                solve_alpha(jobs)
+            assert time.perf_counter() - start < 0.1
+            assert not isinstance(err.value, ConvergenceError)
+            _, report = best_schedule(jobs)
+        assert report.chosen == "greedy" and "start overflows" in report.line_error
 
     @pytest.mark.parametrize("n", [16, 24, 32])
     def test_larger_instances_meet_targets_and_strong_duality(self, n):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from sharesched import (
+    AlgorithmError,
     ContractError,
+    InstanceError,
     InfeasibleInstanceError,
     JobSet,
     LsApproxParams,
@@ -239,6 +241,20 @@ class TestBuild:
         with pytest.raises(ContractError, match="horizon must be positive and finite, got inf"):
             build_discretized_lp(JobSet.of([(1e308, 1), (1, 1)]))
 
+    def test_horizon_refusals_are_instance_errors(self):
+        # a property of the instance, not of an option: compare gives it error rows
+        with pytest.raises(InstanceError, match="horizon must be positive and finite"):
+            build_discretized_lp(JobSet.of([(1e308, 1), (1, 1)]))
+        # the default slot width n * p_max / SLOTS underflows to 0
+        with pytest.raises(InstanceError, match="horizon 5e-324 is too small to cut into 1024"):
+            build_discretized_lp(JobSet.of([(5e-324, 1)]))
+        with pytest.raises(InstanceError, match="slot width must divide the horizon"):
+            build_discretized_lp(JobSet.of([(1, 1)]), horizon=1.0, slot_width=0.3)
+        # a slot width given out of range is bad for every instance
+        with pytest.raises(ContractError, match="slot width must be positive") as err:
+            build_discretized_lp(JobSet.of([(1, 1)]), slot_width=0.0)
+        assert not isinstance(err.value, InstanceError)
+
 
 def assert_same_as_reference(args, stall_switch):
     got = dense_simplex(*args)
@@ -424,6 +440,25 @@ class TestSolve:
             box_slack = r[:, None] * inst.slot_width - V
             assert np.max(np.abs(sol.beta * box_slack)) <= 1e-7
             assert np.max(np.abs(V * (gains - sol.beta - sol.gamma[None, :]))) <= 1e-7
+
+    def test_any_algorithm_error_of_the_seed_starts_from_one_block(self, monkeypatch):
+        # the seed catches the base class, so a new failure of solve_alpha,
+        # such as a start past the float range, needs no edit here
+        jobs = generate_random(4, 2)
+        horizon = 4 * jobs.max_processing_time()
+        inst = build_discretized_lp(jobs, horizon=horizon, slot_width=horizon / 64)
+        solutions = []
+        for error in (ConvergenceError(float("inf"), 0, 0, np.zeros(0)),
+                      AlgorithmError("solve_alpha's start overflows")):
+            def no_seed(*args, error=error, **kwargs):
+                raise error
+
+            monkeypatch.setattr(lpmod, "solve_alpha", no_seed)
+            solutions.append(solve_lp(inst))
+        a, b = solutions
+        assert (a.objective, a.rounds, a.pivots) == (b.objective, b.rounds, b.pivots)
+        assert np.array_equal(a.alpha, b.alpha)
+        assert b.certificate_gap <= 1e-9 * b.objective
 
     def test_discretization_gap_halves(self):
         # single capped job whose processing time is deliberately misaligned
