@@ -254,33 +254,36 @@ def solve_alpha(jobs: JobSet, vol_tol: float = DEFAULT_TOL) -> np.ndarray:
     fill = r * v
     vols, jac = _kernel.line_structure(v, r, alpha)
     packings = 1
-    for iteration in range(MAX_ITERS + 1):
-        grad = v - vols
-        residual = float(np.abs(grad).max())
-        if residual > vol_tol and iteration == MAX_ITERS:
-            break
-        hess = jac                                     # in place: jac is not used again
-        diagonal = hess.ravel()[::n + 1]
-        diagonal += np.where(vols > 0.0, 0.0, fill)
-        diagonal += 1e-12 * np.abs(hess).max()
-        delta = np.linalg.solve(hess, grad)
-        if residual <= vol_tol:
-            last = np.maximum(alpha + delta, 0.0)
-            better = np.abs(v - _kernel.line_volumes(v, r, last)).max() < residual
-            return last if better else alpha
-        if not grad @ delta > 0.0:
-            delta = grad
-        step = 1.0
-        while True:
-            trial = np.maximum(alpha + step * delta, 0.0)
-            if _all(trial == alpha):
-                raise ConvergenceError(residual, iteration, packings, alpha.copy())
-            vols, jac = _kernel.line_structure(v, r, trial)
-            packings += 1
-            if (v - vols) @ (trial - alpha) >= 0.0:
+    # near the float range an inner product of the step can overflow to
+    # +-inf, which the ascent tests still read; a NaN falls back to the gradient
+    with np.errstate(over="ignore"):
+        for iteration in range(MAX_ITERS + 1):
+            grad = v - vols
+            residual = float(np.abs(grad).max())
+            if residual > vol_tol and iteration == MAX_ITERS:
                 break
-            step *= 0.5
-        alpha = trial
+            hess = jac                                     # in place: jac is not used again
+            diagonal = hess.ravel()[::n + 1]
+            diagonal += np.where(vols > 0.0, 0.0, fill)
+            diagonal += 1e-12 * np.abs(hess).max()
+            delta = np.linalg.solve(hess, grad)
+            if residual <= vol_tol:
+                last = np.maximum(alpha + delta, 0.0)
+                better = np.abs(v - _kernel.line_volumes(v, r, last)).max() < residual
+                return last if better else alpha
+            if not grad @ delta > 0.0:
+                delta = grad
+            step = 1.0
+            while True:
+                trial = np.maximum(alpha + step * delta, 0.0)
+                if _all(trial == alpha):
+                    raise ConvergenceError(residual, iteration, packings, alpha.copy())
+                vols, jac = _kernel.line_structure(v, r, trial)
+                packings += 1
+                if (v - vols) @ (trial - alpha) >= 0.0:
+                    break
+                step *= 0.5
+            alpha = trial
     raise ConvergenceError(residual, MAX_ITERS, packings, alpha.copy())
 
 
@@ -324,9 +327,12 @@ def duality_quantities(ls: LineSchedule) -> DualityQuantities:
     primal = fractional_completion_time(ls.jobs, ls.schedule)[1]
     payoff = float(np.dot(ls.alpha, ls.scheduled_volumes))
     w = np.diff(ls.grid)
-    # np.vecdot sums each row as np.dot does; a matrix product may round differently
-    req = sum(r * np.vecdot(ls.beta_start + 0.5 * ls.beta_slope * w, w))
-    cap = np.dot(w, ls.gamma_start + 0.5 * ls.gamma_slope * w)
+    # near the float range the requirement penalty's row sums can overflow to
+    # inf before r scales them down; the penalty then reads inf
+    with np.errstate(over="ignore"):
+        # np.vecdot sums each row as np.dot does; a matrix product may round differently
+        req = sum(r * np.vecdot(ls.beta_start + 0.5 * ls.beta_slope * w, w))
+        cap = np.dot(w, ls.gamma_start + 0.5 * ls.gamma_slope * w)
     return DualityQuantities(primal, payoff, float(req), float(cap))
 
 

@@ -18,6 +18,7 @@ most solves certify in the first round.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,8 +111,10 @@ def dense_simplex(c, A, b, upper):
     artificial.  The artificials of slack rows stay in the tableau, banned,
     so the row duals are still read off the artificial columns.  Before
     phase 1, a greedy crash puts the cheapest boxed columns at their upper
-    bounds (``_crash``).  A pivot updates only the rows where the entering
-    column is nonzero.
+    bounds (``_crash``).  The reduced costs ride as the tableau's last row,
+    so a pivot eliminates them with the other rows where the entering
+    column is nonzero, and only those rows are updated.  Each basic row
+    carries the upper bound of its basic column, set when the column enters.
 
     Each column carries a sign: +1 at its lower bound, -1 at its upper
     bound, 0 when basic or banned.  A column is a candidate when its signed
@@ -119,11 +122,11 @@ def dense_simplex(c, A, b, upper):
     largest reduced cost (the least signed one, first index on ties),
     switching permanently to Bland's smallest-index rule after
     ``STALL_SWITCH`` consecutive degenerate pivots, which keeps the
-    anti-cycling guarantee.  The ratio test is one pass over the rows: each
-    row's room to its lower bound (if the entering step lowers it) or to its
-    upper bound (if it raises it), over the step's magnitude; the leaving
-    row is the eligible row with the smallest basic column.  At most
-    ``MAX_PIVOTS`` pivots are made.  Returns
+    anti-cycling guarantee.  The ratio test is one pass over the rows, into
+    buffers kept across pivots: each row's room to its lower bound (if the
+    entering step lowers it) or to its upper bound (if it raises it), over
+    the step's magnitude; the leaving row is the eligible row with the
+    smallest basic column.  At most ``MAX_PIVOTS`` pivots are made.  Returns
     ``(x, row_duals, reduced_costs, pivot_count)``.
     """
     c = np.asarray(c, dtype=float)
@@ -134,9 +137,11 @@ def dense_simplex(c, A, b, upper):
     if np.any(b < 0.0):
         raise ContractError("dense_simplex needs nonnegative right-hand sides")
     ncols = nvar + m
-    T = np.zeros((m, ncols))
-    T[:, :nvar] = A
+    # rows 0..m-1 are the tableau, row m the reduced costs
+    T = np.zeros((m + 1, ncols))
+    T[:m, :nvar] = A
     T[np.arange(m), np.arange(nvar, ncols)] = 1.0
+    z = T[m]
     cols, rows = np.nonzero(A.T)        # entries of A ordered by column
     vals = A[rows, cols]
     xB = b.copy()
@@ -152,29 +157,35 @@ def dense_simplex(c, A, b, upper):
     sgn[banned] = 0.0
     sgn[_crash(c, upper, cols, rows, vals, xB, art)] = -1.0
     u = np.concatenate([upper, np.full(m, np.inf)])
+    room = np.empty(m)
+    lim = np.empty(m)
     pivots = 0
 
-    def run(z):
+    def run():
         nonlocal xB, pivots
+        ub = u[basis]                   # upper bound of each basic row
         degen = 0
         while True:
             w = sgn * z
             j = int(w.argmin())
             if w[j] >= -1e-9:
-                return z
+                return
             if pivots >= MAX_PIVOTS:
                 raise SimplexError(f"pivot limit exceeded after {pivots} pivots")
             if degen > STALL_SWITCH:
                 j = int((w < -1e-9).argmax())
             from_upper = sgn[j] < 0.0
-            dec = -T[:, j] if from_upper else T[:, j]
+            dec = -T[:m, j] if from_upper else T[:m, j]
             abs_dec = np.abs(dec)
-            room = np.where(dec > 0.0, np.maximum(xB, 0.0), np.maximum(u[basis] - xB, 0.0))
-            lim = np.divide(room, abs_dec, out=np.full(m, np.inf), where=abs_dec > 1e-11)
-            dmin = float(lim.min())
+            np.subtract(ub, xB, out=room)
+            np.copyto(room, xB, where=dec > 0.0)
+            np.maximum(room, 0.0, out=room)
+            lim.fill(np.inf)
+            np.divide(room, abs_dec, out=lim, where=abs_dec > 1e-11)
+            dmin = float(np.minimum.reduce(lim))
             uj = float(u[j])
             delta = min(dmin, uj)
-            if not np.isfinite(delta):
+            if not math.isfinite(delta):
                 raise SimplexError("objective unbounded below")
             degen = degen + 1 if delta <= 1e-13 else 0
             if uj <= dmin:
@@ -182,21 +193,24 @@ def dense_simplex(c, A, b, upper):
                 sgn[j] = -sgn[j]
                 pivots += 1
                 continue
-            rr = int(np.where(lim <= delta + 1e-13, basis, ncols).argmin())
+            ties = (lim <= delta + 1e-13).nonzero()[0]
+            rr = int(ties[0] if ties.size == 1 else ties[basis[ties].argmin()])
             to_upper = dec[rr] < 0.0
             leaving = int(basis[rr])
             xB -= dec * delta
-            piv_row = T[rr] / T[rr, j]
-            T[rr] = piv_row
+            piv_row = T[rr]
+            piv_row /= T[rr, j]
             colv = T[:, j].copy()
             colv[rr] = 0.0
-            nz = np.flatnonzero(colv)
-            T[nz] -= colv[nz, None] * piv_row
-            xB[rr] = (uj - delta) if from_upper else delta
-            if z[j] != 0.0:
-                z = z - z[j] * piv_row
+            nz = colv.nonzero()[0]
+            # take gathers the rows faster than fancy indexing
+            sub = T.take(nz, axis=0)
+            sub -= colv.take(nz)[:, None] * piv_row
+            T[nz] = sub
             z[j] = 0.0
+            xB[rr] = (uj - delta) if from_upper else delta
             basis[rr] = j
+            ub[rr] = uj
             sgn[j] = 0.0
             if not banned[leaving]:
                 sgn[leaving] = -1.0 if to_upper else 1.0
@@ -204,8 +218,8 @@ def dense_simplex(c, A, b, upper):
 
     c1 = np.zeros(ncols)
     c1[nvar:][art] = 1.0
-    z1 = c1 - c1[basis] @ T
-    run(z1)
+    z[:] = c1 - c1[basis] @ T[:m]
+    run()
     art_rows = np.flatnonzero(basis >= nvar)
     residual = float(xB[art_rows].sum()) if art_rows.size else 0.0
     if residual > 1e-7 * max(1.0, float(np.abs(b).sum())):
@@ -216,13 +230,13 @@ def dense_simplex(c, A, b, upper):
     xB[art_rows] = np.maximum(xB[art_rows], 0.0)
     c2 = np.zeros(ncols)
     c2[:nvar] = c
-    z2 = c2 - c2[basis] @ T
-    z2 = run(z2)
+    z[:] = c2 - c2[basis] @ T[:m]
+    run()
     x = np.where(sgn[:nvar] < 0.0, upper, 0.0)
     mask = basis < nvar
     x[basis[mask]] = xB[mask]
-    y = -z2[nvar:]
-    return x, y, z2[:nvar].copy(), pivots
+    y = -z[nvar:]
+    return x, y, z[:nvar].copy(), pivots
 
 
 # ---------------------------------------------------------------------------

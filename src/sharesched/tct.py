@@ -218,6 +218,13 @@ def lsapprox_report(jobs: JobSet, params: LsApproxParams) -> tuple[Schedule, LsA
     scale = None
     lp_rounds = lp_pivots = lp_blocks = 0
     if lh:
+        vols = lh_jobs.volumes()
+        # a line's slope 1 / v_j past the float range leaves no line schedule,
+        # the same refusal as solve_alpha's start
+        steep = [idx for idx, vj in zip(lh, vols.tolist()) if not math.isfinite(1.0 / vj)]
+        if steep:
+            raise PipelineError("lp", f"the slope 1 / v_j of long-heavy job(s) "
+                                f"{', '.join(map(str, steep))} passes the float range")
         try:
             sol = lpmod.solve_lp(inst)
         except AlgorithmError as exc:
@@ -228,7 +235,6 @@ def lsapprox_report(jobs: JobSet, params: LsApproxParams) -> tuple[Schedule, LsA
         except ContractError as exc:
             raise PipelineError("line-schedule", str(exc)) from exc
         vbar = ls.scheduled_volumes
-        vols = lh_jobs.volumes()
         # the line schedule's breakpoints are known to about eps * horizon,
         # so job j's volume is known to about r_j * eps * horizon; a volume
         # below that is rounding noise, and stretching by vols / vbar would

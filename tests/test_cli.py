@@ -19,6 +19,8 @@ from conftest import time_limit
 FIG_JOBS = '{"jobs": [{"v": 1, "r": 0.75}, {"v": 4, "r": 0.5}, {"v": 6, "r": 0.66666666666666663}]}\n'
 # each processing time is finite, but their sum n * p_max overflows
 BIGP_JOBS = '{"jobs": [{"v": 1, "r": 1e-308}, {"v": 2, "r": 2.2e-308}]}\n'
+# 1 / v_j, the slope of each line, overflows
+TINY_JOBS = '{"jobs": [{"v": 1e-310, "r": 1}, {"v": 2e-310, "r": 1}]}\n'
 # n * p_max = 2e308 overflows, so the slot LP has no finite horizon
 HORIZON_JOBS = '{"jobs": [{"v": 1e308, "r": 1}, {"v": 1, "r": 1}]}\n'
 
@@ -263,6 +265,21 @@ class TestRun:
             assert cause in json.loads(captured.out)["error"]
         else:
             assert cause in captured.err and captured.out == ""
+
+    def test_volumes_past_the_slope_range_fail_lsapprox_and_lp_best_falls_back(
+            self, tmp_path, capsys):
+        # lsapprox once exited 3 naming a nan stretch, and 1 under
+        # -W error::RuntimeWarning with an overflow in the line-schedule kernel
+        inst = tmp_path / "tiny.json"
+        inst.write_text(TINY_JOBS)
+        cause = "lp: the slope 1 / v_j of long-heavy job(s) 0, 1 passes the float range"
+        assert main(["run", "lsapprox", "--input", str(inst)]) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == cause
+        assert main(["run", "best", "--lp-ls", "--input", str(inst)]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["validation"]["feasible"] is True
+        assert rec["parameters"]["chosen"] == "greedy"
+        assert rec["parameters"]["line_error"] == cause
 
     @pytest.mark.parametrize("algo", cli.ALGORITHMS)
     def test_empty_instance_runs(self, tmp_path, capsys, algo):

@@ -24,6 +24,7 @@ from sharesched import (
     makespan,
     solve_alpha,
     solve_lp,
+    validate_schedule,
 )
 from sharesched import _kernel, linesched
 from sharesched.cli import generate_random
@@ -363,6 +364,22 @@ class TestSolveAlpha:
             assert not isinstance(err.value, ConvergenceError)
             _, report = best_schedule(jobs)
         assert report.chosen == "greedy" and "start overflows" in report.line_error
+
+    def test_inner_products_past_the_float_range_stay_silent(self):
+        # processing times near the float range overflow the step's inner
+        # products to +-inf, which the ascent test still reads; this once
+        # raised a RuntimeWarning, an error under the test settings
+        v = [21.32701336780752, 1.4194690735804358, 0.07268608093786182,
+             0.8222656593278913, 217.233603349544]
+        r = [1.0938576147627934e-306, 5.083365179384329e-306, 5.389218591881237e-308,
+             3.8370733904252934e-306, 1.3618739532614544e-304]
+        jobs = JobSet.of(zip(v, r))
+        ls = build_line_schedule(jobs, solve_alpha(jobs))
+        assert np.max(np.abs(ls.scheduled_volumes - v)) <= linesched.DEFAULT_TOL
+        assert duality_quantities(ls).primal_cost < np.inf
+        sched, report = best_schedule(jobs)
+        assert report.line_error is None
+        assert validate_schedule(jobs, sched).feasible
 
     @pytest.mark.parametrize("n", [16, 24, 32])
     def test_larger_instances_meet_targets_and_strong_duality(self, n):

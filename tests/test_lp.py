@@ -355,6 +355,26 @@ class TestDenseSimplexEngine:
         for args in captured:
             assert_same_as_reference(args, lpmod.STALL_SWITCH)
 
+    def test_reduced_costs_match_the_row_duals(self, monkeypatch):
+        # the cost row is eliminated with the tableau, so the reduced costs
+        # it returns must equal c - A^T y, recomputed here from the duals
+        cases = [random_boxed_lp(seed) for seed in range(50)]
+
+        def record(*args):
+            cases.append(tuple(np.array(a) for a in args))
+            return dense_simplex(*args)
+
+        monkeypatch.setattr(lpmod, "dense_simplex", record)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            solve_lp(TestRefinementWork.lhs_lp(rng))
+        monkeypatch.undo()
+        assert len(cases) >= 70
+        for c, A, b, upper in cases:
+            _, y, d, _ = dense_simplex(c, A, b, upper)
+            err = np.abs(d - (c - A.T @ y)) / np.maximum(1.0, np.abs(c))
+            assert err.max() <= 1e-12
+
     def test_pivot_temporaries_stay_below_half_a_tableau(self, monkeypatch):
         # the slot LP of 4 jobs on 256 one-slot blocks; a pivot touches only
         # the rows where the entering column is nonzero

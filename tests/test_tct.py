@@ -344,6 +344,18 @@ class TestLsApprox:
         assert max(sched.assignments[i].support_end for i in lh) <= info.horizon
 
 
+    def test_volumes_past_the_slope_range_fail_the_lp_stage(self):
+        # 1 / v_j is inf for both jobs; the pipeline once went on to a nan
+        # stretch, or to an overflow in the line-schedule kernel
+        jobs = JobSet.of([(1e-310, 1), (2e-310, 1)])
+        with pytest.raises(PipelineError) as err:
+            lsapprox_report(jobs, LsApproxParams(0.5))
+        assert err.value.stage == "lp"
+        assert str(err.value) == ("lp: the slope 1 / v_j of long-heavy job(s) 0, 1 "
+                                  "passes the float range")
+        _, report = best_schedule(jobs, LsApproxParams(0.5))
+        assert report.chosen == "greedy" and report.line_error.startswith("lp: the slope")
+
     def test_edges_merged_by_the_stretch_fail_the_scale_stage(self, merging_stretch):
         # this once escaped as a plain ContractError from StepFunction
         with pytest.raises(PipelineError) as err:
