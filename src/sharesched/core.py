@@ -117,6 +117,11 @@ class StepFunction:
     ``t < 0``.  ``edges[0]`` is always 0.  Instances are canonical: adjacent
     equal values are merged and the zero tail is trimmed.  Nothing else
     changes, so an interval of any width keeps its value and its integral.
+
+    The constructor checks everything.  ``_on_grid`` is for edges the
+    package built itself, which start at 0 and increase strictly by
+    construction: it checks only the last edge and the values, and refuses
+    with the same messages.
     """
 
     __slots__ = ("edges", "values")
@@ -131,6 +136,9 @@ class StepFunction:
         if not (e[0] == 0.0 and e[-1] < math.inf and _all(e[1:] > e[:-1])
                 and _all(np.isfinite(v))):
             raise ContractError(_fault(e, v))
+        self._finish(e, v)
+
+    def _finish(self, e: np.ndarray, v: np.ndarray) -> None:
         e, v = _canonical(e, v)
         object.__setattr__(self, "edges", e)
         object.__setattr__(self, "values", v)
@@ -139,6 +147,17 @@ class StepFunction:
         raise AttributeError("StepFunction is immutable")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _on_grid(cls, edges: np.ndarray, values: np.ndarray) -> "StepFunction":
+        """A step function on float arrays the package built, with
+        ``edges.size == values.size + 1``, ``edges[0] == 0`` and edges that
+        increase strictly; only what can still fail is checked."""
+        if not (edges[-1] < math.inf and _all(np.isfinite(values))):
+            raise ContractError(_fault(edges, values))
+        self = object.__new__(cls)
+        self._finish(edges, values)
+        return self
 
     @classmethod
     def zero(cls) -> "StepFunction":
@@ -195,16 +214,18 @@ def _fault(e: np.ndarray, v: np.ndarray) -> str:
 
 
 def _canonical(e: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # merge equal adjacent values
-    differ = v[1:] != v[:-1]
-    if not _all(differ):
-        keep = np.concatenate(((True,), differ))
-        e = np.concatenate((e[:-1][keep], e[-1:]))
-        v = v[keep]
-    # trim zero tail
-    while v.size and v[-1] == 0.0:
-        v = v[:-1]
-        e = e[:-1]
+    """Merge equal neighbours and trim the zero tail.
+
+    One mask over the edges keeps both ends and every inner edge where the
+    value changes; after the merge at most one zero piece can trail.
+    """
+    keep = np.empty(e.size, dtype=bool)
+    keep[0] = keep[-1] = True
+    np.not_equal(v[1:], v[:-1], out=keep[1:-1])
+    if not _all(keep):
+        e, v = e[keep], v[keep[:-1]]
+    if v.size and v[-1] == 0.0:
+        e, v = e[:-1], v[:-1]
     if not v.size:
         return np.array([0.0]), np.array([], dtype=float)
     return e, v
@@ -234,12 +255,13 @@ def sum_steps(fns: Sequence[StepFunction]) -> StepFunction:
         return StepFunction.zero()
     if len(fns) == 1:
         return fns[0]
+    # the sorted distinct union of valid edges starts at 0 and increases
     grid = _distinct(np.concatenate([f.edges for f in fns]))
     left = grid[:-1]
     total = np.zeros(left.size)
     for f in fns:
         total += np.concatenate((f.values, (0.0,)))[f.edges.searchsorted(left, side="right") - 1]
-    return StepFunction(grid, total)
+    return StepFunction._on_grid(grid, total)
 
 
 # ``x.all()`` and ``x.any()`` for a boolean array x, without the Python-level

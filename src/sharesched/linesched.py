@@ -185,15 +185,19 @@ def build_line_schedule(jobs: JobSet, alpha) -> LineSchedule:
     t0 = grid[:-1]
     rates = _kernel._read(times, row_rates, t0)
 
-    # gamma follows line k and beta_j = d_j - gamma wherever they are positive
+    # gamma follows line k and beta_j = d_j - gamma wherever they are positive;
+    # a priority alpha_j - t / v_j past the float range overflows to -inf,
+    # which still reads as the lowest line
     mid = 0.5 * (t0 + grid[1:])
-    _, beta_mid, k = _kernel.prices(a[:, None] - mid[None, :] / v[:, None], rates)
-    gamma_start = np.where(k >= 0, a[k] - t0 / v[k], 0.0)
-    gamma_slope = np.where(k >= 0, -1.0 / v[k], 0.0)
-    positive = beta_mid > 0.0
-    beta_start = np.where(positive, a[:, None] - t0[None, :] / v[:, None] - gamma_start, 0.0)
-    beta_slope = np.where(positive, -1.0 / v[:, None] - gamma_slope, 0.0)
-    return LineSchedule(Schedule(StepFunction(grid, rates[j]) for j in range(n)), a,
+    with np.errstate(over="ignore"):
+        _, beta_mid, k = _kernel.prices(a[:, None] - mid[None, :] / v[:, None], rates)
+        gamma_start = np.where(k >= 0, a[k] - t0 / v[k], 0.0)
+        gamma_slope = np.where(k >= 0, -1.0 / v[k], 0.0)
+        positive = beta_mid > 0.0
+        beta_start = np.where(positive, a[:, None] - t0[None, :] / v[:, None] - gamma_start, 0.0)
+        beta_slope = np.where(positive, -1.0 / v[:, None] - gamma_slope, 0.0)
+    # _distinct of 0 and the event times: starts at 0 and increases
+    return LineSchedule(Schedule(StepFunction._on_grid(grid, rates[j]) for j in range(n)), a,
                         gamma_start, gamma_slope, beta_start, beta_slope, vols, grid, jobs, rates)
 
 

@@ -21,6 +21,7 @@ from .core import (
     AlgorithmError,
     ContractError,
     DEFAULT_TOL,
+    InstanceError,
     JobSet,
     Schedule,
     StepFunction,
@@ -40,7 +41,8 @@ def greedy(jobs: JobSet) -> Schedule:
 
     Ties are broken by original index.  Job j runs at
     min(requirement, remaining capacity) until its volume completes; the
-    completion instant is computed exactly on the usage grid.
+    completion instant is computed exactly on the usage grid.  Raises
+    ``InstanceError`` for a job whose completion time passes the float range.
     """
     n = len(jobs)
     order = sorted(range(n), key=lambda j: (jobs[j].volume, j))
@@ -56,10 +58,13 @@ def greedy(jobs: JobSet) -> Schedule:
             rates, t_done = caps[: k + 1], usage.edges[k] + (v - before) / caps[k]
         else:   # the rest runs at full requirement after the usage ends
             rates, t_done = np.concatenate((caps, (r,))), usage.support_end + (v - before) / r
+        if not t_done < math.inf:
+            raise InstanceError(f"job {j}'s greedy completion time overflows the float range")
         edges = np.concatenate((usage.edges[: rates.size], (t_done,)))
         if t_done <= edges[-2]:   # what is left is below rounding: end at the last edge
             edges, rates = edges[:-1], rates[:-1]
-        assignments[j] = StepFunction(edges, rates)
+        # the usage's edges through the interval that reaches v, then a later t_done
+        assignments[j] = StepFunction._on_grid(edges, rates)
         usage = usage + assignments[j]
     return Schedule(assignments)
 

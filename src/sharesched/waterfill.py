@@ -17,6 +17,7 @@ import numpy as np
 from .core import (
     ContractError,
     DEFAULT_TOL,
+    InstanceError,
     Job,
     JobSet,
     Schedule,
@@ -131,7 +132,8 @@ def waterfill_step(usage: StepFunction, job: Job, deadline: float) -> WaterfillO
             prev_vol, val = (sums[j - 1] if j else below_lo), sums[j]
             level = float(prev_h + (v - prev_vol) * (h - prev_h) / (val - prev_vol))
     rates = np.minimum(r, np.maximum(level - levels, 0.0))
-    return WaterfillOutcome(ok=True, assignment=StepFunction(edges, rates), level=level)
+    # the usage's edges before the deadline, then the deadline
+    return WaterfillOutcome(ok=True, assignment=StepFunction._on_grid(edges, rates), level=level)
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,8 @@ def waterfill_online(jobs: JobSet, ratio: float = COMPETITIVE_RATIO) -> OnlineRu
 
     The usage is folded once per job, as in ``greedy``.  Failure is data,
     not an exception: the run stops at the first job whose volume does not
-    fit and records its index and deficit.
+    fit and records its index and deficit.  A target past the float range
+    is an ``InstanceError``, raised before its step.
     """
     if not (ratio >= 1.0 and math.isfinite(ratio)):
         raise ContractError(f"competitive ratio must be at least 1 and finite, got {ratio}")
@@ -182,6 +185,9 @@ def waterfill_online(jobs: JobSet, ratio: float = COMPETITIVE_RATIO) -> OnlineRu
         p_max = max(p_max, job.processing_time)
         opt = max(total, p_max)
         target = ratio * opt
+        if not target < math.inf:
+            raise InstanceError(f"job {idx}'s target completion time {ratio!r} * {opt!r} "
+                                f"overflows the float range")
         optima.append(opt)
         targets.append(target)
         outcome = waterfill_step(usage, job, target)

@@ -21,6 +21,8 @@ FIG_JOBS = '{"jobs": [{"v": 1, "r": 0.75}, {"v": 4, "r": 0.5}, {"v": 6, "r": 0.6
 BIGP_JOBS = '{"jobs": [{"v": 1, "r": 1e-308}, {"v": 2, "r": 2.2e-308}]}\n'
 # 1 / v_j, the slope of each line, overflows
 TINY_JOBS = '{"jobs": [{"v": 1e-310, "r": 1}, {"v": 2e-310, "r": 1}]}\n'
+# the total volume, and so greedy's last completion time, overflows
+BIGV_JOBS = '{"jobs": [{"v": 1e308, "r": 1}, {"v": 1.5e308, "r": 1}]}\n'
 # n * p_max = 2e308 overflows, so the slot LP has no finite horizon
 HORIZON_JOBS = '{"jobs": [{"v": 1e308, "r": 1}, {"v": 1, "r": 1}]}\n'
 
@@ -265,6 +267,24 @@ class TestRun:
             assert cause in json.loads(captured.out)["error"]
         else:
             assert cause in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("algo,cause", [
+        ("greedy", "job 1's greedy completion time overflows the float range"),
+        ("waterfill", "job 1's target completion time 1.5819767068693265 * inf "
+                      "overflows the float range"),
+        ("best", "job 1's greedy completion time overflows the float range"),
+    ])
+    def test_overflowing_total_volume_is_an_instance_error(self, tmp_path, capsys, algo, cause):
+        # this was once a usage error from the step function, "edges and
+        # values must be finite", which stopped compare
+        inst = tmp_path / "bigv.json"
+        inst.write_text(BIGV_JOBS)
+        assert main(["run", algo, "--input", str(inst)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {cause}\n" and captured.out == ""
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--inputs", str(inst), "--algos", algo, "--out", str(out)]) == 0
+        assert out.read_text().split("\n")[1] == f"{inst},{algo},2,,,,,,,error,,"
 
     def test_volumes_past_the_slope_range_fail_lsapprox_and_lp_best_falls_back(
             self, tmp_path, capsys):

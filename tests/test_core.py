@@ -25,6 +25,7 @@ from sharesched import (
     validate_schedule,
 )
 from sharesched import core
+from sharesched.cli import generate_random
 from sharesched.tct import greedy, ls_exact
 from sharesched.waterfill import adversarial_instance, waterfill_online
 
@@ -532,3 +533,102 @@ def test_distinct_is_np_unique_for_finite_input():
                   np.round(x * 3).astype(np.int64)):
             assert core._distinct(a).tobytes() == np.unique(a).tobytes()
             assert core._distinct(a).dtype == np.unique(a).dtype
+
+
+# -- step functions on a grid the package built ------------------------------
+
+
+@pytest.fixture
+def checked_on_grid(monkeypatch):
+    """Patch ``StepFunction._on_grid`` to also build ``StepFunction(e, v)``,
+    which checks everything: it must accept every input, and give the same
+    bytes.  Yields the list of (edges, values) inputs seen."""
+    seen = []
+    real = StepFunction._on_grid.__func__
+
+    def both(cls, edges, values):
+        got = real(cls, edges, values)
+        want = StepFunction(edges, values)
+        assert edges.dtype == values.dtype == np.float64
+        assert got.edges.tobytes() == want.edges.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+        seen.append((edges, values))
+        return got
+
+    monkeypatch.setattr(StepFunction, "_on_grid", classmethod(both))
+    yield seen
+
+
+def test_on_grid_input_passes_every_check_online(checked_on_grid):
+    streams = ([random_instance(seed, 60) for seed in range(25)] + [adversarial_instance(120)]
+               + [generate_random(n, s, vmin=1e-6, vmax=1e6) for n in (10, 40) for s in range(5)]
+               # greedy's one-ulp instances (tests/test_tct.py)
+               + [JobSet.of(pairs) for pairs in (
+                   [(1.0, 0.11547819846894582), (10.0, 1.0), (1.0, 0.11547819846894582),
+                    (0.1, 0.01), (0.1, 0.74989420933245587)],
+                   [(1000.0, 1.0), (1.0, 0.1), (1.0000000000230258, 0.1)],
+                   [(1.0, 1.0), (1.0, 0.28902639100224503), (1.0, 0.28902639100224503)])])
+    for jobs in streams:
+        before = len(checked_on_grid)
+        waterfill_online(jobs)
+        greedy(jobs)
+        # greedy alone builds each job's assignment and every fold but the
+        # first, whose zero usage adds nothing
+        assert len(checked_on_grid) - before >= 2 * len(jobs) - 1
+    assert len(checked_on_grid) > 4000
+
+
+def test_on_grid_input_passes_every_check_in_line_schedules(checked_on_grid):
+    for n in range(1, 9):
+        for seed in range(1, 4):
+            before = len(checked_on_grid)
+            ls_exact(generate_random(n, seed))
+            assert len(checked_on_grid) - before >= n
+
+
+def test_on_grid_keeps_the_refusal_messages():
+    finite = "edges and values must be finite"
+    # each operand is valid, and their sum overflows
+    with np.errstate(over="ignore"), pytest.raises(ContractError, match=finite):
+        sum_steps([StepFunction.constant(1e308, 1.0), StepFunction.constant(1.7e308, 1.0)])
+    for edges, values in [([0.0, 1.0, math.inf], [1.0, 0.5]), ([0.0, math.inf], [1.0]),
+                          ([0.0, math.nan], [1.0]), ([0.0, 1.0], [math.nan]),
+                          ([0.0, 1.0, 2.0], [0.5, -math.inf])]:
+        e, v = np.array(edges), np.array(values)
+        with pytest.raises(ContractError) as info:
+            StepFunction._on_grid(e, v)
+        assert str(info.value) == finite
+        with pytest.raises(ContractError) as info:
+            StepFunction(e, v)
+        assert str(info.value) == finite
+
+
+def two_concatenate_canonical(e, v):
+    """The canonical form as two concatenates and a trimming loop built it."""
+    differ = v[1:] != v[:-1]
+    if not differ.all():
+        keep = np.concatenate(((True,), differ))
+        e = np.concatenate((e[:-1][keep], e[-1:]))
+        v = v[keep]
+    while v.size and v[-1] == 0.0:
+        v = v[:-1]
+        e = e[:-1]
+    if not v.size:
+        return np.array([0.0]), np.array([], dtype=float)
+    return e, v
+
+
+def test_canonical_matches_the_two_concatenate_rule():
+    rng = np.random.default_rng(7)
+    for _ in range(600):
+        k = int(rng.integers(0, 12))
+        values = rng.choice([0.0, -0.0, 0.25, 1.0 / 3.0, rng.uniform()], size=k)
+        for i in range(1, k):
+            if rng.random() < 0.3:     # equal neighbours
+                values[i] = values[i - 1]
+        values = np.concatenate((values, np.zeros(int(rng.integers(0, 4)))))  # a zero tail
+        edges = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 2.0, values.size))))
+        got = core._canonical(edges, values)
+        want = two_concatenate_canonical(edges, values)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()

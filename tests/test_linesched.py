@@ -381,6 +381,18 @@ class TestSolveAlpha:
         assert report.line_error is None
         assert validate_schedule(jobs, sched).feasible
 
+    def test_priorities_past_the_float_range_stay_silent(self):
+        # a volume below 1 meets grid times near the float range, so a
+        # priority alpha_j - t / v_j overflows to -inf and prices it lowest;
+        # this once raised a RuntimeWarning in build_line_schedule
+        v = [0.1705192048054303, 224.94511200074984, 50.543829835267424]
+        r = [1.326957298899854e-308, 1.8403079388004853e-304, 1.039834767835005e-306]
+        jobs = JobSet.of(zip(v, r))
+        ls = build_line_schedule(jobs, solve_alpha(jobs))
+        assert validate_schedule(jobs, ls.schedule).feasible
+        sched, report = best_schedule(jobs)
+        assert validate_schedule(jobs, sched).feasible
+
     @pytest.mark.parametrize("n", [16, 24, 32])
     def test_larger_instances_meet_targets_and_strong_duality(self, n):
         for seed in (1, 2):

@@ -5,6 +5,7 @@ import pytest
 
 from sharesched import (
     ContractError,
+    InstanceError,
     Job,
     JobSet,
     LsApproxParams,
@@ -105,6 +106,13 @@ class TestGreedy:
         sched = greedy(jobs)
         assert validate_schedule(jobs, sched).feasible
         assert sched.completion_times()[2] == sched.completion_times()[1]
+
+    def test_completion_time_past_the_float_range_is_an_instance_error(self):
+        # job 1 starts when job 0 ends at 1e308; this once raised a usage
+        # error, "edges and values must be finite", from the step function
+        with pytest.raises(InstanceError) as info:
+            greedy(JobSet.of([(1e308, 1.0), (1.5e308, 1.0)]))
+        assert str(info.value) == "job 1's greedy completion time overflows the float range"
 
     @pytest.mark.parametrize("pairs", [[(1e308, 1), (1, 1)], [(1e200, 1)]])
     def test_fractional_completion_time_of_huge_volumes_is_finite(self, pairs):

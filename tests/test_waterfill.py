@@ -10,6 +10,7 @@ from sharesched import waterfill
 from sharesched import (
     COMPETITIVE_RATIO,
     ContractError,
+    InstanceError,
     Job,
     JobSet,
     Schedule,
@@ -294,6 +295,20 @@ class TestWaterfillOnline:
     def test_empty_run(self):
         run = waterfill_online(JobSet())
         assert run.ok and run.final_schedule() == Schedule.empty(0) and run.failure_index is None
+
+    @pytest.mark.parametrize("pairs,cause", [
+        # the prefix optimum, the total volume, overflows
+        ([(1e308, 1.0), (1.5e308, 1.0)], "job 1's target completion time"),
+        # the optimum is finite, and ratio times it is not
+        ([(1.5e308, 1.0)], "job 0's target completion time"),
+    ])
+    def test_target_past_the_float_range_is_an_instance_error(self, pairs, cause):
+        # the step once ran to its deadline inf: a RuntimeWarning in the
+        # level search, then a ContractError from the step function
+        with pytest.raises(InstanceError) as info:
+            waterfill_online(JobSet.of(pairs))
+        assert str(info.value).startswith(cause)
+        assert str(info.value).endswith("overflows the float range")
 
     def test_low_ratio_fails_on_adversarial_family(self):
         run = waterfill_online(adversarial_instance(200), ratio=1.55)
