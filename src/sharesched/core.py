@@ -231,13 +231,18 @@ def _canonical(e: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, v
 
 
+#: the zero that pads step-function values on either side, shared read-only
+_ZERO = np.zeros(1)
+_ZERO.flags.writeable = False
+
+
 def _pieces_before(f: StepFunction, C: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edges, widths and values of ``f`` on [0, C), zero-padded up to C."""
     cut = int(f.edges.searchsorted(C, side="left"))
     edges = np.concatenate((f.edges[:cut], (C,)))
     values = f.values[:cut]
     if values.size < cut:   # C lies past the support: one zero piece up to it
-        values = np.concatenate((values, (0.0,)))
+        values = np.concatenate((values, _ZERO))
     return edges, edges[1:] - edges[:-1], values
 
 
@@ -245,10 +250,11 @@ def sum_steps(fns: Sequence[StepFunction]) -> StepFunction:
     """Pointwise sum of step functions, exact on the union grid of their edges.
 
     The grid refines every operand, so each operand's value on a grid
-    interval is its value at the interval's left end, read by one
-    ``searchsorted`` as ``StepFunction.__call__`` reads it (a left end past
-    the operand's support reads the zero pad).  A single non-zero operand
-    is its own sum: step functions are immutable.
+    interval is its value at the interval's left end.  One ``searchsorted``
+    (side right) gives its position, which indexes the operand's values
+    padded at both ends with one shared zero: position 0 would be before 0,
+    and a left end past the operand's support reads the zero at the end.
+    A single non-zero operand is its own sum: step functions are immutable.
     """
     fns = [f for f in fns if f.values.size]
     if not fns:
@@ -260,7 +266,7 @@ def sum_steps(fns: Sequence[StepFunction]) -> StepFunction:
     left = grid[:-1]
     total = np.zeros(left.size)
     for f in fns:
-        total += np.concatenate((f.values, (0.0,)))[f.edges.searchsorted(left, side="right") - 1]
+        total += np.concatenate((_ZERO, f.values, _ZERO))[f.edges.searchsorted(left, side="right")]
     return StepFunction._on_grid(grid, total)
 
 
@@ -348,19 +354,30 @@ def validate_schedule(jobs: JobSet, sched: Schedule, tol: float = DEFAULT_TOL) -
     if len(jobs) != sched.n_jobs:
         raise ContractError(f"{len(jobs)} jobs but {sched.n_jobs} assignments")
     violations: list[Violation] = []
-    for idx, (job, a) in enumerate(zip(jobs, sched.assignments)):
-        over = a.values - job.requirement if a.values.size else np.array([])
-        if over.size and float(over.max()) > tol:
-            k = int(np.argmax(over))
-            violations.append(
-                Violation("requirement-exceeded", float(over[k]), job=idx,
-                          interval=(float(a.edges[k]), float(a.edges[k + 1])))
-            )
-        deficit = job.volume - a.integral()
-        if deficit > tol * max(1.0, job.volume):
-            violations.append(Violation("volume-deficit", float(deficit), job=idx))
-    usage = sched.total_usage()
-    over = usage.values - 1.0
+    # a row's integral past the float range reads inf, and so does the rates'
+    # sum, which the step function then refuses
+    with np.errstate(over="ignore"):
+        for idx, (job, a) in enumerate(zip(jobs, sched.assignments)):
+            over = a.values - job.requirement if a.values.size else np.array([])
+            if over.size and float(over.max()) > tol:
+                k = int(np.argmax(over))
+                violations.append(
+                    Violation("requirement-exceeded", float(over[k]), job=idx,
+                              interval=(float(a.edges[k]), float(a.edges[k + 1])))
+                )
+            deficit = job.volume - a.integral()
+            if deficit > tol * max(1.0, job.volume):
+                violations.append(Violation("volume-deficit", float(deficit), job=idx))
+        try:
+            usage = sched.total_usage()
+            over = usage.values - 1.0
+        except ContractError:
+            # every rate halved k times, 2**k > 2n, sums with no partial sum
+            # past the float range; the overuse reads back capped at the largest float
+            scale = 0.5 ** (sched.n_jobs.bit_length() + 1)
+            usage = sum_steps([StepFunction._on_grid(a.edges, a.values * scale)
+                               for a in sched.assignments])
+            over = np.minimum(usage.values / scale - 1.0, np.finfo(float).max)
     if over.size and float(over.max()) > tol:
         k = int(np.argmax(over))
         violations.append(

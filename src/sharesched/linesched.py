@@ -331,11 +331,16 @@ def duality_quantities(ls: LineSchedule) -> DualityQuantities:
     primal = fractional_completion_time(ls.jobs, ls.schedule)[1]
     payoff = float(np.dot(ls.alpha, ls.scheduled_volumes))
     w = np.diff(ls.grid)
-    # near the float range the requirement penalty's row sums can overflow to
-    # inf before r scales them down; the penalty then reads inf
     with np.errstate(over="ignore"):
+        heights = ls.beta_start + 0.5 * ls.beta_slope * w
         # np.vecdot sums each row as np.dot does; a matrix product may round differently
-        req = sum(r * np.vecdot(ls.beta_start + 0.5 * ls.beta_slope * w, w))
+        terms = r * np.vecdot(heights, w)
+        # near the float range a row sum can overflow before r scales it
+        # down: only such a row is summed again, with its r applied first
+        bad = ~np.isfinite(terms)
+        if _any(bad):
+            terms[bad] = np.vecdot(r[bad, None] * heights[bad], w)
+        req = sum(terms)
         cap = np.dot(w, ls.gamma_start + 0.5 * ls.gamma_slope * w)
     return DualityQuantities(primal, payoff, float(req), float(cap))
 

@@ -50,7 +50,9 @@ def greedy(jobs: JobSet) -> Schedule:
     usage = StepFunction.zero()
     for j in order:
         v, r = jobs[j].volume, jobs[j].requirement
-        caps = np.minimum(r, np.maximum(1.0 - usage.values, 0.0))
+        caps = 1.0 - usage.values
+        np.maximum(caps, 0.0, out=caps)
+        np.minimum(caps, r, out=caps)
         filled = (caps * usage.widths()).cumsum()
         k = int(filled.searchsorted(v, side="left"))   # first interval reaching v
         before = float(filled[k - 1]) if k else 0.0

@@ -29,9 +29,13 @@ from .core import (
 E = math.e
 #: the optimal competitive ratio e / (e - 1)
 COMPETITIVE_RATIO = E / (E - 1.0)
-#: entries (candidate levels x usage pieces) that ``waterfill_step`` sums in
-#: one block; past it the level search bisects on single candidates first
+#: entries (candidate levels, repeats included, x usage pieces) that
+#: ``waterfill_step`` sums in one block; past it the level search bisects on
+#: single candidates first
 BLOCK_ENTRIES = 2048
+#: the two candidate levels every step has, 0 and 1
+_UNIT = np.array([0.0, 1.0])
+_UNIT.flags.writeable = False
 
 
 def optimal_makespan(jobs: JobSet) -> tuple[float, Schedule]:
@@ -77,21 +81,28 @@ def waterfill_step(usage: StepFunction, job: Job, deadline: float) -> WaterfillO
     smallest sufficient level is found exactly by interpolating between
     those candidates.
 
+    The candidates are those levels, 0 and 1, clipped into [0, 1] in place
+    and sorted, not deduplicated: a clipped candidate repeats 0.0 or 1.0,
+    and a repeat sums like its twin, so the first candidate that reaches
+    the volume, and the strictly smaller one before it, are those of the
+    distinct list.  They are levels, not a time grid, so every sorted grid
+    of the package still comes from ``_distinct``.
+
     The search finds the first candidate whose volume reaches the job's
     volume, as a scan in order would.  Each sum is a row of one
     ``np.vecdot``: every term ``w * min(r, max(h - level, 0))`` is
     nondecreasing in h, rounding is monotone, and the terms are added in the
     same order at every h, so the sums are nondecreasing as computed, not
     only in exact arithmetic, and a row does not depend on the block it sits
-    in.  While the candidates left, times the K usage pieces, exceed
-    ``BLOCK_ENTRIES``, a bisection on single candidates narrows the range;
-    one block then sums every candidate left through the top one, whose sum
-    is the capacity below level 1 when no probe reached the volume, and
-    ``searchsorted`` takes the first that reaches it.  The level is
+    in.  While the candidates left, repeats included, times the K usage
+    pieces exceed ``BLOCK_ENTRIES``, a bisection on single candidates
+    narrows the range; one block then sums every candidate left through the
+    top one, whose sum is the capacity below level 1 when no probe reached
+    the volume, and ``searchsorted`` takes the first that reaches it.  The level is
     interpolated from the sums at that candidate and the one before.
 
     A step costs O(K log K) for the bisection plus at most ``BLOCK_ENTRIES``
-    entries for the block (all of the about 2K candidates at once when they
+    entries for the block (all of the 2K + 2 candidates at once when they
     fit).
     """
     if deadline < 0.0:
@@ -100,12 +111,17 @@ def waterfill_step(usage: StepFunction, job: Job, deadline: float) -> WaterfillO
         return WaterfillOutcome(ok=False, deficit=job.volume)
     edges, widths, levels = _pieces_before(usage, deadline)
     r, v = job.requirement, job.volume
-    cands = np.concatenate((levels, levels + r, (0.0, 1.0)))
-    cands = _distinct(cands[(cands >= 0.0) & (cands <= 1.0)])     # the last one is 1.0
+    cands = np.concatenate((levels, levels + r, _UNIT))
+    np.maximum(cands, 0.0, out=cands)
+    np.minimum(cands, 1.0, out=cands)
+    cands.sort()        # the last one is 1.0
 
     def block(lo: int, hi: int) -> np.ndarray:
         """The volume below each of ``cands[lo:hi]``."""
-        return np.vecdot(np.minimum(r, np.maximum(cands[lo:hi, None] - levels, 0.0)), widths)
+        rows = cands[lo:hi, None] - levels
+        np.maximum(rows, 0.0, out=rows)
+        np.minimum(rows, r, out=rows)
+        return np.vecdot(rows, widths)
 
     # the first candidate reaching v lies in [lo, hi], and ``below_lo`` is
     # the sum at lo - 1; hi stays at 1.0 unless a probe reaches v
@@ -131,7 +147,9 @@ def waterfill_step(usage: StepFunction, job: Job, deadline: float) -> WaterfillO
             prev_h, h = cands[i - 1], cands[i]
             prev_vol, val = (sums[j - 1] if j else below_lo), sums[j]
             level = float(prev_h + (v - prev_vol) * (h - prev_h) / (val - prev_vol))
-    rates = np.minimum(r, np.maximum(level - levels, 0.0))
+    rates = level - levels
+    np.maximum(rates, 0.0, out=rates)
+    np.minimum(rates, r, out=rates)
     # the usage's edges before the deadline, then the deadline
     return WaterfillOutcome(ok=True, assignment=StepFunction._on_grid(edges, rates), level=level)
 

@@ -25,6 +25,9 @@ TINY_JOBS = '{"jobs": [{"v": 1e-310, "r": 1}, {"v": 2e-310, "r": 1}]}\n'
 BIGV_JOBS = '{"jobs": [{"v": 1e308, "r": 1}, {"v": 1.5e308, "r": 1}]}\n'
 # n * p_max = 2e308 overflows, so the slot LP has no finite horizon
 HORIZON_JOBS = '{"jobs": [{"v": 1e308, "r": 1}, {"v": 1, "r": 1}]}\n'
+# two valid rows whose summed usage overflows
+OVERFLOW_SCHEDULE = ('{"breakpoints": [0, 1], "assignments": [[1e308], [1.7e308]], '
+                     '"completion_times": [1, 1]}\n')
 
 
 def _package_env() -> dict:
@@ -285,6 +288,24 @@ class TestRun:
         out = tmp_path / "cmp.csv"
         assert main(["compare", "--inputs", str(inst), "--algos", algo, "--out", str(out)]) == 0
         assert out.read_text().split("\n")[1] == f"{inst},{algo},2,,,,,,,error,,"
+
+    def test_verify_reports_an_overflowing_usage_as_overuse(self, tmp_path):
+        # this once warned in sum_steps and exited 2 with "edges and values
+        # must be finite", or 1 with a traceback under -W error::RuntimeWarning
+        inst, sched = tmp_path / "two.json", tmp_path / "over.json"
+        inst.write_text('{"jobs": [{"v": 1, "r": 1}, {"v": 1, "r": 1}]}\n')
+        sched.write_text(OVERFLOW_SCHEDULE)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "sharesched.cli",
+             "verify", "--instance", str(inst), "--schedule", str(sched)],
+            capture_output=True, text=True, env=_package_env(), timeout=60)
+        assert proc.returncode == 4 and proc.stderr == ""
+        out = json.loads(proc.stdout)
+        assert out["feasible"] is False
+        assert [(v["kind"], v["job"]) for v in out["violations"]] == [
+            ("requirement-exceeded", 0), ("requirement-exceeded", 1), ("overuse", None)]
+        assert out["violations"][2]["magnitude"] == np.finfo(float).max
+        assert out["violations"][2]["interval"] == [0, 1]
 
     def test_volumes_past_the_slope_range_fail_lsapprox_and_lp_best_falls_back(
             self, tmp_path, capsys):

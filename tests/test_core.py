@@ -262,6 +262,26 @@ class TestValidation:
         assert len(over) == 1 and over[0].magnitude == pytest.approx(0.31)
         assert over[0].interval == (1.0, end)
 
+    def test_overflowing_usage_is_overuse(self):
+        # each row is a valid step function, but their sum passes the float
+        # range; the overuse is read from the halved rates, capped at the
+        # largest float, on the interval where the usage peaks
+        jobs = JobSet.of([(1, 1), (1, 1), (1, 1)])
+        sched = Schedule([StepFunction.constant(1e308, 1.0),
+                          StepFunction([0.0, 2.0, 3.0], [1.7e308, 0.5]),
+                          StepFunction.constant(0.25, 4.0)])
+        report = validate_schedule(jobs, sched)
+        assert not report.feasible
+        over = [v for v in report.violations if v.kind == "overuse"]
+        assert len(over) == 1 and over[0].interval == (0.0, 1.0)
+        assert over[0].magnitude == np.finfo(float).max
+        # one overflowing interval after a feasible one
+        fine = Schedule([StepFunction([0.0, 1.0, 2.0], [0.5, 1e308]),
+                         StepFunction([0.0, 1.0, 2.0], [0.5, 1e308]),
+                         StepFunction.zero()])
+        over = [v for v in validate_schedule(jobs, fine).violations if v.kind == "overuse"]
+        assert [(v.interval, v.magnitude) for v in over] == [((1.0, 2.0), np.finfo(float).max)]
+
     def test_volume_deficit_detected(self):
         jobs = JobSet.of([(1.0, 1.0)])
         sched = Schedule([StepFunction.constant(1.0, 0.5)])

@@ -381,6 +381,26 @@ class TestSolveAlpha:
         assert report.line_error is None
         assert validate_schedule(jobs, sched).feasible
 
+    def test_requirement_penalty_near_the_float_range_meets_the_identity(self):
+        # each row sum of the requirement penalty overflows before r_j scales
+        # it down by about 1e-306; such a row is summed with r_j first
+        v = [21.32701336780752, 1.4194690735804358, 0.07268608093786182,
+             0.8222656593278913, 217.233603349544]
+        r = [1.0938576147627934e-306, 5.083365179384329e-306, 5.389218591881237e-308,
+             3.8370733904252934e-306, 1.3618739532614544e-304]
+        jobs = JobSet.of(zip(v, r))
+        q = duality_quantities(build_line_schedule(jobs, solve_alpha(jobs)))
+        assert q.requirement_penalty < np.inf
+        rhs = q.primal_cost + q.requirement_penalty + q.capacity_penalty
+        assert q.volume_payoff == pytest.approx(rhs, rel=1e-12)
+        # rows that do not overflow keep their one sum, bit for bit
+        for seed in (1, 2, 3):
+            jobs = generate_random(8, seed)
+            ls = build_line_schedule(jobs, solve_alpha(jobs))
+            w = np.diff(ls.grid)
+            want = sum(jobs.requirements() * np.vecdot(ls.beta_start + 0.5 * ls.beta_slope * w, w))
+            assert duality_quantities(ls).requirement_penalty == float(want)
+
     def test_priorities_past_the_float_range_stay_silent(self):
         # a volume below 1 meets grid times near the float range, so a
         # priority alpha_j - t / v_j overflows to -inf and prices it lowest;

@@ -214,6 +214,69 @@ class TestWaterfillStep:
                         assert out.ok and out.level == level
         assert kinds == {False, True}
 
+    @staticmethod
+    def _step_is_the_scan(usage, job, deadline):
+        """The job fits, and waterfill_step's level and assignment are the
+        scan's, bit for bit; returns the level."""
+        out = waterfill_step(usage, job, deadline)
+        found = scan_level(usage, job, deadline)
+        assert out.ok and found is not None
+        edges, lv, level = found
+        want = StepFunction(edges, np.minimum(job.requirement, np.maximum(level - lv, 0.0)))
+        assert np.float64(out.level).tobytes() == np.float64(level).tobytes()
+        assert out.assignment.edges.tobytes() == want.edges.tobytes()
+        assert out.assignment.values.tobytes() == want.values.tobytes()
+        return level
+
+    @staticmethod
+    def _candidate_volumes(usage, r, deadline, hs):
+        """The volume below each level in ``hs`` and halfway to the next."""
+        _, widths, lv = core._pieces_before(usage, deadline)
+        sums = [float(np.dot(widths, np.minimum(r, np.maximum(h - lv, 0.0)))) for h in hs]
+        return [v for pair in zip(sums, sums[1:]) for v in (pair[0], 0.5 * sum(pair))] + sums[-1:]
+
+    def test_level_matches_the_candidate_scan_below_zero_and_above_one(self):
+        # a caller's usage may sit below 0 or above 1: those candidates clip
+        # to 0.0 or 1.0 and repeat the two the step adds; a volume reached
+        # at 0 already (a negative level) gives level 0.0
+        rng = np.random.default_rng(11)
+        at_zero = 0
+        for _ in range(150):
+            k = int(rng.integers(1, 12))
+            edges = np.append(0.0, np.cumsum(rng.uniform(0.05, 2.0, k)))
+            usage = StepFunction(edges, rng.uniform(-1.5, 1.3, k))
+            r = float(rng.uniform(0.05, 1.0))
+            deadline = float(edges[-1] * rng.uniform(0.5, 2.0))
+            _, _, lv = core._pieces_before(usage, deadline)
+            hs = np.unique(np.clip(np.concatenate([lv, lv + r, [0.0, 1.0]]), 0.0, 1.0))
+            for v in self._candidate_volumes(usage, r, deadline, hs):
+                if v > 0.0:
+                    at_zero += self._step_is_the_scan(usage, Job(v, r), deadline) == 0.0
+        assert at_zero > 10
+
+    def test_level_matches_the_candidate_scan_on_repeated_levels(self):
+        # levels that repeat 0.0 and 1 - r exactly give candidates that repeat
+        # 0.0, r, 1 - r and 1.0; volumes at each repeated candidate's sum, on
+        # usages small enough for one block and large enough to bisect
+        budget = waterfill.BLOCK_ENTRIES
+        rng = np.random.default_rng(13)
+        bisected = repeated = 0
+        for k in [int(x) for x in rng.integers(2, 12, 40)] + [300, 450, 700]:
+            for r in (0.25, 0.5, 0.75, float(rng.uniform(0.05, 1.0))):
+                pool = np.array([0.0, 1.0 - r, float(rng.uniform(0.0, 1.0))])
+                edges = np.append(0.0, np.cumsum(rng.uniform(0.05, 2.0, k)))
+                usage = StepFunction(edges, pool[rng.integers(0, 3, k)])
+                deadline = float(edges[-1] * rng.uniform(0.8, 1.5))
+                _, _, lv = core._pieces_before(usage, deadline)
+                cands = np.clip(np.concatenate([lv, lv + r, [0.0, 1.0]]), 0.0, 1.0)
+                repeated += np.unique(cands).size + 3 <= cands.size
+                bisected += cands.size * lv.size > budget
+                hs = np.unique(np.concatenate([pool, pool + r, [1.0]]).clip(0.0, 1.0))
+                for v in self._candidate_volumes(usage, r, deadline, hs):
+                    if v > 0.0:
+                        self._step_is_the_scan(usage, Job(v, r), deadline)
+        assert repeated >= 120 and bisected >= 12
+
     def test_block_sums_are_the_single_dots(self):
         # the premise of the block search: np.vecdot sums each row as np.dot
         # does, byte for byte, at every row length it meets, and a row sums
