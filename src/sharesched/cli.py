@@ -353,8 +353,7 @@ def render_svg(jobs: JobSet, sched: Schedule, alpha=None) -> str:
     ml, mr, mt, mb = 50, 50 if overlay else 20, 16, 34
     pw, ph = SVG_WIDTH - ml - mr, SVG_HEIGHT - mt - mb
     end = core.makespan(sched)
-    grid = (core._distinct(np.concatenate([a.edges for a in sched.assignments]))
-            if sched.n_jobs else np.array([0.0]))
+    grid = core._union_grid(sched.assignments)
     if overlay:
         zeros = [a * j.volume for a, j in zip(alpha, jobs)]
         end = max(end, max(zeros, default=0.0))

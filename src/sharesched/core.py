@@ -173,8 +173,7 @@ class StepFunction:
     # -- queries -----------------------------------------------------------
 
     def __call__(self, t):
-        # index -1 (t < 0) and values.size (past the support, NaN) read the pad
-        out = np.concatenate((self.values, (0.0,)))[self.edges.searchsorted(t, side="right") - 1]
+        out = _at(self, t)
         return float(out) if out.ndim == 0 else out
 
     @property
@@ -246,27 +245,35 @@ def _pieces_before(f: StepFunction, C: float) -> tuple[np.ndarray, np.ndarray, n
     return edges, edges[1:] - edges[:-1], values
 
 
+def _at(f: StepFunction, t):
+    """``f`` at ``t``: the ``searchsorted`` position (side right) indexes the
+    values padded with ``_ZERO`` before 0 and past the support end (or NaN)."""
+    return np.concatenate((_ZERO, f.values, _ZERO))[f.edges.searchsorted(t, side="right")]
+
+
+def _union_grid(fns: Sequence[StepFunction]) -> np.ndarray:
+    """The sorted distinct union of the edges of ``fns``; ``[0.0]`` for none.
+    Valid edges start at 0, so the grid does too, and it increases."""
+    return _distinct(np.concatenate([f.edges for f in fns])) if len(fns) else np.array([0.0])
+
+
 def sum_steps(fns: Sequence[StepFunction]) -> StepFunction:
     """Pointwise sum of step functions, exact on the union grid of their edges.
 
     The grid refines every operand, so each operand's value on a grid
-    interval is its value at the interval's left end.  One ``searchsorted``
-    (side right) gives its position, which indexes the operand's values
-    padded at both ends with one shared zero: position 0 would be before 0,
-    and a left end past the operand's support reads the zero at the end.
-    A single non-zero operand is its own sum: step functions are immutable.
+    interval is its value at the interval's left end.  A single non-zero
+    operand is its own sum: step functions are immutable.
     """
     fns = [f for f in fns if f.values.size]
     if not fns:
         return StepFunction.zero()
     if len(fns) == 1:
         return fns[0]
-    # the sorted distinct union of valid edges starts at 0 and increases
-    grid = _distinct(np.concatenate([f.edges for f in fns]))
+    grid = _union_grid(fns)
     left = grid[:-1]
     total = np.zeros(left.size)
     for f in fns:
-        total += np.concatenate((_ZERO, f.values, _ZERO))[f.edges.searchsorted(left, side="right")]
+        total += _at(f, left)
     return StepFunction._on_grid(grid, total)
 
 
@@ -315,7 +322,15 @@ class Schedule:
         return np.array([a.integral() for a in self.assignments])
 
     def total_usage(self) -> StepFunction:
-        return sum_steps(self.assignments)
+        """The summed rates; a sum past the float range reads as the largest
+        float of its sign.  The rates are halved k times, 2**k > 2n, which is
+        exact above the subnormal range, so no partial sum passes the range."""
+        scale, big = 0.5 ** (self.n_jobs.bit_length() + 1), np.finfo(float).max
+        usage = sum_steps([StepFunction._on_grid(a.edges, a.values * scale)
+                           for a in self.assignments])
+        with np.errstate(over="ignore"):
+            values = np.minimum(usage.values / scale, big)
+        return StepFunction._on_grid(usage.edges, np.maximum(values, -big, out=values))
 
 
 @dataclass(frozen=True)
@@ -323,8 +338,9 @@ class Violation:
     """One feasibility clause breach.
 
     ``kind`` is one of ``overuse``, ``requirement-exceeded``,
-    ``volume-deficit``.  ``job`` is a 0-based id (None for overuse) and
-    ``interval`` the offending time window (None for volume-deficit).
+    ``negative-rate``, ``volume-deficit``.  ``job`` is a 0-based id (None
+    for overuse) and ``interval`` the offending time window (None for
+    volume-deficit).
     """
 
     kind: str
@@ -343,7 +359,9 @@ class ValidationReport:
 
 
 def validate_schedule(jobs: JobSet, sched: Schedule, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Check all three feasibility clauses, reporting violations above tol.
+    """Check all four feasibility clauses, reporting violations above tol:
+    each job's rates lie in [0, requirement] and give its volume, and the
+    summed usage (``Schedule.total_usage``) is at most 1.
 
     Resource clauses use ``tol`` absolutely; the volume clause scales it by
     max(1, volume).  Raises ContractError when job and assignment counts
@@ -354,36 +372,25 @@ def validate_schedule(jobs: JobSet, sched: Schedule, tol: float = DEFAULT_TOL) -
     if len(jobs) != sched.n_jobs:
         raise ContractError(f"{len(jobs)} jobs but {sched.n_jobs} assignments")
     violations: list[Violation] = []
-    # a row's integral past the float range reads inf, and so does the rates'
-    # sum, which the step function then refuses
+
+    def worst(kind: str, f: StepFunction, excess: np.ndarray, job: int | None = None) -> None:
+        # the largest of a clause's per-piece excesses, on its piece of f
+        if excess.size:
+            k = int(excess.argmax())
+            if excess[k] > tol:
+                violations.append(Violation(kind, float(excess[k]), job=job,
+                                            interval=(float(f.edges[k]), float(f.edges[k + 1]))))
+
+    # a row's integral past the float range reads inf
     with np.errstate(over="ignore"):
         for idx, (job, a) in enumerate(zip(jobs, sched.assignments)):
-            over = a.values - job.requirement if a.values.size else np.array([])
-            if over.size and float(over.max()) > tol:
-                k = int(np.argmax(over))
-                violations.append(
-                    Violation("requirement-exceeded", float(over[k]), job=idx,
-                              interval=(float(a.edges[k]), float(a.edges[k + 1])))
-                )
+            worst("requirement-exceeded", a, a.values - job.requirement, idx)
+            worst("negative-rate", a, -a.values, idx)
             deficit = job.volume - a.integral()
             if deficit > tol * max(1.0, job.volume):
                 violations.append(Violation("volume-deficit", float(deficit), job=idx))
-        try:
-            usage = sched.total_usage()
-            over = usage.values - 1.0
-        except ContractError:
-            # every rate halved k times, 2**k > 2n, sums with no partial sum
-            # past the float range; the overuse reads back capped at the largest float
-            scale = 0.5 ** (sched.n_jobs.bit_length() + 1)
-            usage = sum_steps([StepFunction._on_grid(a.edges, a.values * scale)
-                               for a in sched.assignments])
-            over = np.minimum(usage.values / scale - 1.0, np.finfo(float).max)
-    if over.size and float(over.max()) > tol:
-        k = int(np.argmax(over))
-        violations.append(
-            Violation("overuse", float(over[k]),
-                      interval=(float(usage.edges[k]), float(usage.edges[k + 1])))
-        )
+    usage = sched.total_usage()
+    worst("overuse", usage, usage.values - 1.0)
     return ValidationReport(feasible=not violations, violations=tuple(violations))
 
 
@@ -460,7 +467,7 @@ def jobs_from_json(text: str | bytes) -> JobSet:
 
 
 def schedule_to_json(sched: Schedule) -> str:
-    grid = _distinct(np.concatenate([a.edges for a in sched.assignments])) if sched.n_jobs else np.array([0.0])
+    grid = _union_grid(sched.assignments)
     # each row is read at the left ends: the midpoint of a one-ulp interval
     # rounds onto an edge
     rows = [[float(x) for x in a(grid[:-1])] for a in sched.assignments]

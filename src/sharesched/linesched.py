@@ -326,7 +326,9 @@ def _check_volume_gaps(v, vol_tol) -> None:
 
 
 def duality_quantities(ls: LineSchedule) -> DualityQuantities:
-    """Exact segment-wise integrals of the four objective pieces."""
+    """Exact segment-wise integrals of the four objective pieces; each
+    requirement-penalty row is summed with its r_j applied first, so a row
+    sum near the float range cannot overflow before r_j scales it down."""
     r = ls.jobs.requirements()
     primal = fractional_completion_time(ls.jobs, ls.schedule)[1]
     payoff = float(np.dot(ls.alpha, ls.scheduled_volumes))
@@ -334,13 +336,7 @@ def duality_quantities(ls: LineSchedule) -> DualityQuantities:
     with np.errstate(over="ignore"):
         heights = ls.beta_start + 0.5 * ls.beta_slope * w
         # np.vecdot sums each row as np.dot does; a matrix product may round differently
-        terms = r * np.vecdot(heights, w)
-        # near the float range a row sum can overflow before r scales it
-        # down: only such a row is summed again, with its r applied first
-        bad = ~np.isfinite(terms)
-        if _any(bad):
-            terms[bad] = np.vecdot(r[bad, None] * heights[bad], w)
-        req = sum(terms)
+        req = sum(np.vecdot(r[:, None] * heights, w))
         cap = np.dot(w, ls.gamma_start + 0.5 * ls.gamma_slope * w)
     return DualityQuantities(primal, payoff, float(req), float(cap))
 

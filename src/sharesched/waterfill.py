@@ -24,6 +24,7 @@ from .core import (
     StepFunction,
     _distinct,
     _pieces_before,
+    _union_grid,
 )
 
 E = math.e
@@ -302,13 +303,15 @@ class UniversalSchedule:
 def _cumulative(marks: np.ndarray, usage: StepFunction, horizons: np.ndarray) -> np.ndarray:
     """Integral over [0, C) of each row of per-usage-interval ``marks``, one
     column per horizon C >= 0: the cumulative sum at the edge at or before C
-    plus the offset past it times the mark there (0 past the support)."""
+    plus the offset past it times the mark there (0 past the support).  An
+    integral past the float range reads inf."""
     e = usage.edges
     pos = e.searchsorted(horizons, side="right") - 1
     cum = np.zeros((marks.shape[0], e.size))
-    np.cumsum(marks * (e[1:] - e[:-1]), axis=1, out=cum[:, 1:])
     padded = np.concatenate((marks, np.zeros((marks.shape[0], 1))), axis=1)
-    return cum[:, pos] + (horizons - e[pos]) * padded[:, pos]
+    with np.errstate(over="ignore"):
+        np.cumsum(marks * (e[1:] - e[:-1]), axis=1, out=cum[:, 1:])
+        return cum[:, pos] + (horizons - e[pos]) * padded[:, pos]
 
 
 def _area_matrix(usage: StepFunction, horizons: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -335,7 +338,7 @@ def is_flatter(first: Schedule, second: Schedule) -> bool:
     """
     u1 = first.total_usage()
     u2 = second.total_usage()
-    horizons = _distinct(np.concatenate([u1.edges, u2.edges]))
+    horizons = _union_grid([u1, u2])
     levels = _distinct(np.concatenate([u1.values, u2.values, [0.0]]))
     levels = levels[(levels >= 0.0) & (levels <= 1.0)]
     a1 = _area_matrix(u1, horizons, levels)

@@ -403,6 +403,34 @@ class TestVerify:
         assert report["feasible"] is False
         assert report["violations"][0]["kind"] == "volume-deficit"
 
+    def test_negative_rate_exits_4(self, tmp_path, capsys):
+        # job 1's rate -1 on [0, 1) hid the overuse of jobs 0 and 2 there:
+        # this once exited 0 with "feasible": true
+        inst, sched = tmp_path / "three.json", tmp_path / "neg.json"
+        inst.write_text('{"jobs": [{"v": 1, "r": 1}, {"v": 1, "r": 1}, {"v": 1, "r": 1}]}\n')
+        sched.write_text('{"breakpoints": [0, 1, 2, 3], "assignments": [[1, 0, 0], [-1, 1, 1], '
+                         '[1, 0, 0]], "completion_times": [1, 3, 1]}\n')
+        assert main(["verify", "--instance", str(inst), "--schedule", str(sched)]) == 4
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"feasible": False, "violations": [
+            {"kind": "negative-rate", "magnitude": 1, "job": 1, "interval": [0, 1]}]}
+
+    def test_ratio_on_an_overflowing_usage_exits_4(self, tmp_path):
+        # this once warned in sum_steps and exited 2 with "edges and values
+        # must be finite", or 1 with a traceback under -W error::RuntimeWarning
+        inst, sched = tmp_path / "two.json", tmp_path / "over.json"
+        inst.write_text('{"jobs": [{"v": 1, "r": 1}, {"v": 1, "r": 1}]}\n')
+        sched.write_text(OVERFLOW_SCHEDULE)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "sharesched.cli",
+             "verify", "--instance", str(inst), "--schedule", str(sched), "--ratio", "1.6"],
+            capture_output=True, text=True, env=_package_env(), timeout=60)
+        assert proc.returncode == 4 and proc.stderr == ""
+        out = json.loads(proc.stdout)
+        assert out["feasible"] is False and out["extendable"] is False
+        assert [v["kind"] for v in out["violations"]] == [
+            "requirement-exceeded", "requirement-exceeded", "overuse"]
+
 
 class TestCompare:
     def test_table_and_summary(self, workdir, tmp_path):

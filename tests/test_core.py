@@ -140,17 +140,22 @@ class TestStepFunction:
             assert core._all(x) == x.all() and core._any(x) == x.any()
 
     def test_canonical_roundtrip_random(self):
-        # merging equal adjacent values must not change any evaluation
+        # merging equal adjacent values must not change any evaluation: the
+        # read is right-continuous and 0 outside [0, support end), at every
+        # edge, one ulp below it, at +-inf and at NaN, for negative values too
         for seed in range(30):
             rng = np.random.default_rng(seed)
             k = int(rng.integers(1, 12))
             edges = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, k))])
-            values = rng.choice([0.0, 0.25, 0.5, 0.75], size=k)
+            values = rng.choice([0.0, 0.25, 0.5, 0.75, -0.5, -1.0], size=k)
             f = StepFunction(edges, values)
-            ts = rng.uniform(-0.5, edges[-1] + 0.5, 1000)
+            ts = np.concatenate([rng.uniform(-0.5, edges[-1] + 0.5, 1000), edges,
+                                 np.nextafter(edges, -np.inf), [-1.0, edges[-1] + 1.0, 1e300,
+                                                               np.inf, -np.inf, np.nan]])
             want = np.array([brute_eval(edges, values, t) for t in ts])
             got = f(ts)
             assert np.array_equal(got, want)
+            assert [f(t) for t in ts] == want.tolist()
 
     def test_integrals_match_brute_force(self):
         rng = np.random.default_rng(3)
@@ -199,6 +204,10 @@ class TestStepFunction:
         s = sum_steps([a, b])
         for t, want in [(0.5, 0.75), (1.5, 1.0), (2.5, 0.5), (3.5, 0.0)]:
             assert s(t) == pytest.approx(want)
+        # the sum is f + g at each left end of the union grid
+        left = np.array([0.0, 1.0, 2.0])
+        assert core._union_grid([a, b]).tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert np.array_equal(s(left), a(left) + b(left))
 
     def test_sum_steps_matches_left_end_evaluation(self):
         # operands share edges, or miss each other by 1e-15 or by one ulp,
@@ -281,6 +290,30 @@ class TestValidation:
                          StepFunction.zero()])
         over = [v for v in validate_schedule(jobs, fine).violations if v.kind == "overuse"]
         assert [(v.interval, v.magnitude) for v in over] == [((1.0, 2.0), np.finfo(float).max)]
+
+    def test_negative_rate_detected(self):
+        # job 1's rate -1 on [0, 1) hides the overuse of jobs 0 and 2 there,
+        # and its volume is met
+        jobs = JobSet.of([(1, 1), (1, 1), (1, 1)])
+        sched = Schedule([StepFunction.constant(1.0, 1.0),
+                          StepFunction([0.0, 1.0, 3.0], [-1.0, 1.0]),
+                          StepFunction.constant(1.0, 1.0)])
+        assert validate_schedule(jobs, sched).violations == (
+            core.Violation("negative-rate", 1.0, job=1, interval=(0.0, 1.0)),)
+        # the least rate names its piece; a rate of -tol or above passes
+        jobs = JobSet.of([(1, 0.5)])
+        sched = Schedule([StepFunction([0.0, 1.0, 2.0, 3.0], [-1e-10, -0.25, 0.8])])
+        assert [(v.kind, v.job, v.interval) for v in validate_schedule(jobs, sched).violations] == [
+            ("requirement-exceeded", 0, (2.0, 3.0)), ("negative-rate", 0, (1.0, 2.0)),
+            ("volume-deficit", 0, None)]
+        assert validate_schedule(jobs, sched).violations[1].magnitude == 0.25
+        # a usage below minus the float range reads as minus the largest float
+        jobs = JobSet.of([(1, 1), (1, 1)])
+        sched = Schedule([StepFunction.constant(-1e308, 1.0), StepFunction.constant(-1.7e308, 1.0)])
+        assert sched.total_usage().values.tolist() == [-np.finfo(float).max]
+        assert [(v.kind, v.job, v.magnitude) for v in validate_schedule(jobs, sched).violations] == [
+            ("negative-rate", 0, 1e308), ("volume-deficit", 0, 1e308 + 1),
+            ("negative-rate", 1, 1.7e308), ("volume-deficit", 1, 1.7e308 + 1)]
 
     def test_volume_deficit_detected(self):
         jobs = JobSet.of([(1.0, 1.0)])
@@ -414,6 +447,8 @@ class TestJson:
         assert back == sched
         empty = Schedule.empty(2)
         assert schedule_from_json(schedule_to_json(empty)) == empty
+        # no jobs: the union grid is [0]
+        assert json.loads(schedule_to_json(Schedule.empty(0)))["breakpoints"] == [0]
 
     def test_17_digit_floats(self):
         jobs = JobSet.of([(1 / 3, 2 / 3)])

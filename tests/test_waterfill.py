@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from sharesched import (
     is_flatter,
     makespan,
     optimal_makespan,
+    upper_resource_distribution,
     validate_schedule,
     waterfill_online,
     waterfill_step,
@@ -529,6 +531,20 @@ class TestExtendability:
 
     def test_empty_schedule_extendable(self):
         assert extendability_check(Schedule.empty(0), JobSet(), COMPETITIVE_RATIO)
+
+
+def test_usage_past_the_float_range_reads_without_a_warning():
+    # the two rates sum past the float range, and so do the areas under
+    # them; each call once raised ContractError after an overflow warning
+    sched = Schedule([StepFunction.constant(1e308, 2.0), StepFunction.constant(1.7e308, 2.0)])
+    jobs = JobSet.of([(1, 1), (1, 1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not extendability_check(sched, jobs, COMPETITIVE_RATIO)
+        assert is_flatter(sched, sched) and not is_flatter(sched, Schedule.empty(2))
+        assert not flatter_than_universal(sched, 1.0)
+        assert upper_resource_distribution(sched, 2.0, 0.0) == math.inf
+        assert upper_resource_distribution(sched, 1.0, 0.5) == np.finfo(float).max
 
 
 class TestAdversarialInstance:
