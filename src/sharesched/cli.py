@@ -375,7 +375,7 @@ def render_svg(jobs: JobSet, sched: Schedule, alpha=None) -> str:
     # left end: the midpoint of a one-ulp interval rounds onto an edge
     if sched.n_jobs and grid.size > 1:
         left = grid[:-1]
-        rates = np.vstack([a(left) for a in sched.assignments])
+        rates = core._rows_at(sched.assignments, left)
         cum = np.vstack([np.zeros(left.size), np.cumsum(rates, axis=0)])
         for j in range(sched.n_jobs):
             lo, hi = cum[j], cum[j + 1]

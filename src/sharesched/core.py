@@ -251,6 +251,11 @@ def _at(f: StepFunction, t):
     return np.concatenate((_ZERO, f.values, _ZERO))[f.edges.searchsorted(t, side="right")]
 
 
+def _rows_at(fns: Sequence[StepFunction], t: np.ndarray) -> np.ndarray:
+    """Row i is ``_at(fns[i], t)``: many step functions read at shared points."""
+    return np.array([_at(f, t) for f in fns]).reshape(len(fns), t.size)
+
+
 def _union_grid(fns: Sequence[StepFunction]) -> np.ndarray:
     """The sorted distinct union of the edges of ``fns``; ``[0.0]`` for none.
     Valid edges start at 0, so the grid does too, and it increases."""
@@ -322,15 +327,16 @@ class Schedule:
         return np.array([a.integral() for a in self.assignments])
 
     def total_usage(self) -> StepFunction:
-        """The summed rates; a sum past the float range reads as the largest
-        float of its sign.  The rates are halved k times, 2**k > 2n, which is
-        exact above the subnormal range, so no partial sum passes the range."""
-        scale, big = 0.5 ** (self.n_jobs.bit_length() + 1), np.finfo(float).max
-        usage = sum_steps([StepFunction._on_grid(a.edges, a.values * scale)
-                           for a in self.assignments])
+        """The rates read on the union grid, added in job order as ``sum_steps``
+        adds (numpy sums a lone column pairwise).  Only when 2n max|rate|
+        reaches the largest float are they halved k times, 2**k > 2n, so no
+        partial sum passes it; a sum past it reads as the largest float."""
+        grid, n = _union_grid(self.assignments), self.n_jobs
+        rates, big = _rows_at(self.assignments, grid[:-1]), np.finfo(float).max
+        k = 0 if 2 * n * float(np.abs(rates).max(initial=0.0)) < big else n.bit_length() + 1
         with np.errstate(over="ignore"):
-            values = np.minimum(usage.values / scale, big)
-        return StepFunction._on_grid(usage.edges, np.maximum(values, -big, out=values))
+            total = np.ldexp(sum(np.ldexp(rates, -k), np.zeros(grid.size - 1)), k)
+        return StepFunction._on_grid(grid, np.clip(total, -big, big, out=total))
 
 
 @dataclass(frozen=True)
@@ -470,10 +476,9 @@ def schedule_to_json(sched: Schedule) -> str:
     grid = _union_grid(sched.assignments)
     # each row is read at the left ends: the midpoint of a one-ulp interval
     # rounds onto an edge
-    rows = [[float(x) for x in a(grid[:-1])] for a in sched.assignments]
     payload = {
         "breakpoints": [float(t) for t in grid],
-        "assignments": rows,
+        "assignments": _rows_at(sched.assignments, grid[:-1]).tolist(),
         "completion_times": [float(c) for c in sched.completion_times()],
     }
     return _dump(payload) + "\n"

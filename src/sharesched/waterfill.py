@@ -302,10 +302,12 @@ class UniversalSchedule:
 
 def _cumulative(marks: np.ndarray, usage: StepFunction, horizons: np.ndarray) -> np.ndarray:
     """Integral over [0, C) of each row of per-usage-interval ``marks``, one
-    column per horizon C >= 0: the cumulative sum at the edge at or before C
-    plus the offset past it times the mark there (0 past the support).  An
-    integral past the float range reads inf."""
+    column per horizon C >= 0 (inf too: C is first cut to the support end,
+    past which every mark is 0): the cumulative sum at the edge at or before
+    C plus the offset past it times the mark there.  An integral past the
+    float range reads inf."""
     e = usage.edges
+    horizons = np.minimum(horizons, e[-1])
     pos = e.searchsorted(horizons, side="right") - 1
     cum = np.zeros((marks.shape[0], e.size))
     padded = np.concatenate((marks, np.zeros((marks.shape[0], 1))), axis=1)

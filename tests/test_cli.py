@@ -671,6 +671,12 @@ class TestPlot:
         assert main(["plot", "--schedule", str(sched), "--out", str(tmp_path / "e.svg")]) == 0
         svg = (tmp_path / "e.svg").read_text()
         assert "<polygon" not in svg and "<line" in svg
+        # three jobs that never run: three empty rows on the grid [0]
+        sched.write_text(core.schedule_to_json(core.Schedule.empty(3)))
+        assert json.loads(sched.read_text())["assignments"] == [[], [], []]
+        assert main(["plot", "--schedule", str(sched), "--out", str(tmp_path / "e3.svg")]) == 0
+        assert (tmp_path / "e3.svg").read_text() == svg
+        assert cli.render_svg(core.JobSet(), core.Schedule.empty(3)) == svg
 
     def test_areas_track_volumes(self, tmp_path):
         jobs_text = '{"jobs": [{"v": 1, "r": 1}, {"v": 2, "r": 0.5}]}\n'

@@ -26,7 +26,7 @@ from sharesched import (
 )
 from sharesched import core
 from sharesched.cli import generate_random
-from sharesched.tct import greedy, ls_exact
+from sharesched.tct import LsApproxParams, greedy, ls_exact, lsapprox_report
 from sharesched.waterfill import adversarial_instance, waterfill_online
 
 from conftest import left_end_sum, random_instance, volume_before
@@ -244,6 +244,31 @@ class TestStepFunction:
             assert got.edges.tobytes() == want.edges.tobytes()
             assert got.values.tobytes() == want.values.tobytes()
 
+    def test_total_usage_adds_the_rates_in_job_order(self):
+        # every algorithm's schedules, bit for bit against sum_steps
+        for n in (1, 2, 3, 5):
+            for seed in range(4):
+                jobs = generate_random(n, seed)
+                for sched in (greedy(jobs), waterfill_online(jobs).final_schedule(),
+                              ls_exact(jobs)[0], lsapprox_report(jobs, LsApproxParams(0.5))[0]):
+                    got, want = sched.total_usage(), sum_steps(sched.assignments)
+                    assert got.edges.tobytes() == want.edges.tobytes()
+                    assert got.values.tobytes() == want.values.tobytes()
+        # nine rates on one interval: numpy would sum that one column pairwise
+        for seed in range(10):
+            rates = np.random.default_rng(seed).uniform(0.0, 0.2, 9)
+            sched = Schedule(StepFunction.constant(x, 1.0) for x in rates)
+            assert sched.total_usage() == sum_steps(sched.assignments)
+        # subnormal rates are summed as they are, not halved away
+        tiny = Schedule([StepFunction.constant(5e-324, 1.0)])
+        assert tiny.total_usage().values.tolist() == [5e-324]
+        assert upper_resource_distribution(tiny, 1.0, 0.0) == 5e-324
+        sched = Schedule([StepFunction.constant(3e-308, 1.0), StepFunction.constant(1e-320, 2.0)])
+        assert sched.total_usage().values.tolist() == [3.000000000001e-308, 1e-320]
+        # a partial sum past the float range, but not the sum: no clip before the end
+        sched = Schedule(StepFunction.constant(x, 1.0) for x in (1.7e308, 1.7e308, -1.7e308))
+        assert sched.total_usage().values.tolist() == [1.7e308]
+
 
 class TestValidation:
     def test_greedy_three_jobs_is_feasible(self, three_jobs):
@@ -381,6 +406,12 @@ class TestUpperArea:
         assert upper_resource_distribution(sched, 100.0, 0.0) == pytest.approx(1.0)
         assert upper_resource_distribution(sched, 100.0, 1.0) == 0.0
         assert upper_resource_distribution(sched, 100.0, 0.5) == pytest.approx(0.5)
+        # an infinite horizon reads the whole area above the height
+        half = Schedule([StepFunction.constant(0.5, 2.0)])
+        assert upper_resource_distribution(half, math.inf, 0.2) == pytest.approx(0.6)
+        assert upper_resource_distribution(half, math.inf, 0.2) == (
+            upper_resource_distribution(half, 2.0, 0.2))
+        assert upper_resource_distribution(Schedule.empty(1), math.inf, 0.2) == 0.0
 
     def test_monotonicity(self):
         for seed in range(10):
@@ -445,8 +476,8 @@ class TestJson:
                           StepFunction.constant(0.25, 1.0 + 2.0 * u)])
         back = schedule_from_json(schedule_to_json(sched))
         assert back == sched
-        empty = Schedule.empty(2)
-        assert schedule_from_json(schedule_to_json(empty)) == empty
+        for empty in (Schedule.empty(0), Schedule.empty(2), Schedule.empty(3)):
+            assert schedule_from_json(schedule_to_json(empty)) == empty
         # no jobs: the union grid is [0]
         assert json.loads(schedule_to_json(Schedule.empty(0)))["breakpoints"] == [0]
 

@@ -382,8 +382,8 @@ class TestSolveAlpha:
         assert validate_schedule(jobs, sched).feasible
 
     def test_requirement_penalty_near_the_float_range_meets_the_identity(self):
-        # each row sum of the requirement penalty overflows before r_j scales
-        # it down by about 1e-306; such a row is summed with r_j first
+        # each row sum of the requirement penalty would overflow before r_j
+        # scales it down by about 1e-306, so every row is summed with r_j first
         v = [21.32701336780752, 1.4194690735804358, 0.07268608093786182,
              0.8222656593278913, 217.233603349544]
         r = [1.0938576147627934e-306, 5.083365179384329e-306, 5.389218591881237e-308,
@@ -393,12 +393,15 @@ class TestSolveAlpha:
         assert q.requirement_penalty < np.inf
         rhs = q.primal_cost + q.requirement_penalty + q.capacity_penalty
         assert q.volume_payoff == pytest.approx(rhs, rel=1e-12)
-        # rows that do not overflow keep their one sum, bit for bit
-        for seed in (1, 2, 3):
+        # every row is summed with r_j applied first, bit for bit; the row-first
+        # sum, r_j times each row's sum, differs from it in the last bits at
+        # seeds 4, 6, 9, 12 and 20
+        for seed in range(1, 21):
             jobs = generate_random(8, seed)
             ls = build_line_schedule(jobs, solve_alpha(jobs))
             w = np.diff(ls.grid)
-            want = sum(jobs.requirements() * np.vecdot(ls.beta_start + 0.5 * ls.beta_slope * w, w))
+            heights = ls.beta_start + 0.5 * ls.beta_slope * w
+            want = sum(np.vecdot(jobs.requirements()[:, None] * heights, w))
             assert duality_quantities(ls).requirement_penalty == float(want)
 
     def test_priorities_past_the_float_range_stay_silent(self):
