@@ -356,7 +356,7 @@ def render_svg(jobs: JobSet, sched: Schedule, alpha=None) -> str:
     grid = core._union_grid(sched.assignments)
     if overlay:
         zeros = [a * j.volume for a, j in zip(alpha, jobs)]
-        end = max(end, max(zeros, default=0.0))
+        end = max(end, max(zeros))
         grid = core._distinct(np.concatenate([grid, np.asarray(zeros, dtype=float)]))
     end = max(end, 1e-9)
 
@@ -373,7 +373,7 @@ def render_svg(jobs: JobSet, sched: Schedule, alpha=None) -> str:
     ]
     # stacked areas on the refined grid, each rate read at its interval's
     # left end: the midpoint of a one-ulp interval rounds onto an edge
-    if sched.n_jobs and grid.size > 1:
+    if grid.size > 1:
         left = grid[:-1]
         rates = core._rows_at(sched.assignments, left)
         cum = np.vstack([np.zeros(left.size), np.cumsum(rates, axis=0)])

@@ -178,14 +178,14 @@ class StepFunction:
 
     @property
     def support_end(self) -> float:
-        """sup{t : f(t) != 0}; 0 for the zero function."""
-        return float(self.edges[-1]) if self.values.size else 0.0
+        """sup{t : f(t) != 0}; 0 for the zero function, whose edges are [0]."""
+        return float(self.edges[-1])
 
     def widths(self) -> np.ndarray:
         return self.edges[1:] - self.edges[:-1]
 
     def integral(self) -> float:
-        return float(np.dot(self.values, self.widths())) if self.values.size else 0.0
+        return float(np.dot(self.values, self.widths()))
 
     # -- transforms --------------------------------------------------------
 
@@ -265,13 +265,11 @@ def _union_grid(fns: Sequence[StepFunction]) -> np.ndarray:
 def sum_steps(fns: Sequence[StepFunction]) -> StepFunction:
     """Pointwise sum of step functions, exact on the union grid of their edges.
 
-    The grid refines every operand, so each operand's value on a grid
-    interval is its value at the interval's left end.  A single non-zero
-    operand is its own sum: step functions are immutable.
+    The grid refines every operand, so an operand's value on a grid interval
+    is its value at the left end.  A lone non-zero operand is its own sum
+    (step functions are immutable); none leaves the grid [0], the zero function.
     """
     fns = [f for f in fns if f.values.size]
-    if not fns:
-        return StepFunction.zero()
     if len(fns) == 1:
         return fns[0]
     grid = _union_grid(fns)
@@ -402,8 +400,7 @@ def validate_schedule(jobs: JobSet, sched: Schedule, tol: float = DEFAULT_TOL) -
 
 def makespan(sched: Schedule) -> float:
     """Latest completion time; 0 for an empty schedule."""
-    ct = sched.completion_times()
-    return float(ct.max()) if ct.size else 0.0
+    return float(sched.completion_times().max(initial=0.0))
 
 
 def total_completion_time(jobs: JobSet, sched: Schedule) -> float:
@@ -438,17 +435,15 @@ def _fmt(x: float) -> str:
 
 
 def _dump(obj) -> str:
-    """json.dumps with floats rendered at 17 significant digits."""
-    if isinstance(obj, (float, np.floating)):
+    """json.dumps with floats (``np.float64`` too) at 17 significant digits;
+    dicts, lists and tuples are walked, and ``json.dumps`` writes the rest:
+    ints, bools, strings and None, refusing numpy arrays, ints and bools."""
+    if isinstance(obj, float):
         return _fmt(obj)
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(k)}: {_dump(v)}" for k, v in obj.items())
         return "{" + items + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_dump(v) for v in obj) + "]"
     return json.dumps(obj)
 

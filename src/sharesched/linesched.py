@@ -123,10 +123,6 @@ class DualityQuantities:
     requirement_penalty: float
     capacity_penalty: float
 
-    @property
-    def dual_objective(self) -> float:
-        return self.volume_payoff - self.requirement_penalty - self.capacity_penalty
-
 
 @dataclass(frozen=True)
 class SlacknessReport:

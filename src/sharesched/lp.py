@@ -221,7 +221,7 @@ def dense_simplex(c, A, b, upper):
     z[:] = c1 - c1[basis] @ T[:m]
     run()
     art_rows = np.flatnonzero(basis >= nvar)
-    residual = float(xB[art_rows].sum()) if art_rows.size else 0.0
+    residual = float(xB[art_rows].sum())
     if residual > 1e-7 * max(1.0, float(np.abs(b).sum())):
         raise InfeasibleInstanceError(f"no feasible point (phase-1 residual {residual:.3e})")
     banned[nvar:] = True

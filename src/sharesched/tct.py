@@ -99,8 +99,8 @@ def lower_bounds(jobs: JobSet, fractional_opt: float | None = None) -> Bounds:
     """The bounds of ``Bounds``; a bound past the float range is inf."""
     vols = np.sort(jobs.volumes())
     with np.errstate(over="ignore"):
-        squashed = float(np.cumsum(vols).sum()) if vols.size else 0.0
-        length = float(jobs.processing_times().sum()) if len(jobs) else 0.0
+        squashed = float(np.cumsum(vols).sum())
+        length = float(jobs.processing_times().sum())
     lb3 = fractional_opt + 0.5 * length if fractional_opt is not None else None
     return Bounds(squashed, length, lb3)
 
@@ -123,13 +123,12 @@ class Subdivision:
     light: requirement at most mu/n (cheap to park on a resource sliver).
     short_heavy: processing time at most (mu/n)^2 * p_max but not light.
     long_heavy: everything else (these drive the objective).
-    Sets hold 0-based job ids.
+    Sets hold 0-based job ids; the threshold mu is ``LsApproxInfo.mu``.
     """
 
     light: frozenset[int]
     short_heavy: frozenset[int]
     long_heavy: frozenset[int]
-    mu: float
 
 
 def subdivide(jobs: JobSet, mu: float) -> Subdivision:
@@ -145,8 +144,7 @@ def subdivide(jobs: JobSet, mu: float) -> Subdivision:
             short_heavy.add(idx)
         else:
             long_heavy.add(idx)
-    return Subdivision(frozenset(light), frozenset(short_heavy),
-                       frozenset(long_heavy), mu)
+    return Subdivision(frozenset(light), frozenset(short_heavy), frozenset(long_heavy))
 
 
 #: the subdivision threshold ``mu`` as a share of epsilon
@@ -209,7 +207,7 @@ def lsapprox_report(jobs: JobSet, params: LsApproxParams) -> tuple[Schedule, LsA
     mu = params.mu
     n = len(jobs)
     if n == 0:
-        info = LsApproxInfo(mu, Subdivision(frozenset(), frozenset(), frozenset(), mu),
+        info = LsApproxInfo(mu, Subdivision(frozenset(), frozenset(), frozenset()),
                             0.0, 0.0, 0.0, None, 0, 0, 0)
         return Schedule.empty(0), info
     sub = subdivide(jobs, mu)

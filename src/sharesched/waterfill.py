@@ -45,10 +45,8 @@ def optimal_makespan(jobs: JobSet) -> tuple[float, Schedule]:
     The optimum is max(total volume, longest processing time).  Constant
     rates v_j / p_max finish everything at p_max; when they oversubscribe the
     resource, scaling by the reciprocal usage finishes everything at the
-    total volume instead.
+    total volume instead.  No jobs give 0 and the empty schedule.
     """
-    if len(jobs) == 0:
-        return 0.0, Schedule.empty(0)
     p_max = jobs.max_processing_time()
     total = jobs.total_volume()
     value = max(total, p_max)
@@ -104,12 +102,12 @@ def waterfill_step(usage: StepFunction, job: Job, deadline: float) -> WaterfillO
 
     A step costs O(K log K) for the bisection plus at most ``BLOCK_ENTRIES``
     entries for the block (all of the 2K + 2 candidates at once when they
-    fit).
+    fit).  The deadline must be finite and nonnegative.  At 0 no capacity is
+    left, so the job fails with its volume as deficit, unless that is within
+    the tolerance every deadline forgives (then: zero assignment, level 1).
     """
-    if deadline < 0.0:
-        raise ContractError("deadline must be nonnegative")
-    if deadline == 0.0:
-        return WaterfillOutcome(ok=False, deficit=job.volume)
+    if not 0.0 <= deadline < math.inf:
+        raise ContractError(f"deadline must be finite and nonnegative, got {deadline!r}")
     edges, widths, levels = _pieces_before(usage, deadline)
     r, v = job.requirement, job.volume
     cands = np.concatenate((levels, levels + r, _UNIT))
@@ -249,7 +247,7 @@ class UniversalSchedule:
         return E * self.volume / (E - 1.0)
 
     def __call__(self, t: float) -> float:
-        if self.volume == 0.0 or t < 0.0:
+        if t < 0.0:
             return 0.0
         if t < self.plateau_end:
             return 1.0

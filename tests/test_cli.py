@@ -966,3 +966,39 @@ def test_numpy_ma_stays_unloaded(tmp_path):
                           text=True, env=_package_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "verify.json").read_text())["extendable"] is True
+
+
+def test_every_record_and_schedule_rewrites_to_its_own_bytes(tmp_path):
+    # README's byte-stable round trip, on strict JSON: no inf or nan
+    def strict(text):
+        return json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in {text!r}"))
+
+    files = 0
+    for n in range(7):
+        for seed in range(3):
+            inst = tmp_path / f"n{n}-s{seed}.json"
+            inst.write_text(core.jobs_to_json(cli.generate_random(n, seed)))
+            for algo in (*cli.ALGORITHMS, "best --lp-ls"):
+                stem = f"{inst.stem}-{algo.replace(' --', '-')}"
+                rec, sched = tmp_path / f"{stem}-run.json", tmp_path / f"{stem}-sched.json"
+                code = main(["run", *algo.split(), "--input", str(inst), "--record", str(rec),
+                             "--schedule-out", str(sched)])
+                assert code in (0, 3), (inst.name, algo, code)
+                for path in (rec, sched) if code == 0 else (rec,):
+                    text = path.read_text()
+                    assert core._dump(strict(text)) + "\n" == text, path.name
+                    files += 1
+    assert files >= 200
+
+
+def test_compare_with_no_algorithm_exits_2(workdir, capsys):
+    assert main(["compare", "--inputs", str(workdir / "three.json"), "--algos", ","]) == 2
+    assert "no algorithms given" in capsys.readouterr().err
+
+
+def test_plot_alpha_without_an_instance_exits_2(workdir, tmp_path, capsys):
+    sched = tmp_path / "s.json"
+    assert main(["run", "greedy", "--input", str(workdir / "three.json"),
+                 "--record", str(tmp_path / "r.json"), "--schedule-out", str(sched)]) == 0
+    assert main(["plot", "--schedule", str(sched), "--alpha", "1,2,3"]) == 2
+    assert "--alpha requires --instance" in capsys.readouterr().err

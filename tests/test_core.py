@@ -718,3 +718,44 @@ def test_canonical_matches_the_two_concatenate_rule():
         want = two_concatenate_canonical(edges, values)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def test_no_operand_sums_to_the_zero_function():
+    zero = StepFunction.zero()
+    for fns in ([], [zero], [zero, zero]):
+        total = sum_steps(fns)
+        assert total == zero and total.edges.tolist() == [0.0]
+    assert zero + zero == zero
+    assert zero.support_end == 0.0 and zero.integral() == 0.0
+
+
+def test_a_jobset_holds_only_jobs():
+    with pytest.raises(ContractError, match="expected Job, got object"):
+        JobSet([object()])
+
+
+@pytest.mark.parametrize("objective", [total_completion_time, fractional_completion_time])
+def test_objectives_refuse_a_job_count_that_is_not_the_schedules(objective):
+    jobs = JobSet.of([(1.0, 1.0), (2.0, 0.5)])
+    with pytest.raises(ContractError, match="job/assignment count mismatch"):
+        objective(jobs, Schedule([StepFunction.constant(1.0, 1.0)]))
+
+
+def test_upper_area_refuses_a_height_or_horizon_out_of_range():
+    sched = Schedule([StepFunction.constant(0.5, 2.0)])
+    for y in (-0.1, 1.1, math.nan):
+        with pytest.raises(ContractError, match=r"y must lie in \[0, 1\]"):
+            upper_resource_distribution(sched, 1.0, y)
+    for C in (-1.0, math.nan):
+        with pytest.raises(ContractError, match="C must be nonnegative"):
+            upper_resource_distribution(sched, C, 0.5)
+
+
+def test_dump_writes_floats_and_leaves_the_rest_to_json():
+    record = {"f": 0.1, "i": 3, "b": True, "n": None, "s": 'a"b', "l": [1.5, False], "t": (2.0,)}
+    assert core._dump(record) == ('{"f": 0.10000000000000001, "i": 3, "b": true, "n": null, '
+                                  '"s": "a\\"b", "l": [1.5, false], "t": [2]}')
+    assert core._dump(np.float64(0.1)) == "0.10000000000000001"
+    for value in (np.int64(1), np.bool_(True), np.zeros(2)):
+        with pytest.raises(TypeError):
+            core._dump(value)

@@ -600,3 +600,44 @@ class TestStructuralProperties:
             ls = build_line_schedule(jobs, alpha)
             ct = ls.schedule.completion_times()
             assert np.all(ct <= alpha * jobs.volumes() + 1e-9)
+
+
+class TestNewtonFallbacks:
+    """``solve_alpha``'s fallbacks, forced by a packing whose Jacobian or
+    volumes are replaced after the real packing ran."""
+
+    JOBS = generate_random(3, 1)
+
+    def test_a_step_that_is_no_ascent_falls_back_to_the_gradient(self, monkeypatch):
+        real, calls = _kernel.line_structure, []
+
+        def reversed_jacobian(v, r, alpha):
+            calls.append(alpha.copy())
+            # a negative definite Hessian turns the Newton step against the gradient
+            return real(v, r, alpha)[0], -1e3 * np.eye(v.size)
+
+        monkeypatch.setattr(_kernel, "line_structure", reversed_jacobian)
+        monkeypatch.setattr(linesched, "MAX_ITERS", 1)
+        with pytest.raises(ConvergenceError):
+            solve_alpha(self.JOBS)
+        v, r = self.JOBS.volumes(), self.JOBS.requirements()
+        grad = v - real(v, r, calls[0])[0]
+        assert np.array_equal(calls[1], np.maximum(calls[0] + grad, 0.0))
+
+    def test_a_line_search_that_cannot_move_alpha_raises(self, monkeypatch):
+        real, calls = _kernel.line_structure, []
+
+        def opposed(v, r, alpha):
+            calls.append(alpha.copy())
+            vols, jac = real(v, r, alpha)
+            if len(calls) > 1:      # every trial's gradient points back to the start
+                vols = v + (alpha - calls[0])
+            return vols, jac
+
+        monkeypatch.setattr(_kernel, "line_structure", opposed)
+        with pytest.raises(ConvergenceError) as err:
+            solve_alpha(self.JOBS)
+        v, r = self.JOBS.volumes(), self.JOBS.requirements()
+        assert err.value.iterations == 0 and err.value.packings == len(calls) > 2
+        assert np.array_equal(err.value.alpha, calls[0])
+        assert err.value.residual == float(np.abs(v - real(v, r, calls[0])[0]).max())

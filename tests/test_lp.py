@@ -640,3 +640,39 @@ class TestDump:
         assert lines[3] == "capacity 1 <= 0.5"
         assert lines[4] == "box 0 0 <= 0.25"
         assert len(lines) == 1 + 1 + 2 + 2
+
+
+class TestRefinementLastResorts:
+    """The refinement's fallbacks, forced: no round certifies (a negative
+    ``CERTIFICATE_TOL``), no cut is found, or ``MAX_ROUNDS`` runs out."""
+
+    JOBS = JobSet.of([(1.0, 0.5), (2.0, 1.0)])   # horizon n * p_max = 4
+
+    def test_a_round_without_a_cut_halves_the_widest_block(self, monkeypatch):
+        inst = build_discretized_lp(self.JOBS, slot_width=0.5)
+        assert inst.n_slots == 8
+        monkeypatch.setattr(lpmod, "CERTIFICATE_TOL", -1.0)
+        monkeypatch.setattr(lpmod, "_cuts", lambda *args: np.zeros(0, dtype=int))
+        seen, solve = [], lpmod._aggregated_solve
+
+        def spy(inst, edges):
+            seen.append(edges.tolist())
+            return solve(inst, edges)
+
+        monkeypatch.setattr(lpmod, "_aggregated_solve", spy)
+        with pytest.raises(SimplexError, match=r"^certificate gap \S+ at full resolution$"):
+            solve_lp(inst)
+        assert seen == [[0, 8], [0, 4, 8], [0, 2, 4, 8], [0, 2, 4, 6, 8], [0, 1, 2, 4, 6, 8],
+                        [0, 1, 2, 3, 4, 6, 8], [0, 1, 2, 3, 4, 5, 6, 8], list(range(9))]
+
+    def test_refinement_stops_after_max_rounds(self, monkeypatch):
+        inst = build_discretized_lp(self.JOBS, slot_width=1.0 / 16.0)
+        monkeypatch.setattr(lpmod, "CERTIFICATE_TOL", -1.0)
+        monkeypatch.setattr(lpmod, "MAX_ROUNDS", 2)
+        with pytest.raises(SimplexError, match=r"^block refinement did not converge \(gap \S+\)$"):
+            solve_lp(inst)
+
+
+def test_dense_simplex_refuses_a_negative_right_hand_side():
+    with pytest.raises(ContractError, match="nonnegative right-hand sides"):
+        dense_simplex([1.0, 0.0], [[1.0, 1.0]], [-1.0], [np.inf, np.inf])

@@ -23,6 +23,7 @@ from sharesched import (
     validate_schedule,
 )
 from sharesched.cli import generate_random
+from sharesched import lp as lpmod
 from sharesched.lp import SLOTS, SlotWidthError, build_discretized_lp, solve_lp
 
 from conftest import random_instance, volume_before
@@ -477,3 +478,23 @@ class TestHalfVolumeAfterFractionalCompletion:
                 assert tail >= job.volume / 2 - 1e-9
             checked += 1
         assert checked >= 20
+
+
+class TestPipelineStages:
+    def test_an_lp_failure_is_the_lp_stage(self, three_jobs, monkeypatch):
+        monkeypatch.setattr(lpmod, "CERTIFICATE_TOL", -1.0)
+        monkeypatch.setattr(lpmod, "MAX_ROUNDS", 1)
+        with pytest.raises(PipelineError) as err:
+            lsapprox_report(three_jobs, LsApproxParams(0.5))
+        assert err.value.stage == "lp" and isinstance(err.value.__cause__, lpmod.SimplexError)
+        assert str(err.value) == f"lp: {err.value.__cause__}"
+
+    def test_refused_intercepts_are_the_line_schedule_stage(self, three_jobs, monkeypatch):
+        solve = lpmod.solve_lp
+        monkeypatch.setattr(lpmod, "solve_lp", lambda inst: dataclasses.replace(
+            solve(inst), alpha=-np.ones(inst.n_jobs)))
+        with pytest.raises(PipelineError) as err:
+            lsapprox_report(three_jobs, LsApproxParams(0.5))
+        assert err.value.stage == "line-schedule"
+        assert isinstance(err.value.__cause__, ContractError)
+        assert str(err.value) == "line-schedule: alpha entries must be finite and nonnegative"

@@ -654,3 +654,36 @@ def test_flatness_verdicts_match_the_references(monkeypatch):
     assert verdicts["extendable"] == [extendability_check(sched, jobs, c) for jobs, sched in pool
                                       for c in (1.2, 1.45, COMPETITIVE_RATIO, 2.0)]
     assert verdicts["flatter"] == [is_flatter(a, b) for (_, a), (_, b) in zip(pool, pool[1:])]
+
+
+@pytest.mark.parametrize("deadline", [0.0, -0.0])
+def test_a_zero_deadline_leaves_the_whole_volume_as_deficit(deadline):
+    # the general path: no usage piece lies before 0, so the capacity is 0
+    rng = np.random.default_rng(7)
+    for seed in range(20):
+        usage = greedy(random_instance(seed, 6)).total_usage()
+        job = Job(float(rng.uniform(0.01, 5.0)), float(rng.uniform(0.05, 1.0)))
+        out = waterfill_step(usage, job, deadline)
+        assert (out.ok, out.assignment, out.level) == (False, None, None)
+        assert out.deficit == job.volume
+    # a volume within the tolerance fits at 0 as at every deadline, here with nothing poured
+    out = waterfill_step(StepFunction.zero(), Job(1e-10, 0.5), deadline)
+    assert out.ok and out.level == 1.0 and out.assignment == StepFunction.zero()
+
+
+@pytest.mark.parametrize("deadline", [-1.0, -5e-324, -math.inf, math.inf, math.nan])
+def test_a_deadline_must_be_finite_and_nonnegative(deadline):
+    # NaN fails every comparison, and an infinite deadline would reach the level sums
+    with pytest.raises(ContractError, match="^deadline must be finite and nonnegative, got "):
+        waterfill_step(StepFunction.constant(0.5, 2.0), Job(1.0, 0.5), deadline)
+
+
+def test_a_zero_volume_universal_shape_reads_zero():
+    u = UniversalSchedule(0.0)
+    assert [u(t) for t in (-1.0, 0.0, 1.0)] == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("volume", [-1.0, math.inf, math.nan])
+def test_a_universal_shape_needs_a_finite_nonnegative_volume(volume):
+    with pytest.raises(ContractError, match="volume must be finite and nonnegative"):
+        UniversalSchedule(volume)
