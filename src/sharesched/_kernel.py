@@ -57,11 +57,12 @@ def _pair_terms(v_bytes: bytes, r_bytes: bytes):
 
 
 def _rows(v, r, alpha):
-    """Event rows ``(times, order, rates, vols)``.
+    """Event rows ``(times, order, rates, vols, flat, divisor)``.
 
     Row j: the crossings of line j in ``(0, alpha_j v_j)``, its zero, then
     ``inf``; ``order[j, i]`` is the line behind event i, and ``rates[j, i]``
-    j's rate up to event i.
+    j's rate up to event i.  ``flat`` is ``order`` as flat indices into an
+    n x n array, and ``divisor`` the term of ``_pairs`` the crossings used.
     """
     n = v.size
     idx, divisor, base, neg_v, neg_r = _pairs(v, r)
@@ -94,7 +95,7 @@ def _rows(v, r, alpha):
     ends = np.zeros((n, n + 1))
     np.minimum(times, zero_col, out=ends[:, 1:])
     widths = ends[:, 1:] - ends[:, :-1]
-    return times, order, rates, (rates[:, :-1] * widths).sum(axis=1)
+    return times, order, rates, (rates[:, :-1] * widths).sum(axis=1), flat, divisor
 
 
 def line_volumes(v, r, alpha):
@@ -112,10 +113,9 @@ def line_structure(v, r, alpha):
     by dt, an event changes j's volume by dt times j's rate drop there.
     """
     n = v.size
-    _, order, rates, vols = _rows(v, r, alpha)
-    _, divisor, base, _, _ = _pairs(v, r)
+    _, _, rates, vols, flat, divisor = _rows(v, r, alpha)
     drop = np.empty((n, n))                            # rate before minus after
-    drop.put(order + base, rates[:, :-1] - rates[:, 1:])
+    drop.put(flat, rates[:, :-1] - rates[:, 1:])
     per_ds = drop / divisor                            # a zero for parallel lines
     diagonal = per_ds.sum(axis=1) + drop.ravel()[::n + 1] * v
     # 0.0 - per_ds rather than -per_ds: every zero of the Jacobian is +0.0
@@ -135,5 +135,5 @@ def _read(events, rates, times):
 def rates_at(v, r, alpha, times):
     """Each job's rate on ``[t, next event)`` for each t in ``times``: at a
     crossing, the order just after it (the flatter line first)."""
-    events, _, rates, _ = _rows(v, r, alpha)
+    events, _, rates = _rows(v, r, alpha)[:3]
     return _read(events, rates, times)

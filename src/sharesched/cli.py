@@ -373,22 +373,21 @@ def render_svg(jobs: JobSet, sched: Schedule, alpha=None) -> str:
     ]
     # stacked areas on the refined grid, each rate read at its interval's
     # left end: the midpoint of a one-ulp interval rounds onto an edge
-    if grid.size > 1:
-        left = grid[:-1]
-        rates = core._rows_at(sched.assignments, left)
-        cum = np.vstack([np.zeros(left.size), np.cumsum(rates, axis=0)])
-        for j in range(sched.n_jobs):
-            lo, hi = cum[j], cum[j + 1]
-            if not np.any(hi - lo > 0):
-                continue
-            # the bottom edge left to right, then the top edge back
-            ts = np.repeat(grid, 2)[1:-1]
-            ts = np.concatenate((ts, ts[::-1]))
-            vs = np.concatenate((np.repeat(lo, 2), np.repeat(hi, 2)[::-1]))
-            path = " ".join(f"{X(t):.2f},{Y(v):.2f}" for t, v in zip(ts, vs))
-            color = PALETTE[j % len(PALETTE)]
-            out.append(f'<polygon points="{path}" fill="{color}" fill-opacity="0.85" '
-                       f'stroke="{color}"/>')
+    left = grid[:-1]
+    rates = core._rows_at(sched.assignments, left)
+    cum = np.vstack([np.zeros(left.size), np.cumsum(rates, axis=0)])
+    for j in range(sched.n_jobs):
+        lo, hi = cum[j], cum[j + 1]
+        if not np.any(hi - lo > 0):
+            continue
+        # the bottom edge left to right, then the top edge back
+        ts = np.repeat(grid, 2)[1:-1]
+        ts = np.concatenate((ts, ts[::-1]))
+        vs = np.concatenate((np.repeat(lo, 2), np.repeat(hi, 2)[::-1]))
+        path = " ".join(f"{X(t):.2f},{Y(v):.2f}" for t, v in zip(ts, vs))
+        color = PALETTE[j % len(PALETTE)]
+        out.append(f'<polygon points="{path}" fill="{color}" fill-opacity="0.85" '
+                   f'stroke="{color}"/>')
     # axes and the unit-resource line
     out.append(f'<line x1="{ml}" y1="{Y(0)}" x2="{ml + pw}" y2="{Y(0)}" stroke="black"/>')
     out.append(f'<line x1="{ml}" y1="{Y(0)}" x2="{ml}" y2="{mt}" stroke="black"/>')

@@ -216,7 +216,8 @@ def _canonical(e: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Merge equal neighbours and trim the zero tail.
 
     One mask over the edges keeps both ends and every inner edge where the
-    value changes; after the merge at most one zero piece can trail.
+    value changes; after the merge at most one zero piece can trail, and a
+    function that is zero everywhere keeps only its first edge.
     """
     keep = np.empty(e.size, dtype=bool)
     keep[0] = keep[-1] = True
@@ -225,8 +226,6 @@ def _canonical(e: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         e, v = e[keep], v[keep[:-1]]
     if v.size and v[-1] == 0.0:
         e, v = e[:-1], v[:-1]
-    if not v.size:
-        return np.array([0.0]), np.array([], dtype=float)
     return e, v
 
 

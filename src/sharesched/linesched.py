@@ -175,7 +175,7 @@ def build_line_schedule(jobs: JobSet, alpha) -> LineSchedule:
     if n == 0:
         return LineSchedule(Schedule.empty(0), a, np.zeros(0), np.zeros(0), np.zeros((0, 0)),
                             np.zeros((0, 0)), np.zeros(0), np.array([0.0]), jobs, np.zeros((0, 0)))
-    times, _, row_rates, vols = _kernel._rows(v, r, a)
+    times, _, row_rates, vols = _kernel._rows(v, r, a)[:4]
     runs = (row_rates[:, :-1] > 0.0) | (row_rates[:, 1:] > 0.0)    # on a side of event i
     grid = _distinct(np.concatenate(([0.0], times[runs])))
     t0 = grid[:-1]
@@ -220,7 +220,8 @@ def solve_alpha(jobs: JobSet, vol_tol: float = DEFAULT_TOL) -> np.ndarray:
       by concavity means ``g`` did not fall; ``s`` halves from 1 until then.
 
     Each trial point is packed once, by ``_kernel.line_structure``: the
-    accepted point's volumes and Jacobian drive the next Newton step.
+    accepted point's volumes, Jacobian and the gradient its ascent test read
+    drive the next Newton step.
 
     Stops once max_j |V_j - v_j| <= vol_tol, after one last full
     step that is kept only when it lowers that residual; near the solution
@@ -253,12 +254,12 @@ def solve_alpha(jobs: JobSet, vol_tol: float = DEFAULT_TOL) -> np.ndarray:
                              "the float range")
     fill = r * v
     vols, jac = _kernel.line_structure(v, r, alpha)
+    grad = v - vols
     packings = 1
     # near the float range an inner product of the step can overflow to
     # +-inf, which the ascent tests still read; a NaN falls back to the gradient
     with np.errstate(over="ignore"):
         for iteration in range(MAX_ITERS + 1):
-            grad = v - vols
             residual = float(np.abs(grad).max())
             if residual > vol_tol and iteration == MAX_ITERS:
                 break
@@ -280,7 +281,8 @@ def solve_alpha(jobs: JobSet, vol_tol: float = DEFAULT_TOL) -> np.ndarray:
                     raise ConvergenceError(residual, iteration, packings, alpha.copy())
                 vols, jac = _kernel.line_structure(v, r, trial)
                 packings += 1
-                if (v - vols) @ (trial - alpha) >= 0.0:
+                grad = v - vols
+                if grad @ (trial - alpha) >= 0.0:
                     break
                 step *= 0.5
             alpha = trial

@@ -273,30 +273,6 @@ class UniversalSchedule:
         out = np.where((y >= 1.0) | (self.volume == 0.0), 0.0, np.maximum(out, 0.0))
         return float(out) if out.ndim == 0 else out
 
-    def step_under(self, levels: int = 512) -> StepFunction:
-        """Staircase below the shape (each slab cut at its upper height)."""
-        return self._staircase(levels, under=True)
-
-    def step_over(self, levels: int = 512) -> StepFunction:
-        """Staircase above the shape (each slab extended to its lower height)."""
-        return self._staircase(levels, under=False)
-
-    def _staircase(self, levels: int, under: bool) -> StepFunction:
-        if self.volume == 0.0:
-            return StepFunction.zero()
-        ys = np.linspace(0.0, 1.0, levels + 1)
-        times = self.time_above(ys)                         # decreasing in y
-        edges = np.concatenate([[0.0], times[::-1]])        # 0, tau(1), ..., tau(0)
-        # intervals: [0, tau(1)), then [tau(y_{k+1}), tau(y_k)) for k = m-1..0;
-        # the shape lies in (y_k, y_{k+1}] there, so the staircase takes the
-        # slab's upper height (over) or lower height (under).
-        ys_desc = ys[::-1]
-        if under:
-            vals = np.concatenate([[1.0], ys_desc[1:]])
-        else:
-            vals = np.concatenate([[1.0], ys_desc[:-1]])
-        return StepFunction(edges, vals)
-
 
 def _cumulative(marks: np.ndarray, usage: StepFunction, horizons: np.ndarray) -> np.ndarray:
     """Integral over [0, C) of each row of per-usage-interval ``marks``, one
@@ -362,7 +338,7 @@ def flatter_than_universal(sched: Schedule, volume: float) -> bool:
     levels = _distinct(np.concatenate([usage.values, [0.0, 1.0]]))
     levels = levels[(levels >= 0.0) & (levels <= 1.0)]
     ys = levels
-    if volume > 0.0 and usage.values.size:
+    if volume > 0.0:
         # measures of {usage > level} before each horizon
         measures = _distinct(_cumulative(usage.values > levels[:, None], usage, horizons))
         measures = measures[measures > 0.0]

@@ -112,6 +112,18 @@ class TestRun:
         err = json.loads(capsys.readouterr().out)
         assert "failure_index" in err and err["error"]
 
+    def test_a_schedule_that_fails_its_own_validation_exits_4(self, tmp_path):
+        # job 1's unit volume is lost in the rounding of job 0's 1e308: its
+        # water level equals job 0's, so it gets a zero assignment
+        inst, rec = tmp_path / "horizon.json", tmp_path / "run.json"
+        inst.write_text(HORIZON_JOBS)
+        assert main(["run", "waterfill", "--input", str(inst), "--record", str(rec)]) == 4
+        assert json.loads(rec.read_text())["validation"] == {"feasible": False, "max_violation": 1}
+
+    def test_an_unknown_algorithm_is_a_value_error(self):
+        with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
+            cli.run_algorithm("bogus", core.JobSet(), None)
+
     def test_best_on_single_job(self, tmp_path, capsys):
         inst = tmp_path / "one.json"
         inst.write_text('{"jobs": [{"v": 2, "r": 0.5}]}\n')
@@ -677,6 +689,10 @@ class TestPlot:
         assert main(["plot", "--schedule", str(sched), "--out", str(tmp_path / "e3.svg")]) == 0
         assert (tmp_path / "e3.svg").read_text() == svg
         assert cli.render_svg(core.JobSet(), core.Schedule.empty(3)) == svg
+
+    def test_a_job_that_never_runs_draws_no_area(self):
+        sched = core.Schedule([core.StepFunction.constant(0.5, 2.0), core.StepFunction.zero()])
+        assert cli.render_svg(core.JobSet(), sched).count("<polygon") == 1
 
     def test_areas_track_volumes(self, tmp_path):
         jobs_text = '{"jobs": [{"v": 1, "r": 1}, {"v": 2, "r": 0.5}]}\n'

@@ -132,6 +132,10 @@ class TestStepFunction:
         merged = StepFunction([0.0, 1.0, 2.0], [0.5, 0.5])
         assert merged == one
 
+    def test_constant_up_to_a_nonpositive_end_is_zero(self):
+        for end in (0.0, -1.0):
+            assert StepFunction.constant(0.5, end) == StepFunction.zero()
+
     def test_count_checks_match_all_and_any(self):
         rng = np.random.default_rng(4)
         arrays = [np.zeros(0, dtype=bool), np.ones(7, dtype=bool), np.zeros(7, dtype=bool)]

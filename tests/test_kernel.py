@@ -1,8 +1,10 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import exact
 from sharesched import _kernel, linesched
 from sharesched.cli import generate_random
 
@@ -195,6 +197,38 @@ def test_rates_match_the_column_packing_off_the_breakpoints():
         times = times[gap >= 1e-9]
         assert np.allclose(_kernel.rates_at(v, r, alpha, times), _packed_at(v, r, alpha, times),
                            rtol=0.0, atol=1e-12)
+
+
+def _exact_cases():
+    """``generate_random(n <= 8)`` at its solved intercepts and at randomly
+    scaled ones."""
+    rng = np.random.default_rng(11)
+    for n in range(1, 9):
+        for seed in range(1, 6):
+            jobs = generate_random(n, seed)
+            alpha = linesched.solve_alpha(jobs)
+            for a in (alpha, alpha * rng.uniform(0.5, 2.0, n)):
+                yield jobs.volumes(), jobs.requirements(), a
+
+
+def test_packing_matches_the_exact_rational_reference():
+    # volumes within 16 n ulps of max(1, v_j); rates within n ulps (the
+    # capacity left is a float sum of requirements) at the midpoint of every
+    # exact interval wider than 16 ulps of its end
+    eps = np.finfo(float).eps
+    checked = 0
+    for v, r, alpha in _exact_cases():
+        n = v.size
+        times, rates, volumes = exact.packing(v, r, alpha)
+        for j, got in enumerate(_kernel.line_volumes(v, r, alpha)):
+            assert abs(Fraction(got) - volumes[j]) <= 16 * n * eps * max(1.0, v[j])
+        wide = [i for i in range(len(rates)) if times[i + 1] - times[i] > 16 * eps * times[i + 1]]
+        mids = np.array([float((times[i] + times[i + 1]) / 2) for i in wide])
+        got = _kernel.rates_at(v, r, alpha, mids)
+        for col, i in enumerate(wide):
+            assert all(abs(Fraction(got[j, col]) - rates[i][j]) <= n * eps for j in range(n))
+        checked += len(wide)
+    assert checked > 500
 
 
 def test_memory_is_quadratic_in_n():

@@ -491,21 +491,16 @@ class TestUniversalSchedule:
             got = float(np.trapezoid(np.maximum(vals - y, 0.0), ts))
             assert u.upper_area(y) == pytest.approx(got, rel=1e-8, abs=1e-10)
 
-    def test_staircases_bracket_the_shape(self):
-        u = UniversalSchedule(2.0)
-        under = u.step_under(64)
-        over = u.step_over(64)
-        ts = np.linspace(0.0, u.support_end * 1.05, 1000)
-        for t in ts:
-            assert under(t) <= u(t) + 1e-12 <= over(t) + 2e-2 + 1e-12
-        assert under.integral() <= 2.0 <= over.integral()
-
 
 class TestExtendability:
     def test_universal_shape_is_extendable(self):
         volume = E - 1.0
         jobs = JobSet.of([(volume, 1.0)])
-        sched = Schedule([UniversalSchedule(volume).step_under(2048)])
+        # the 2048-slab staircase below the shape: 1 up to tau(1), then on
+        # [tau(y_k+1), tau(y_k)) the slab's lower height y_k
+        ys = np.linspace(0.0, 1.0, 2049)
+        edges = np.append(0.0, UniversalSchedule(volume).time_above(ys)[::-1])
+        sched = Schedule([StepFunction(edges, np.append(1.0, ys[-2::-1]))])
         assert extendability_check(sched, jobs, COMPETITIVE_RATIO)
         # the closed form satisfies the bound directly as well
         ratio = COMPETITIVE_RATIO
@@ -545,6 +540,13 @@ def test_usage_past_the_float_range_reads_without_a_warning():
         assert not flatter_than_universal(sched, 1.0)
         assert upper_resource_distribution(sched, 2.0, 0.0) == math.inf
         assert upper_resource_distribution(sched, 1.0, 0.5) == np.finfo(float).max
+
+
+def test_zero_usage_is_flatter_than_every_universal_shape():
+    # no usage measure is positive, so no height joins the levels 0 and 1
+    for sched in (Schedule.empty(0), Schedule.empty(2)):
+        for volume in (0.0, 0.5, 3.0):
+            assert flatter_than_universal(sched, volume)
 
 
 class TestAdversarialInstance:
